@@ -20,10 +20,11 @@
 #include <memory>
 #include <string>
 
-#include "engine/api_internal.h"
+#include "engine/indexed_store.h"
 #include "engine/join.h"
 #include "hom/homomorphism.h"
 #include "rdf/generator.h"
+#include "support/testlib.h"
 #include "util/check.h"
 #include "wdsparql/wdsparql.h"
 
@@ -33,11 +34,13 @@ namespace {
 constexpr int kBackendHash = 0;
 constexpr int kBackendIndexed = 1;
 
-/// One benchmark workload: a random graph bulk-loaded into a Database
-/// (which maintains both backends), and a conjunctive path pattern with
-/// a pendant OPT.
+/// One benchmark workload: a random graph staged as a hash-indexed
+/// TripleSet and loaded into a Database (the permutation store), and a
+/// conjunctive path pattern with a pendant OPT.
 struct E11Instance {
   TermPool pool;
+  RdfGraph staged{&pool};
+  HashTripleSource hash_source{staged.triples()};
   Database db{&pool};
   TripleSet path_pattern;  // (?x p0 ?y) (?y p1 ?z)
 
@@ -47,9 +50,8 @@ struct E11Instance {
     options.num_predicates = 8;
     options.num_triples = num_triples;
     options.seed = 11;
-    RdfGraph staged(&pool);
     GenerateRandomGraph(options, &staged);
-    engine_internal::BulkLoad(&db, staged.triples());
+    testlib::LoadGraph(staged, &db);
 
     TermId x = pool.InternVariable("x");
     TermId y = pool.InternVariable("y");
@@ -59,7 +61,7 @@ struct E11Instance {
   }
 
   const IndexedStore& store() const { return db.store(); }
-  const HashTripleSource& hash() const { return engine_internal::HashSourceOf(db); }
+  const HashTripleSource& hash() const { return hash_source; }
 
   const TripleSource& source(int backend) const {
     if (backend == kBackendIndexed) return store();
@@ -72,8 +74,8 @@ struct E11Instance {
 void BM_E11_PatternScan(benchmark::State& state) {
   E11Instance instance(static_cast<int>(state.range(0)));
   const TripleSource& source = instance.source(static_cast<int>(state.range(1)));
-  std::vector<TermId> predicates = instance.db.graph().triples().TermsAt(1);
-  std::vector<Triple> seeds = instance.db.graph().triples().triples();
+  std::vector<TermId> predicates = instance.staged.triples().TermsAt(1);
+  std::vector<Triple> seeds = instance.staged.triples().triples();
   if (seeds.size() > 256) seeds.resize(256);
 
   uint64_t matched = 0;

@@ -22,8 +22,9 @@
 
 #include <vector>
 
-#include "engine/api_internal.h"
+#include "engine/indexed_store.h"
 #include "rdf/generator.h"
+#include "support/testlib.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "wdsparql/wdsparql.h"
@@ -35,6 +36,7 @@ namespace {
 /// update stream over the same node/predicate pools.
 struct E12Instance {
   TermPool pool;
+  RdfGraph staged{&pool};  // The initial content, as a plain graph.
   Database db{&pool};
   std::vector<Triple> updates;
 
@@ -44,9 +46,8 @@ struct E12Instance {
     options.num_predicates = 8;
     options.num_triples = num_triples;
     options.seed = 12;
-    RdfGraph staged(&pool);
     GenerateRandomGraph(options, &staged);
-    engine_internal::BulkLoad(&db, staged.triples());
+    testlib::LoadGraph(staged, &db);
 
     // The update stream: fresh triples over the same vocabulary.
     Rng rng(0xe12);
@@ -87,8 +88,7 @@ void BM_E12_InsertRebuild(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     E12Instance instance(num_triples, batch);
-    RdfGraph graph(&instance.pool);
-    for (const Triple& t : instance.db.graph().triples()) graph.Insert(t);
+    RdfGraph graph = instance.staged;
     state.ResumeTiming();
     for (const Triple& t : instance.updates) {
       inserted += graph.Insert(t) ? 1 : 0;
@@ -109,7 +109,7 @@ void BM_E12_RemoveIncremental(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     E12Instance instance(num_triples, batch);
-    std::vector<Triple> victims = instance.db.graph().triples().triples();
+    std::vector<Triple> victims = instance.staged.triples().triples();
     victims.resize(std::min<std::size_t>(victims.size(), batch));
     state.ResumeTiming();
     for (const Triple& t : victims) {
@@ -141,11 +141,12 @@ void BM_E12_InterleavedQueryLatency(benchmark::State& state) {
       const Triple& t = instance.updates[next_update];
       next_update = (next_update + 1) % instance.updates.size();
       instance.db.AddTriple(t);
+      if (!incremental) instance.staged.Insert(t);
     }
     if (!incremental) {
       // Rebuild-from-scratch maintenance: what every reader waited for
       // before incremental deltas existed.
-      IndexedStore rebuilt = IndexedStore::Build(instance.db.graph().triples());
+      IndexedStore rebuilt = IndexedStore::Build(instance.staged.triples());
       benchmark::DoNotOptimize(rebuilt.size());
     }
     Cursor cursor = query.Execute();

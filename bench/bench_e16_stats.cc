@@ -20,15 +20,15 @@
 
 #include <string>
 
-#include "engine/api_internal.h"
 #include "rdf/generator.h"
+#include "support/testlib.h"
 #include "util/check.h"
 #include "wdsparql/wdsparql.h"
 
 namespace wdsparql {
 namespace {
 
-/// A random graph bulk-loaded into a Database, queried through the
+/// A random graph loaded into a Database, queried through the
 /// indexed backend (the serving default).
 struct E16Instance {
   TermPool pool;
@@ -42,7 +42,7 @@ struct E16Instance {
     options.seed = 16;
     RdfGraph staged(&pool);
     GenerateRandomGraph(options, &staged);
-    engine_internal::BulkLoad(&db, staged.triples());
+    testlib::LoadGraph(staged, &db);
   }
 };
 

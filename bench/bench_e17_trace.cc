@@ -23,8 +23,8 @@
 
 #include <string>
 
-#include "engine/api_internal.h"
 #include "rdf/generator.h"
+#include "support/testlib.h"
 #include "util/check.h"
 #include "wdsparql/wdsparql.h"
 
@@ -50,7 +50,7 @@ struct E17Instance {
     options.seed = 16;  // Same instance as bench_e16.
     RdfGraph staged(&pool);
     GenerateRandomGraph(options, &staged);
-    engine_internal::BulkLoad(&db, staged.triples());
+    testlib::LoadGraph(staged, &db);
   }
 };
 

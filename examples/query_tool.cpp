@@ -147,6 +147,17 @@ void PrintPlan(const StatementImpl& stmt, TermPool* pool) {
   }
 }
 
+/// The database's content as a plain graph, for the paper's oracles
+/// (set semantics, PebbleWdEval), which take one directly.
+RdfGraph GraphOf(const Database& db) {
+  RdfGraph graph(&db.pool());
+  db.store().ScanPattern(Triple(kAnyTerm, kAnyTerm, kAnyTerm), [&graph](const Triple& t) {
+    graph.Insert(t);
+    return true;
+  });
+  return graph;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -332,7 +343,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "parse error: %s\n", parsed.status().ToString().c_str());
       return 1;
     }
-    std::vector<Mapping> answers = Evaluate(*parsed.value(), db.graph());
+    std::vector<Mapping> answers = Evaluate(*parsed.value(), GraphOf(db));
     if (show_stats) {
       std::fprintf(stderr,
                    "note: --stats needs the engine pipeline; the set-semantics "
@@ -431,8 +442,9 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot verify projected rows; drop --select\n");
       return 1;
     }
+    const RdfGraph graph = GraphOf(db);
     for (const Mapping& mu : answers) {
-      if (!PebbleWdEval(forest, db.graph(), mu, promise)) {
+      if (!PebbleWdEval(forest, graph, mu, promise)) {
         std::fprintf(stderr,
                      "DISAGREEMENT: pebble algorithm (k=%d) rejects %s — promise "
                      "too small or library bug\n",

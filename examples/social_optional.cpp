@@ -24,7 +24,8 @@
 using namespace wdsparql;
 
 int main() {
-  // Generate the synthetic social graph, then bulk-load it.
+  // Generate the synthetic social graph, then load it (the staged graph
+  // stays around as a plain copy for the shape check at the end).
   TermPool pool;
   RdfGraph staged(&pool);
   SocialGraphOptions options;
@@ -96,7 +97,7 @@ int main() {
   int phone_no_email = 0;
   TermId phone = pool.InternIri("phone");
   TermId email = pool.InternIri("email");
-  const TripleSet& triples = db.graph().triples();
+  const TripleSet& triples = staged.triples();
   for (int i = 0; i < options.num_people; ++i) {
     TermId person = pool.InternIri("person" + std::to_string(i));
     bool has_p = false, has_e = false;

@@ -32,16 +32,12 @@ struct CursorImpl;
 
 /// Pull-based enumeration of one statement execution. Move-only.
 ///
-/// Lifetime: the cursor holds the prepared statement alive and, on the
-/// indexed backend, a refcounted pin on the read view it opened
-/// against. Mutations (including `Compact`) do NOT invalidate it: the
+/// Lifetime: the cursor holds the prepared statement alive and a
+/// refcounted pin on the read view it opened against, on either
+/// backend. Mutations (including `Compact`) do NOT invalidate it: the
 /// cursor keeps enumerating the exact snapshot it pinned, and the pin is
 /// released only explicitly — by `Close`, exhaustion, or destruction.
 /// Re-execute the statement for a cursor over the freshest view.
-///
-/// Naive-backend cursors (`Backend::kNaiveHash`) cannot pin the live
-/// hash graph; they retain the historical fail-fast behaviour and flip
-/// to `kInvalidated` on their next pull after any mutation.
 ///
 /// Thread-safety: one cursor belongs to one thread at a time, but any
 /// number of cursors (across threads) may run concurrently with each
@@ -53,8 +49,6 @@ class Cursor {
     kOpen,         ///< Mid-enumeration; `Row` is valid after a true `Next`.
     kExhausted,    ///< Every answer was delivered.
     kClosed,       ///< Closed by the consumer.
-    kInvalidated,  ///< The database mutated under a naive-backend
-                   ///< cursor (indexed cursors pin their view instead).
     kLimited,      ///< `ExecOptions::row_limit` rows were delivered; the
                    ///< rows seen are an exact answer prefix, not an error.
     kCancelled,    ///< Stopped mid-enumeration by a fired cancellation
@@ -73,14 +67,14 @@ class Cursor {
   Cursor(const Cursor&) = delete;
   Cursor& operator=(const Cursor&) = delete;
 
-  /// Pins the database's current read view (indexed backend) or its
-  /// generation (naive backend) and readies enumeration. Idempotent
-  /// while open; returns true iff the cursor is (now) open.
+  /// Pins the database's current read view (or takes the bound
+  /// snapshot's) and readies enumeration. Idempotent while open; returns
+  /// true iff the cursor is (now) open.
   bool Open();
 
   /// Advances to the next answer. Opens on first call. Returns true iff
-  /// a row is available; false on exhaustion, invalidation or failure
-  /// (inspect `state()` to distinguish).
+  /// a row is available; false on exhaustion, a limit, cancellation or
+  /// failure (inspect `state()` to distinguish).
   bool Next();
 
   /// Releases enumeration state — and the pinned view — early. Further

@@ -21,8 +21,8 @@
 /// The owning database object.
 ///
 /// `Database` is the front door of the engine: it owns the term pool
-/// (optionally shared), the ground graph, and the dictionary-encoded
-/// SPO/POS/OSP permutation indexes, and it keeps the indexes maintained
+/// (optionally shared) and the dictionary-encoded SPO/POS/OSP
+/// permutation indexes holding the ground graph, and it keeps them maintained
 /// *incrementally* under mutation — inserts land in small sorted delta
 /// runs and deletions in a tombstone set, folded into the base runs by a
 /// periodic linear merge instead of a rebuild-from-scratch (the LSM
@@ -32,15 +32,15 @@
 /// Threading model (single writer / many readers; the full contract is
 /// docs/CONCURRENCY.md): at most one thread mutates the database at a
 /// time; any number of threads may concurrently prepare statements and
-/// run cursors on the default indexed backend *while the writer works*.
-/// Every mutation publishes a fresh immutable read view; cursors pin
-/// the current view when they open and keep it — readers never block
-/// the writer and never observe a half-applied mutation. The exceptions
-/// are `graph()`, `store()` and naive-backend execution, which read
-/// live writer-side state and therefore require that no concurrent
-/// mutation happens; and `Save`/`Checkpoint`/`Compact`, which are
-/// writer-side calls. The database must outlive every session,
-/// statement and cursor derived from it.
+/// run cursors, on either backend, *while the writer works*. Every
+/// mutation publishes a fresh immutable read view; cursors pin the
+/// current view when they open and keep it — readers never block the
+/// writer and never observe a half-applied mutation. The exceptions are
+/// `store()`, which exposes live writer-side state and therefore
+/// requires that no concurrent mutation happens, and
+/// `Save`/`Checkpoint`/`Compact`, which are writer-side calls. The
+/// database must outlive every session, statement and cursor derived
+/// from it.
 ///
 /// ```
 /// Database db;
@@ -56,7 +56,6 @@
 
 namespace wdsparql {
 
-class RdfGraph;      // Internal storage; see rdf/graph.h.
 class IndexedStore;  // Internal storage; see engine/indexed_store.h.
 struct DatabaseImpl;
 
@@ -106,8 +105,8 @@ class Database {
                                const OpenOptions& options = {});
 
   /// Serializes the current content to `path` as a single-file snapshot
-  /// (atomic rename). Folds any pending delta first (like `Compact`, so
-  /// open cursors are invalidated when a delta existed).
+  /// (atomic rename). Folds any pending delta first, like `Compact`
+  /// (open cursors keep the views they pinned).
   Status Save(const std::string& path);
 
   /// Folds base + delta into a fresh snapshot at the path this database
@@ -127,8 +126,7 @@ class Database {
   // absent removal, empty or fully-cancelling batch — publishes
   // nothing. Open cursors are *not* invalidated: they keep the view
   // they pinned at `Open` and continue to enumerate the database
-  // exactly as it was then (naive-backend cursors are the exception —
-  // see wdsparql/cursor.h).
+  // exactly as it was then.
 
   /// Applies `batch` atomically: the net effect of its operations (a
   /// later op on the same triple supersedes an earlier one; ops that
@@ -248,11 +246,9 @@ class Database {
   /// a refcount — callable from any thread, concurrent with the writer.
   Snapshot GetSnapshot() const;
 
-  /// \internal Storage accessors for in-tree tooling (the deprecated
-  /// QueryEngine facade, benchmarks, width machinery). Not part of the
-  /// stable surface, and NOT safe concurrently with a writer: they
-  /// expose live writer-side state rather than a pinned view.
-  const RdfGraph& graph() const;
+  /// \internal Storage accessor for in-tree tooling (benchmarks, tests).
+  /// Not part of the stable surface, and NOT safe concurrently with a
+  /// writer: it exposes live writer-side state rather than a pinned view.
   const IndexedStore& store() const;
 
  private:

@@ -30,15 +30,9 @@ struct QueryDiagnostics {
                          ///< (e.g. FILTER below AND/OPT).
     kInvalidProjection,  ///< An execution-time projection named an unknown
                          ///< variable.
-    kInvalidated,        ///< The database mutated under an open
-                         ///< naive-backend cursor (indexed cursors pin
-                         ///< an immutable view instead; see cursor.h).
     kCancelled,          ///< Execution stopped by a fired cancellation
                          ///< token (see wdsparql/exec_options.h).
     kDeadlineExceeded,   ///< Execution stopped at its deadline.
-    kUnimplemented,      ///< The requested combination is not served by
-                         ///< this backend (e.g. snapshot-bound execution
-                         ///< on the naive oracle backend).
     kInternal,           ///< Pipeline invariant failure (library bug).
   };
 

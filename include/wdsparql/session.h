@@ -27,13 +27,11 @@
 ///
 /// Concurrency: sessions are value objects bound to the database's
 /// move-stable internals — copy them freely, one per thread or per
-/// request. On the indexed backend (the default), preparing statements
-/// and iterating cursors from many threads is safe even while a single
-/// writer thread mutates the database: execution pins an immutable read
-/// view, and `Prepare`'s interning of query terms into the shared
-/// `TermPool` synchronises internally. Naive-backend (`kNaiveHash`)
-/// execution reads the live hash graph and is only safe while nobody
-/// mutates. See docs/CONCURRENCY.md.
+/// request. On either backend, preparing statements and iterating
+/// cursors from many threads is safe even while a single writer thread
+/// mutates the database: execution pins an immutable read view, and
+/// `Prepare`'s interning of query terms into the shared `TermPool`
+/// synchronises internally. See docs/CONCURRENCY.md.
 
 namespace wdsparql {
 
@@ -44,8 +42,9 @@ struct StatementImpl;
 
 /// Storage/execution backend selector.
 enum class Backend {
-  kNaiveHash,  ///< Hash-indexed TripleSet + CSP solver (the paper-faithful
-               ///< oracle, kept for differential testing).
+  kNaiveHash,  ///< The paper's CSP solver (or pebble game) over the
+               ///< pinned view: the paper-faithful oracle, kept for
+               ///< differential testing.
   kIndexed,    ///< Dictionary-encoded permutation store + merge joins.
 };
 
@@ -105,12 +104,9 @@ class Statement {
   /// Snapshot-bound execution: the cursor enumerates exactly the state
   /// `snapshot` pinned, regardless of batches committed since —
   /// repeatable reads across many cursors (see wdsparql/snapshot.h).
-  /// Both backends serve snapshots: the indexed backend enumerates the
-  /// pinned view in place; the naive-hash oracle materialises a private
-  /// copy of the pinned content at Open (O(dataset) per cursor — meant
-  /// for differential testing, not production reads). An invalid
-  /// snapshot or one from another database yields a kFailed cursor
-  /// with kInternal diagnostics.
+  /// Both backends read the pinned view in place. An invalid snapshot
+  /// or one from another database yields a kFailed cursor with
+  /// kInternal diagnostics.
   Cursor Execute(const Snapshot& snapshot, const ExecOptions& options = {}) const;
   Cursor Execute(const std::vector<std::string>& projection,
                  const Snapshot& snapshot, const ExecOptions& options = {}) const;
@@ -126,19 +122,17 @@ class Statement {
   uint64_t Count() const;
 
   /// wdEVAL membership: decides mu ∈ JPKG on the session's backend
-  /// (false on failed statements). On the indexed backend the test pins
-  /// the current read view for its duration, so it is safe concurrently
-  /// with the writer.
+  /// (false on failed statements). The test pins the current read view
+  /// for its duration, so it is safe concurrently with the writer.
   bool Contains(const Mapping& mu) const;
 
   /// Snapshot-bound membership: decides mu ∈ JPKG against exactly the
   /// state `snapshot` pinned, regardless of batches committed since —
   /// the membership analogue of the snapshot `Execute` overloads, so a
   /// server can answer a stream of membership probes from one
-  /// repeatable-read point. Indexed backend only: returns false on the
-  /// naive-hash oracle backend (which cannot pin a view), on an invalid
-  /// snapshot, or on a snapshot from another database — mirroring the
-  /// plain overload's false-on-failed-statement convention.
+  /// repeatable-read point. Returns false on an invalid snapshot or on a
+  /// snapshot from another database — mirroring the plain overload's
+  /// false-on-failed-statement convention.
   bool Contains(const Mapping& mu, const Snapshot& snapshot) const;
 
   /// \internal Shared prepared state.

@@ -32,10 +32,8 @@
 ///  * The `Database` must outlive the snapshot (the snapshot pins
 ///    storage, not the database object).
 ///  * Snapshots are immutable and freely copyable; copies share the pin.
-///  * Both backends serve snapshot-bound executions. The indexed
-///    backend reads the pinned view in place; the naive oracle
-///    materialises a private copy of the pinned content per cursor —
-///    O(dataset) at Open, intended for differential testing against
+///  * Both backends serve snapshot-bound executions and read the
+///    pinned view in place, so the naive oracle can be compared with
 ///    the indexed engine under a live writer.
 
 namespace wdsparql {

@@ -1,7 +1,6 @@
 #ifndef WDSPARQL_ENGINE_API_INTERNAL_H_
 #define WDSPARQL_ENGINE_API_INTERNAL_H_
 
-#include <atomic>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -13,8 +12,6 @@
 #include "engine/parallel_exec.h"
 #include "engine/read_view.h"
 #include "ptree/forest.h"
-#include "rdf/graph.h"
-#include "rdf/scan.h"
 #include "sparql/ast.h"
 #include "sparql/filter.h"
 #include "storage/wal.h"
@@ -30,13 +27,17 @@
 /// \file
 /// Shared implementation state behind the public Database/Session/Cursor
 /// pimpl surface. In-tree only: the public headers forward-declare these
-/// types; database.cc, session.cc, cursor.cc and the deprecated
-/// QueryEngine facade include this header to cross the pimpl boundary.
+/// types; database.cc, session.cc, cursor.cc and storage/persist.cc (plus
+/// in-tree tests, benches and tools) include this header to cross the
+/// pimpl boundary.
 ///
 /// Threading model (see docs/CONCURRENCY.md for the full contract): one
 /// writer thread mutates; any number of reader threads pin `ReadView`s
 /// through the store's epoch publish and run statements/cursors over
-/// them. The fields below are annotated with which side touches them.
+/// them. The pinned view is the only thing either backend reads: the
+/// indexed engine joins over it, the naive oracle runs the paper's CSP
+/// solver (or pebble game) over it. The fields below are annotated with
+/// which side touches them.
 
 namespace wdsparql {
 
@@ -45,8 +46,6 @@ struct DatabaseImpl {
   DatabaseImpl(TermPool* external_pool, const DatabaseOptions& opts)
       : owned_pool(external_pool == nullptr ? std::make_unique<TermPool>() : nullptr),
         pool(external_pool != nullptr ? external_pool : owned_pool.get()),
-        graph(pool),
-        hash_source(graph.triples()),
         options(opts) {
     store.set_merge_threshold(options.merge_threshold);
     store.set_metrics(metrics);
@@ -55,31 +54,9 @@ struct DatabaseImpl {
     }
   }
 
-  /// Crosses the pimpl boundary for the engine_internal free functions
-  /// (DatabaseImpl is the one friend of Database).
+  /// Crosses the pimpl boundary for in-tree code (storage/persist.cc,
+  /// tests); DatabaseImpl is the one friend of Database.
   static DatabaseImpl& Get(const Database& db) { return *db.impl_; }
-
-  /// Hydrates the hash-backend row store from the permutation store. A
-  /// snapshot-opened database borrows its index runs straight out of the
-  /// mapping and defers this O(dataset) hash build until something
-  /// actually needs the naive backend (its scans, the pebble promise
-  /// machinery, or the `Database::graph()` accessor). Double-checked
-  /// under a mutex so racing readers hydrate exactly once: the winning
-  /// thread fully builds the graph before the release store, and every
-  /// later reader observes it through the acquire load — even on the
-  /// single-threaded path this costs one relaxed atomic load when
-  /// already hydrated.
-  void EnsureGraph() const {
-    if (graph_hydrated.load(std::memory_order_acquire)) return;
-    std::lock_guard<std::mutex> lock(hydrate_mutex);
-    if (graph_hydrated.load(std::memory_order_relaxed)) return;
-    graph.Reserve(store.size());
-    store.ScanPattern(Triple(kAnyTerm, kAnyTerm, kAnyTerm), [this](const Triple& t) {
-      graph.Insert(t);
-      return true;
-    });
-    graph_hydrated.store(true, std::memory_order_release);
-  }
 
   /// The sticky storage status, thread-safe (readers may poll health
   /// while the writer latches a WAL failure).
@@ -111,9 +88,7 @@ struct DatabaseImpl {
   /// `DatabaseOptions::trace_capacity == 0`. Lock-free, written by
   /// request-local `TraceContext` flushes from any thread.
   std::unique_ptr<TraceRecorder> trace;
-  mutable RdfGraph graph;        // Hash-indexed row store (naive backend).
-  HashTripleSource hash_source;  // TripleSource view over `graph`.
-  IndexedStore store;            // Permutation-indexed store (indexed backend).
+  IndexedStore store;  // Permutation-indexed store; publishes the ReadViews.
   DatabaseOptions options;
 
   // The public view generation lives inside the store's published
@@ -122,8 +97,6 @@ struct DatabaseImpl {
 
   // Persistence state (Database::Open / Save / Checkpoint). Writer side,
   // except the sticky status which is mutex-guarded for readers.
-  mutable std::atomic<bool> graph_hydrated{true};  // False until EnsureGraph after Open.
-  mutable std::mutex hydrate_mutex;    // Serialises the one-time hydration.
   std::string snapshot_path;           // Checkpoint target; empty if not opened.
   std::unique_ptr<storage::WriteAheadLog> wal;  // Null without kWal.
   mutable std::mutex storage_mutex;    // Guards storage_error.
@@ -174,19 +147,10 @@ struct CursorImpl {
   std::unordered_set<Mapping, MappingHash> emitted;
   Mapping row;
 
-  /// Snapshot-bound naive execution: the pinned view's content,
-  /// materialised into a cursor-owned copy at Open (the COW half of the
-  /// view is what makes the copy consistent with zero writer
-  /// synchronisation), plus the hash scan index over it. Null on every
-  /// other path.
-  std::unique_ptr<TripleSet> snapshot_copy;
-  std::unique_ptr<HashTripleSource> snapshot_source;
-
-  /// The store snapshot this cursor reads (indexed backend). Pinned at
+  /// The store snapshot this cursor reads (both backends). Pinned at
   /// `Open` — or copied from a user-held `Snapshot` at `Execute` when
-  /// `snapshot_bound` — and released at `Close`/destruction; mutations
-  /// never invalidate it. Null for naive-backend cursors, which read the
-  /// live hash graph and fall back to generation-based invalidation.
+  /// `snapshot_bound` — and released at exhaustion, `Close` or
+  /// destruction; mutations never invalidate it.
   std::shared_ptr<const ReadView> view;
   /// True when `view` came from a user-held `Snapshot`: `Open` must use
   /// it as-is instead of pinning the freshest published view.
@@ -194,8 +158,7 @@ struct CursorImpl {
   /// Per-execution bounds (row limit, deadline, cancellation token),
   /// bound at `Execute` time. Default state bounds nothing.
   ExecOptions exec;
-  /// The pinned view's generation (both backends; for naive cursors the
-  /// view itself is dropped and only this stays).
+  /// The pinned view's generation (kept after the view is released).
   uint64_t open_generation = 0;
   uint64_t rows = 0;
 
@@ -222,29 +185,20 @@ struct CursorImpl {
 
 namespace engine_internal {
 
-/// Bulk-loads `triples` into an *empty* database via the sort-based
-/// build path (dictionary + one sort per permutation), bypassing the
-/// per-triple delta. Used by the QueryEngine compatibility facade.
-/// Writer side: must not race concurrent readers (the store object
-/// itself is replaced).
-void BulkLoad(Database* db, const TripleSet& triples);
-
-/// The database's hash-backed TripleSource (naive backend scans).
-const HashTripleSource& HashSourceOf(const Database& db);
-
-/// Enumeration hooks for the session's backend over `db`'s storage.
-/// Bound to the move-stable impl, not the movable `Database` shell.
-/// On the indexed backend the hooks close over `view` (pinned by the
-/// caller — this is the cursor's pin-at-open step); the naive backend
-/// reads the live hash graph and `view` may be null. A non-null
-/// `join_stats` (indexed backend only) receives the join layer's scan
-/// and dictionary counters; it must outlive the hooks. A non-null
-/// `root_claim` (indexed backend only) is installed into every
-/// candidate generator the hooks open — the parallel workers' space-
-/// partitioning filter (see JoinCursor::SetRootClaim). `optimize`
-/// (indexed backend only) enables the cost-based variable-order planner
-/// for each opened generator when the view carries cardinality
-/// statistics; false preserves the historic heuristic order exactly.
+/// Enumeration hooks for the session's backend over `view` (pinned by
+/// the caller — this is the cursor's pin-at-open step; the hooks share
+/// ownership of it). Bound to the move-stable impl, not the movable
+/// `Database` shell. The indexed backend opens a resumable `JoinCursor`
+/// per subtree; the naive backend materialises each subtree's
+/// homomorphisms with the CSP solver. A non-null `join_stats` (indexed
+/// backend only) receives the join layer's scan and dictionary counters;
+/// it must outlive the hooks. A non-null `root_claim` (indexed backend
+/// only) is installed into every candidate generator the hooks open —
+/// the parallel workers' space-partitioning filter (see
+/// JoinCursor::SetRootClaim). `optimize` (indexed backend only) enables
+/// the cost-based variable-order planner for each opened generator when
+/// the view carries cardinality statistics; false preserves the
+/// historic heuristic order exactly.
 EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
                                       const SessionOptions& options,
                                       std::shared_ptr<const ReadView> view,
@@ -252,28 +206,12 @@ EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
                                       std::function<bool()> root_claim = nullptr,
                                       bool optimize = true);
 
-/// Naive-backend hooks over an explicit materialised triple source (the
-/// snapshot-bound oracle path): candidate generation and maximality run
-/// against `source` — not the live hash graph — so the execution reads
-/// exactly the pinned state however the writer churns. `source` must
-/// outlive the hooks; `pebble_promise > 0` switches the maximality
-/// certificate to the (k+1)-pebble game, mirroring SessionOptions.
-EnumerationHooks MakeNaiveSnapshotHooks(const HashTripleSource& source,
-                                        int pebble_promise);
-
-/// wdEVAL membership on the session's backend (no filter application).
-/// Pins its own view for the duration of the call on the indexed
-/// backend, so it is reader-thread safe against a live writer.
-bool EvaluateMembership(const DatabaseImpl& db, const SessionOptions& options,
-                        const PatternForest& forest, const Mapping& mu,
-                        EvalStats* stats = nullptr);
-
-/// wdEVAL membership over an explicitly pinned view (indexed machinery
-/// only): the test decides mu ∈ JPKG against exactly the state `view`
-/// pinned, whatever the writer has committed since. Backs the public
-/// snapshot-bound `Statement::Contains` overload.
-bool EvaluateMembershipOnView(const PatternForest& forest, const Mapping& mu,
-                              const ReadView& view, EvalStats* stats = nullptr);
+/// wdEVAL membership on the session's backend (no filter application):
+/// decides mu ∈ JPKG against exactly the state `view` pinned, whatever
+/// the writer has committed since. Backs both `Statement::Contains`
+/// overloads.
+bool EvaluateMembership(const PatternForest& forest, const SessionOptions& options,
+                        const Mapping& mu, std::shared_ptr<const ReadView> view);
 
 }  // namespace engine_internal
 

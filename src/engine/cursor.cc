@@ -122,26 +122,18 @@ bool Cursor::Open() {
   switch (impl_->state) {
     case State::kOpen: return true;
     case State::kUnopened: break;
-    default: return false;  // Closed/exhausted/invalidated/failed stay put.
+    default: return false;  // Closed/exhausted/limited/failed stay put.
   }
   const StatementImpl& stmt = *impl_->stmt;
-  // Pin-at-open: take shared ownership of the freshest published
-  // ReadView — unless a user-held Snapshot already bound one at Execute
-  // time, in which case the cursor reads exactly that state however old
-  // it is. Indexed cursors read their view exclusively from here on
-  // (the writer may mutate, merge and checkpoint freely — this cursor's
-  // world no longer changes until it releases the view at Close or
-  // destruction); naive cursors record only the current generation, to
-  // detect mutation underneath the unversioned hash graph.
-  if (impl_->snapshot_bound) {
-    impl_->open_generation = impl_->view->generation();
-  } else {
-    std::shared_ptr<const ReadView> pinned = stmt.db->store.PinView();
-    impl_->open_generation = pinned->generation();
-    if (stmt.options.backend == Backend::kIndexed) {
-      impl_->view = std::move(pinned);
-    }
-  }
+  // Pin-at-open, on both backends: take shared ownership of the freshest
+  // published ReadView — unless a user-held Snapshot already bound one
+  // at Execute time, in which case the cursor reads exactly that state
+  // however old it is. The cursor reads its view exclusively from here
+  // on (the writer may mutate, merge and checkpoint freely — this
+  // cursor's world no longer changes until it releases the view at
+  // exhaustion, Close or destruction).
+  if (!impl_->snapshot_bound) impl_->view = stmt.db->store.PinView();
+  impl_->open_generation = impl_->view->generation();
   if (impl_->exec.trace != nullptr && impl_->exec.trace->enabled()) {
     // One span covering the whole enumeration (ended with rows/outcome
     // annotations at finish), with per-wdpf-subtree child spans emitted
@@ -199,31 +191,10 @@ bool Cursor::Open() {
                                          impl_->exec.check_interval);
     }
   } else {
-    EnumerationHooks hooks;
-    if (impl_->snapshot_bound && stmt.options.backend == Backend::kNaiveHash) {
-      // Snapshot-bound naive oracle: materialise the pinned view's
-      // content into a cursor-owned copy and run the naive machinery
-      // against it. The view is immutable, so the scan is a consistent
-      // copy with zero writer synchronisation; from here on the cursor
-      // never touches live state, making the oracle safe to run while a
-      // writer churns — exactly what the differential harness needs.
-      impl_->snapshot_copy = std::make_unique<TripleSet>();
-      TripleSet* copy = impl_->snapshot_copy.get();
-      impl_->view->ScanPattern(Triple(kAnyTerm, kAnyTerm, kAnyTerm),
-                               [copy](const Triple& t) {
-                                 copy->Insert(t);
-                                 return true;
-                               });
-      impl_->snapshot_source =
-          std::make_unique<HashTripleSource>(*impl_->snapshot_copy);
-      hooks = engine_internal::MakeNaiveSnapshotHooks(
-          *impl_->snapshot_source, stmt.options.pebble_promise);
-    } else {
-      hooks = engine_internal::MakeEnumerationHooks(
-          *stmt.db, stmt.options, impl_->view,
-          impl_->stats != nullptr ? &impl_->join_stats : nullptr,
-          /*root_claim=*/nullptr, impl_->exec.optimize);
-    }
+    EnumerationHooks hooks = engine_internal::MakeEnumerationHooks(
+        *stmt.db, stmt.options, impl_->view,
+        impl_->stats != nullptr ? &impl_->join_stats : nullptr,
+        /*root_claim=*/nullptr, impl_->exec.optimize);
     impl_->enumerator =
         std::make_unique<SolutionEnumerator>(stmt.forest, std::move(hooks));
     if (impl_->stats != nullptr) {
@@ -261,20 +232,6 @@ bool NextRow(CursorImpl* impl) {
     return false;
   }
   const StatementImpl& stmt = *impl->stmt;
-  if (impl->view == nullptr &&
-      stmt.db->store.PinView()->generation() != impl->open_generation) {
-    // Naive-backend cursors read the live hash graph in place, so a
-    // mutation underneath them is unrecoverable: fail fast and loudly.
-    // (Indexed cursors hold a pinned view and never take this path.)
-    impl->state = Cursor::State::kInvalidated;
-    impl->diagnostics.code = QueryDiagnostics::Code::kInvalidated;
-    impl->diagnostics.message =
-        "cursor invalidated: the database mutated during enumeration "
-        "(bind a Snapshot at Execute to read pinned state instead)";
-    AbsorbEnumeratorTotals(impl);
-    ReleaseEnumerators(impl);
-    return false;
-  }
   // Pull from whichever enumeration engine this cursor runs (exactly one
   // is live while open).
   ParallelEnumerator* parallel = impl->parallel.get();
@@ -388,7 +345,6 @@ const char* CursorStateToString(Cursor::State state) {
     case Cursor::State::kOpen: return "open";
     case Cursor::State::kExhausted: return "exhausted";
     case Cursor::State::kClosed: return "closed";
-    case Cursor::State::kInvalidated: return "invalidated";
     case Cursor::State::kLimited: return "limited";
     case Cursor::State::kCancelled: return "cancelled";
     case Cursor::State::kFailed: return "failed";

@@ -54,8 +54,6 @@ Status ApplyResolvedOps(DatabaseImpl* impl, const std::vector<ResolvedOp>& ops,
   std::vector<Triple> adds;
   std::vector<Triple> removes;
   for (const Triple& t : touched) {
-    // The store mirrors the hash graph exactly and is maintained on
-    // every path (hydrated or not), so it is the one presence oracle.
     bool present = impl->store.Contains(t);
     if (desired[t] && !present) {
       adds.push_back(t);
@@ -99,10 +97,6 @@ Status ApplyResolvedOps(DatabaseImpl* impl, const std::vector<ResolvedOp>& ops,
                          const std::vector<Triple>& chunk_adds,
                          const std::vector<Triple>& chunk_removes) {
     impl->store.ApplyBatch(chunk_adds, chunk_removes, trace, commit_span);
-    if (impl->graph_hydrated) {
-      for (const Triple& t : chunk_adds) impl->graph.Insert(t);
-      for (const Triple& t : chunk_removes) impl->graph.Remove(t);
-    }
     if (result != nullptr) {
       result->added += chunk_adds.size();
       result->removed += chunk_removes.size();
@@ -336,8 +330,6 @@ void Database::Compact() { impl_->store.MergeDelta(); }
 std::size_t Database::size() const { return impl_->store.PinView()->size(); }
 
 bool Database::Contains(const Triple& t) const {
-  // The permutation store mirrors the hash graph exactly, and its
-  // pinned view is safe against a concurrent writer.
   return impl_->store.PinView()->Contains(t);
 }
 
@@ -369,11 +361,6 @@ bool Snapshot::Contains(const Triple& t) const {
   return view_ != nullptr && view_->Contains(t);
 }
 
-const RdfGraph& Database::graph() const {
-  impl_->EnsureGraph();
-  return impl_->graph;
-}
-
 Status Database::storage_status() const { return impl_->sticky_storage_status(); }
 
 MetricsRegistry& Database::metrics() const { return *impl_->metrics; }
@@ -400,24 +387,6 @@ const char* BackendToString(Backend backend) {
 }
 
 namespace engine_internal {
-
-void BulkLoad(Database* db, const TripleSet& triples) {
-  DatabaseImpl* impl = &DatabaseImpl::Get(*db);
-  WDSPARQL_CHECK(impl->graph.empty() && impl->store.size() == 0);
-  impl->graph.Reserve(triples.size());
-  for (const Triple& t : triples.triples()) impl->graph.Insert(t);
-  // AdoptFrom, not assignment: replacing the store object outright
-  // would swap the view slot non-atomically under concurrent readers
-  // (size()/Contains()/cursor opens are documented safe during any
-  // mutation, bulk loads included).
-  impl->store.AdoptFrom(IndexedStore::Build(impl->graph.triples()));
-  impl->graph_hydrated = true;  // Both stores now hold the full content.
-}
-
-const HashTripleSource& HashSourceOf(const Database& db) {
-  DatabaseImpl::Get(db).EnsureGraph();
-  return DatabaseImpl::Get(db).hash_source;
-}
 
 namespace {
 
@@ -480,6 +449,38 @@ class JoinCursorGenerator final : public CandidateGenerator {
   JoinCursor cursor_;
 };
 
+/// A maximality certificate: true iff some homomorphism of `combined`
+/// extends `mu`.
+using Extends = std::function<bool(const TripleSet& combined, const Mapping& mu)>;
+
+/// The session backend's certificate over `view`: the engine's join on
+/// the indexed backend; on the naive oracle the CSP solver, or — under a
+/// domination-width promise — the (k+1)-pebble game, which needs its
+/// whole target as a hash-indexed set and so materialises the view.
+Extends MakeExtends(const SessionOptions& options,
+                    std::shared_ptr<const ReadView> view, JoinStats* join_stats) {
+  if (options.backend == Backend::kIndexed) {
+    return [view, join_stats](const TripleSet& combined, const Mapping& mu) {
+      return JoinExists(*view, combined.triples(), MappingToAssignment(mu),
+                        join_stats);
+    };
+  }
+  if (options.pebble_promise > 0) {
+    auto target = std::make_shared<TripleSet>();
+    view->ScanPattern(Triple(kAnyTerm, kAnyTerm, kAnyTerm), [&target](const Triple& t) {
+      target->Insert(t);
+      return true;
+    });
+    int k = options.pebble_promise;
+    return [target, k](const TripleSet& combined, const Mapping& mu) {
+      return PebbleGameWins(combined, MappingToAssignment(mu), *target, k + 1);
+    };
+  }
+  return [view](const TripleSet& combined, const Mapping& mu) {
+    return HasHomomorphism(combined, MappingToAssignment(mu), *view);
+  };
+}
+
 }  // namespace
 
 EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
@@ -488,107 +489,48 @@ EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
                                       JoinStats* join_stats,
                                       std::function<bool()> root_claim,
                                       bool optimize) {
+  // The hooks share ownership of the pinned view: the enumeration stays
+  // valid however long the cursor lives and whatever the writer does
+  // meanwhile. `join_stats` (when collecting) is cursor-local and
+  // outlives the hooks by contract, so the lambdas capture it raw.
+  WDSPARQL_CHECK(view != nullptr);
   EnumerationHooks hooks;
-  if (options.backend == Backend::kIndexed) {
-    // The hooks share ownership of the pinned view: the enumeration
-    // stays valid however long the cursor lives and whatever the writer
-    // does meanwhile. `join_stats` (when collecting) is cursor-local and
-    // outlives the hooks by contract, so the lambdas capture it raw.
-    if (view == nullptr) view = db.store.PinView();
-    // Optimizer plumbing, resolved once per hooks build (instrument
-    // addresses are registry-stable; the lookup mutex is fine off the
-    // per-row hot path). The pool pointer renders plan descriptions.
-    const TermPool* pool = db.pool;
-    Counter* plans_metric = &db.metrics->counter("optimizer.plans");
-    Histogram* plan_ns_metric = &db.metrics->histogram("optimizer.plan_ns");
-    hooks.open_candidates =
-        [view, join_stats, claim = std::move(root_claim), optimize, pool,
-         plans_metric, plan_ns_metric](
-            const TripleSet& pattern) -> std::unique_ptr<CandidateGenerator> {
-      return std::make_unique<JoinCursorGenerator>(view, pattern.triples(),
-                                                   join_stats, claim, optimize,
-                                                   pool, plans_metric,
-                                                   plan_ns_metric);
-    };
-    hooks.candidates = [view, join_stats](
-                           const TripleSet& pattern,
-                           const std::function<bool(const VarAssignment&)>& emit) {
-      JoinEnumerate(*view, pattern.triples(), VarAssignment{}, emit, join_stats);
-    };
-    hooks.extends = [view, join_stats](const TripleSet& combined, const Mapping& mu) {
-      return JoinExists(*view, combined.triples(), MappingToAssignment(mu),
-                        join_stats);
+  hooks.extends = MakeExtends(options, view, join_stats);
+  if (options.backend == Backend::kNaiveHash) {
+    hooks.open_candidates = [view](const TripleSet& pattern,
+                                   const std::function<bool()>& stop) {
+      return MaterializeHomomorphisms(pattern, *view, stop);
     };
     return hooks;
   }
-  db.EnsureGraph();  // The naive backend scans the hash row store.
-  const HashTripleSource* source = &db.hash_source;
-  hooks.candidates = [source](const TripleSet& pattern,
-                              const std::function<bool(const VarAssignment&)>& emit) {
-    EnumerateHomomorphisms(pattern, VarAssignment{}, *source, emit);
+  // Optimizer plumbing, resolved once per hooks build (instrument
+  // addresses are registry-stable; the lookup mutex is fine off the
+  // per-row hot path). The pool pointer renders plan descriptions.
+  const TermPool* pool = db.pool;
+  Counter* plans_metric = &db.metrics->counter("optimizer.plans");
+  Histogram* plan_ns_metric = &db.metrics->histogram("optimizer.plan_ns");
+  // The join cursor is lazy, so it needs no stop check: the enumerator
+  // checks for interruption between pulls.
+  hooks.open_candidates =
+      [view, join_stats, claim = std::move(root_claim), optimize, pool,
+       plans_metric, plan_ns_metric](
+          const TripleSet& pattern,
+          const std::function<bool()>&) -> std::unique_ptr<CandidateGenerator> {
+    return std::make_unique<JoinCursorGenerator>(view, pattern.triples(),
+                                                 join_stats, claim, optimize,
+                                                 pool, plans_metric,
+                                                 plan_ns_metric);
   };
-  if (options.pebble_promise > 0) {
-    const RdfGraph* graph = &db.graph;
-    int k = options.pebble_promise;
-    hooks.extends = [graph, k](const TripleSet& combined, const Mapping& mu) {
-      return PebbleGameWins(combined, MappingToAssignment(mu), graph->triples(), k + 1);
-    };
-  } else {
-    hooks.extends = [source](const TripleSet& combined, const Mapping& mu) {
-      return HasHomomorphism(combined, MappingToAssignment(mu), *source);
-    };
-  }
   return hooks;
 }
 
-EnumerationHooks MakeNaiveSnapshotHooks(const HashTripleSource& source,
-                                        int pebble_promise) {
-  EnumerationHooks hooks;
-  const HashTripleSource* src = &source;
-  hooks.candidates = [src](const TripleSet& pattern,
-                           const std::function<bool(const VarAssignment&)>& emit) {
-    EnumerateHomomorphisms(pattern, VarAssignment{}, *src, emit);
-  };
-  if (pebble_promise > 0) {
-    int k = pebble_promise;
-    hooks.extends = [src, k](const TripleSet& combined, const Mapping& mu) {
-      return PebbleGameWins(combined, MappingToAssignment(mu), src->triple_set(),
-                            k + 1);
-    };
-  } else {
-    hooks.extends = [src](const TripleSet& combined, const Mapping& mu) {
-      return HasHomomorphism(combined, MappingToAssignment(mu), *src);
-    };
-  }
-  return hooks;
-}
-
-bool EvaluateMembershipOnView(const PatternForest& forest, const Mapping& mu,
-                              const ReadView& view, EvalStats* stats) {
-  VarAssignment fixed = MappingToAssignment(mu);
-  return WdEvalWith(forest, view, mu, stats, [&](const TripleSet& combined) {
-    return JoinExists(view, combined.triples(), fixed);
+bool EvaluateMembership(const PatternForest& forest, const SessionOptions& options,
+                        const Mapping& mu, std::shared_ptr<const ReadView> view) {
+  // Subtree matching and every extension test read the same pinned view.
+  Extends extends = MakeExtends(options, view, nullptr);
+  return WdEvalWith(forest, *view, mu, nullptr, [&](const TripleSet& combined) {
+    return extends(combined, mu);
   });
-}
-
-bool EvaluateMembership(const DatabaseImpl& db, const SessionOptions& options,
-                        const PatternForest& forest, const Mapping& mu,
-                        EvalStats* stats) {
-  switch (options.backend) {
-    case Backend::kIndexed: {
-      // Pin once for the whole membership test: candidate scans and the
-      // maximality certificates all read the same consistent snapshot.
-      std::shared_ptr<const ReadView> view = db.store.PinView();
-      return EvaluateMembershipOnView(forest, mu, *view, stats);
-    }
-    case Backend::kNaiveHash:
-      db.EnsureGraph();  // Both naive eval paths read the hash row store.
-      if (options.pebble_promise > 0) {
-        return PebbleWdEval(forest, db.graph, mu, options.pebble_promise, stats);
-      }
-      return NaiveWdEval(forest, db.hash_source, mu, stats);
-  }
-  return false;
 }
 
 }  // namespace engine_internal

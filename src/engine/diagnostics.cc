@@ -9,10 +9,8 @@ const char* DiagnosticsCodeToString(QueryDiagnostics::Code code) {
     case QueryDiagnostics::Code::kNotWellDesigned: return "NotWellDesigned";
     case QueryDiagnostics::Code::kUnsupported: return "Unsupported";
     case QueryDiagnostics::Code::kInvalidProjection: return "InvalidProjection";
-    case QueryDiagnostics::Code::kInvalidated: return "Invalidated";
     case QueryDiagnostics::Code::kCancelled: return "Cancelled";
     case QueryDiagnostics::Code::kDeadlineExceeded: return "DeadlineExceeded";
-    case QueryDiagnostics::Code::kUnimplemented: return "Unimplemented";
     case QueryDiagnostics::Code::kInternal: return "Internal";
   }
   return "Unknown";

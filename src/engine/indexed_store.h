@@ -163,7 +163,8 @@ class IndexedStore final : public TripleSource {
   /// delta) and publishes it as this store's next view. Unlike a plain
   /// assignment this keeps the publish atomic — concurrent readers may
   /// pin views throughout — and keeps the generation monotonic. The
-  /// merge threshold is retained. Used by the bulk-load path.
+  /// merge threshold is retained. Used by `Database::Open` to install
+  /// a snapshot's borrowed runs.
   void AdoptFrom(IndexedStore&& other);
 
   // Writer-side lookup (delegates to the freshest view) ---------------

@@ -61,10 +61,7 @@ void ParallelEnumerator::Start() {
 
 void ParallelEnumerator::WorkerMain(std::size_t index) {
   Worker& worker = *workers_[index];
-  const auto started_tp = std::chrono::steady_clock::now();
-  worker.start_offset_ns = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(started_tp - launch_tp_)
-          .count());
+  worker.start = std::chrono::steady_clock::now();
   {
     // Worker-scoped machinery: its own enumerator over the shared forest
     // and pinned view, its own counter structs — nothing shared but the
@@ -74,6 +71,7 @@ void ParallelEnumerator::WorkerMain(std::size_t index) {
     if (worker.exec_stats != nullptr) {
       enumerator.SetStatsSink(worker.exec_stats.get(), sink_pool_);
     }
+    if (trace_ != nullptr) enumerator.SetSubtreeTimingSink(&worker.subtrees);
     enumerator.SetInterruptProbe(
         [this] {
           // Stop-flag first: shutdown and sibling-worker interruptions
@@ -100,7 +98,7 @@ void ParallelEnumerator::WorkerMain(std::size_t index) {
   }
   worker.duration_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - started_tp)
+          std::chrono::steady_clock::now() - worker.start)
           .count());
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -258,20 +256,34 @@ void ParallelEnumerator::MergeWorkerStats() {
     }
   }
   if (trace_ != nullptr) {
-    // Worker spans, recorded by the workers as plain steady-clock
-    // timings and emitted here from the consumer thread — TraceContext
-    // is single-threaded by contract.
+    // Worker and subtree spans, recorded by the workers as plain
+    // steady-clock timings and emitted here from the consumer thread —
+    // TraceContext is single-threaded by contract.
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       const Worker& worker = *workers_[i];
-      uint32_t span =
-          trace_->AddCompleteSpan("worker", trace_parent_,
-                                  launch_trace_ns_ + worker.start_offset_ns,
-                                  worker.duration_ns);
+      uint32_t span = trace_->AddCompleteSpan("worker", trace_parent_,
+                                              TraceTimeOf(worker.start),
+                                              worker.duration_ns);
       trace_->Annotate(span, "worker", static_cast<uint64_t>(i));
       trace_->Annotate(span, "candidates", worker.enum_stats.candidates);
       trace_->Annotate(span, "emitted", worker.enum_stats.emitted);
+      for (const SubtreeTiming& timing : worker.subtrees) {
+        uint32_t sub = trace_->AddCompleteSpan(
+            "subtree", span, TraceTimeOf(timing.start), timing.duration_ns);
+        trace_->Annotate(sub, "tree", timing.tree);
+        trace_->Annotate(sub, "subtree", timing.subtree);
+        trace_->Annotate(sub, "candidates", timing.candidates);
+      }
     }
   }
+}
+
+uint64_t ParallelEnumerator::TraceTimeOf(
+    std::chrono::steady_clock::time_point tp) const {
+  return launch_trace_ns_ +
+         static_cast<uint64_t>(
+             std::chrono::duration_cast<std::chrono::nanoseconds>(tp - launch_tp_)
+                 .count());
 }
 
 }  // namespace wdsparql

@@ -40,9 +40,10 @@
 ///
 /// Observability keeps the cursor-local discipline: every worker counts
 /// into its own plain structs, merged exactly once at shutdown into the
-/// consumer's sinks; per-worker trace spans are recorded as plain timing
-/// pairs by the workers and emitted from the consumer thread (the
-/// TraceContext stays single-threaded).
+/// consumer's sinks; per-worker and per-subtree trace spans are recorded
+/// as plain timings by the workers and emitted from the consumer thread
+/// (the TraceContext stays single-threaded), so a parallel trace has the
+/// serial one's `subtree` spans, one level down under each `worker`.
 ///
 /// Cancellation ordering: a fired user probe (deadline/cancel token)
 /// latches `interrupted` and raises the shared stop flag; every worker
@@ -114,9 +115,10 @@ class ParallelEnumerator {
     join_sink_ = join_sink;
   }
 
-  /// Trace sink: one "worker" span per worker under `parent`, recorded
-  /// by the workers as plain timings and emitted from the consumer
-  /// thread at shutdown. Install before the first `Next`.
+  /// Trace sink: one "worker" span per worker under `parent`, with that
+  /// worker's "subtree" spans under it, recorded by the workers as plain
+  /// timings and emitted from the consumer thread at shutdown. Install
+  /// before the first `Next`.
   void SetTraceSink(TraceContext* trace, uint32_t parent) {
     trace_ = trace;
     trace_parent_ = parent;
@@ -138,8 +140,9 @@ class ParallelEnumerator {
     JoinStats join_stats;
     EnumerateStats enum_stats;
     std::unique_ptr<ExecStats> exec_stats;  // Only when a sink is set.
-    uint64_t start_offset_ns = 0;  // From worker launch, steady clock.
+    std::chrono::steady_clock::time_point start;
     uint64_t duration_ns = 0;
+    std::vector<SubtreeTiming> subtrees;  // Only when a trace sink is set.
     std::thread thread;
   };
 
@@ -153,6 +156,8 @@ class ParallelEnumerator {
   /// Blocking pop; false when drained or stopped.
   bool Pop(Mapping* out);
   void MergeWorkerStats();
+  /// A worker-recorded steady-clock instant on the trace's clock.
+  uint64_t TraceTimeOf(std::chrono::steady_clock::time_point tp) const;
 
   const PatternForest* forest_;
   Options options_;
@@ -182,7 +187,8 @@ class ParallelEnumerator {
   TraceContext* trace_ = nullptr;
   uint32_t trace_parent_ = 0;
   /// Trace-epoch offset and steady-clock instant of worker launch, for
-  /// converting worker-recorded timings into trace timestamps.
+  /// converting worker-recorded timings into trace timestamps
+  /// (`TraceTimeOf`).
   uint64_t launch_trace_ns_ = 0;
   std::chrono::steady_clock::time_point launch_tp_;
 };

@@ -202,10 +202,9 @@ Cursor Statement::ExecuteInternal(const std::vector<std::string>& projection,
   if (snapshot != nullptr) {
     // Snapshot binding happens here, not at Open: a refused combination
     // must fail loudly at Execute time, never silently read live state.
-    // Both backends accept a snapshot — the indexed one enumerates the
-    // pinned view directly; the naive oracle materialises a private copy
-    // of the view's content at Open, so differential tests can compare
-    // both backends against the same pinned state under a live writer.
+    // Both backends read the snapshot's view in place, so differential
+    // tests can compare them against the same pinned state under a live
+    // writer.
     if (!snapshot->valid()) {
       cursor->state = Cursor::State::kFailed;
       cursor->diagnostics.code = QueryDiagnostics::Code::kInternal;
@@ -330,26 +329,32 @@ uint64_t Statement::Count() const {
   return count;
 }
 
-bool Statement::Contains(const Mapping& mu) const {
-  if (!ok()) return false;
-  for (const FilterCondition& filter : impl_->filters) {
+namespace {
+
+/// The membership funnel behind both `Contains` overloads: the peeled
+/// filters, then wdEVAL against exactly the state `view` pinned.
+bool ContainsOnView(const StatementImpl& stmt, const Mapping& mu,
+                    std::shared_ptr<const ReadView> view) {
+  for (const FilterCondition& filter : stmt.filters) {
     if (!filter.Satisfied(mu)) return false;
   }
-  return engine_internal::EvaluateMembership(*impl_->db, impl_->options,
-                                             impl_->forest, mu);
+  return engine_internal::EvaluateMembership(stmt.forest, stmt.options, mu,
+                                             std::move(view));
+}
+
+}  // namespace
+
+bool Statement::Contains(const Mapping& mu) const {
+  if (!ok()) return false;
+  return ContainsOnView(*impl_, mu, impl_->db->store.PinView());
 }
 
 bool Statement::Contains(const Mapping& mu, const Snapshot& snapshot) const {
   if (!ok()) return false;
   // The snapshot contract mirrors ExecuteInternal's checks; with a bool
   // return the refusals collapse to false (documented in session.h).
-  if (impl_->options.backend != Backend::kIndexed) return false;
   if (!snapshot.valid() || snapshot.db_ != impl_->db) return false;
-  for (const FilterCondition& filter : impl_->filters) {
-    if (!filter.Satisfied(mu)) return false;
-  }
-  return engine_internal::EvaluateMembershipOnView(impl_->forest, mu,
-                                                   *snapshot.view_);
+  return ContainsOnView(*impl_, mu, snapshot.view_);
 }
 
 }  // namespace wdsparql

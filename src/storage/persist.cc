@@ -96,7 +96,6 @@ Result<Database> Database::Open(const std::string& path, const OpenOptions& opti
         view->run(Permutation::kSpo), view->run(Permutation::kPos),
         view->run(Permutation::kOsp), static_cast<std::size_t>(view->triple_count()),
         view, view->BorrowStats(view)));
-    impl->graph_hydrated = false;  // Hash row store hydrates on demand.
   }
   impl->snapshot_path = path;
 

@@ -28,10 +28,8 @@ std::string RenderPattern(const TermPool& pool, const TripleSet& pattern) {
   return out;
 }
 
-/// Batch-hook fallback: the whole candidate set, materialised up front
-/// and drained one pull at a time. Keeps hooks that only provide the
-/// callback-shaped `candidates` (the naive oracle backends) working
-/// unchanged behind the pull interface.
+/// The CSP solver's candidate set, materialised up front and drained
+/// one pull at a time.
 class MaterializedGenerator final : public CandidateGenerator {
  public:
   bool Next(VarAssignment* out) override {
@@ -47,13 +45,59 @@ class MaterializedGenerator final : public CandidateGenerator {
   std::size_t pos_ = 0;
 };
 
+/// Drains a fresh enumerator into `callback` (the streaming wrappers
+/// below).
+void Drain(const PatternForest& forest, EnumerationHooks hooks,
+           const std::function<bool(const Mapping&)>& callback,
+           EnumerateStats* stats) {
+  SolutionEnumerator enumerator(forest, std::move(hooks));
+  Mapping mu;
+  while (enumerator.Next(&mu)) {
+    if (!callback(mu)) break;
+  }
+  if (stats != nullptr) *stats = enumerator.stats();
+}
+
 }  // namespace
+
+std::unique_ptr<CandidateGenerator> MaterializeHomomorphisms(
+    const TripleSet& pattern, const TripleSource& source,
+    const std::function<bool()>& stop) {
+  auto materialized = std::make_unique<MaterializedGenerator>();
+  EnumerateHomomorphisms(pattern, VarAssignment{}, source,
+                         [&](const VarAssignment& assignment) {
+                           // Returning false stops the scan mid-range, so a
+                           // huge match set still stops within one check
+                           // interval of an interruption.
+                           if (stop()) return false;
+                           materialized->buffer().push_back(assignment);
+                           return true;
+                         });
+  return materialized;
+}
 
 SolutionEnumerator::SolutionEnumerator(const PatternForest& forest,
                                        EnumerationHooks hooks)
     : forest_(&forest), hooks_(std::move(hooks)) {}
 
 SolutionEnumerator::~SolutionEnumerator() { EndSubtreeSpan(); }
+
+void SolutionEnumerator::EndSubtreeSpan() {
+  if (subtree_span_ != 0) {
+    trace_->Annotate(subtree_span_, "candidates", cur_candidates_);
+    trace_->EndSpan(subtree_span_);
+    subtree_span_ = 0;
+  }
+  if (timing_open_) {
+    SubtreeTiming& timing = timings_->back();
+    timing.duration_ns = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - timing.start)
+            .count());
+    timing.candidates = cur_candidates_;
+    timing_open_ = false;
+  }
+}
 
 ExecStats::Subpattern* SolutionEnumerator::CurSubpattern() {
   return sink_has_cur_ ? &sink_->subpatterns.back() : nullptr;
@@ -69,66 +113,53 @@ bool SolutionEnumerator::CheckInterrupt() {
 }
 
 bool SolutionEnumerator::AdvanceSubtree() {
-  while (true) {
-    while (subtree_idx_ >= subtrees_.size()) {
-      // Drained the loaded tree (or nothing loaded yet, which the
-      // kNoTree sentinel turns into "load tree 0"): materialise the next
-      // tree's subtree list — EnumerateSolutionsWith visits the same
-      // list; holding it lets the machine suspend between any two
-      // candidates.
-      std::size_t next = tree_idx_ + 1;  // kNoTree wraps to 0.
-      if (next >= forest_->trees.size()) {
-        EndSubtreeSpan();
-        return false;
-      }
-      tree_idx_ = next;
-      subtrees_.clear();
-      EnumerateSubtrees(forest_->trees[tree_idx_],
-                        [this](const Subtree& subtree) { subtrees_.push_back(subtree); });
-      subtree_idx_ = 0;
-    }
-    const Subtree& subtree = subtrees_[subtree_idx_++];
-    cur_tree_ = subtree.tree;
-    pattern_ = SubtreePattern(subtree);
-    children_ = SubtreeChildren(subtree);
-    cur_candidates_ = 0;
-    sink_has_cur_ = false;
-    // One span per wdpf subtree, covering its whole candidate pull and
-    // the maximality work until the next boundary — this is the subtree-
-    // granular "where did the time go" answer; per-candidate cost stays
-    // out of the trace entirely.
-    if (trace_ != nullptr) {
-      EndSubtreeSpan();
-      subtree_span_ = trace_->StartSpan("subtree", trace_parent_);
-      trace_->Annotate(subtree_span_, "tree",
-                       static_cast<uint64_t>(tree_idx_));
-      trace_->Annotate(subtree_span_, "subtree",
-                       static_cast<uint64_t>(subtree_idx_ - 1));
-    }
-    if (hooks_.open_candidates) {
-      // Suspendable path: the generator carries the whole join state;
-      // candidates are produced one `Next` pull at a time, never
-      // materialised.
-      generator_ = hooks_.open_candidates(pattern_);
-      return true;
-    }
-    // Batch fallback: materialise the subtree's match set up front.
-    auto materialized = std::make_unique<MaterializedGenerator>();
-    hooks_.candidates(pattern_, [this, &materialized](const VarAssignment& assignment) {
-      // The interrupt check sits inside candidate generation, so even a
-      // subtree with a huge match set stops within check_interval steps
-      // (returning false tells the backend scan to stop mid-range).
-      if (CheckInterrupt()) return false;
-      materialized->buffer().push_back(assignment);
-      return true;
-    });
-    if (interrupted_) {
-      EndSubtreeSpan();
-      return false;  // Partial batch: never delivered.
-    }
-    generator_ = std::move(materialized);
-    return true;
+  EndSubtreeSpan();
+  while (subtree_idx_ >= subtrees_.size()) {
+    // Drained the loaded tree (or nothing loaded yet, which the kNoTree
+    // sentinel turns into "load tree 0"): materialise the next tree's
+    // subtree list; holding it lets the machine suspend between any two
+    // candidates.
+    std::size_t next = tree_idx_ + 1;  // kNoTree wraps to 0.
+    if (next >= forest_->trees.size()) return false;
+    tree_idx_ = next;
+    subtrees_.clear();
+    EnumerateSubtrees(forest_->trees[tree_idx_],
+                      [this](const Subtree& subtree) { subtrees_.push_back(subtree); });
+    subtree_idx_ = 0;
   }
+  const Subtree& subtree = subtrees_[subtree_idx_++];
+  cur_tree_ = subtree.tree;
+  pattern_ = SubtreePattern(subtree);
+  children_ = SubtreeChildren(subtree);
+  cur_candidates_ = 0;
+  sink_has_cur_ = false;
+  // One span per wdpf subtree, covering its whole candidate pull and the
+  // maximality work until the next boundary — this is the subtree-
+  // granular "where did the time go" answer; per-candidate cost stays
+  // out of the trace entirely.
+  if (trace_ != nullptr) {
+    subtree_span_ = trace_->StartSpan("subtree", trace_parent_);
+    trace_->Annotate(subtree_span_, "tree", static_cast<uint64_t>(tree_idx_));
+    trace_->Annotate(subtree_span_, "subtree",
+                     static_cast<uint64_t>(subtree_idx_ - 1));
+  }
+  if (timings_ != nullptr) {
+    SubtreeTiming timing;
+    timing.tree = tree_idx_;
+    timing.subtree = subtree_idx_ - 1;
+    timing.start = std::chrono::steady_clock::now();
+    timings_->push_back(timing);
+    timing_open_ = true;
+  }
+  generator_ = hooks_.open_candidates(pattern_, [this] { return CheckInterrupt(); });
+  if (interrupted_) {
+    // A materialising source stopped part-way: the partial batch is
+    // never delivered.
+    generator_.reset();
+    EndSubtreeSpan();
+    return false;
+  }
+  return true;
 }
 
 bool SolutionEnumerator::Next(Mapping* out) {
@@ -222,17 +253,6 @@ bool SolutionEnumerator::Next(Mapping* out) {
   }
 }
 
-void EnumerateSolutionsWith(const PatternForest& forest, const EnumerationHooks& hooks,
-                            const std::function<bool(const Mapping&)>& callback,
-                            EnumerateStats* stats) {
-  SolutionEnumerator enumerator(forest, hooks);
-  Mapping mu;
-  while (enumerator.Next(&mu)) {
-    if (!callback(mu)) break;
-  }
-  if (stats != nullptr) *stats = enumerator.stats();
-}
-
 void EnumerateSolutionsNaive(const PatternForest& forest, const RdfGraph& graph,
                              const std::function<bool(const Mapping&)>& callback,
                              EnumerateStats* stats) {
@@ -244,14 +264,14 @@ void EnumerateSolutionsNaive(const PatternForest& forest, const TripleSource& gr
                              const std::function<bool(const Mapping&)>& callback,
                              EnumerateStats* stats) {
   EnumerationHooks hooks;
-  hooks.candidates = [&graph](const TripleSet& pattern,
-                              const std::function<bool(const VarAssignment&)>& emit) {
-    EnumerateHomomorphisms(pattern, VarAssignment{}, graph, emit);
+  hooks.open_candidates = [&graph](const TripleSet& pattern,
+                                   const std::function<bool()>& stop) {
+    return MaterializeHomomorphisms(pattern, graph, stop);
   };
   hooks.extends = [&graph](const TripleSet& combined, const Mapping& mu) {
     return HasHomomorphism(combined, MappingToAssignment(mu), graph);
   };
-  EnumerateSolutionsWith(forest, hooks, callback, stats);
+  Drain(forest, std::move(hooks), callback, stats);
 }
 
 void EnumerateSolutionsPebble(const PatternForest& forest, const RdfGraph& graph,
@@ -260,14 +280,14 @@ void EnumerateSolutionsPebble(const PatternForest& forest, const RdfGraph& graph
   WDSPARQL_CHECK(k >= 1);
   HashTripleSource scan(graph.triples());
   EnumerationHooks hooks;
-  hooks.candidates = [&scan](const TripleSet& pattern,
-                             const std::function<bool(const VarAssignment&)>& emit) {
-    EnumerateHomomorphisms(pattern, VarAssignment{}, scan, emit);
+  hooks.open_candidates = [&scan](const TripleSet& pattern,
+                                  const std::function<bool()>& stop) {
+    return MaterializeHomomorphisms(pattern, scan, stop);
   };
   hooks.extends = [&graph, k](const TripleSet& combined, const Mapping& mu) {
     return PebbleGameWins(combined, MappingToAssignment(mu), graph.triples(), k + 1);
   };
-  EnumerateSolutionsWith(forest, hooks, callback, stats);
+  Drain(forest, std::move(hooks), callback, stats);
 }
 
 std::vector<Mapping> AllSolutionsPebble(const PatternForest& forest,

@@ -1,6 +1,7 @@
 #ifndef WDSPARQL_WD_ENUMERATE_H_
 #define WDSPARQL_WD_ENUMERATE_H_
 
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <unordered_set>
@@ -80,48 +81,58 @@ class CandidateGenerator {
   virtual const CandidatePlanInfo* plan_info() const { return nullptr; }
 };
 
-/// Hooks customising the enumeration skeleton.
+/// Hooks customising the enumeration skeleton: per tree, per subtree,
+/// pull candidates, deduplicate across trees/subtrees, certify
+/// maximality against each child, emit. Plugging in the CSP solver, the
+/// pebble game or the engine's merge join yields the naive, Theorem 1
+/// and indexed enumerators respectively.
 struct EnumerationHooks {
-  /// Streams the homomorphism candidates of one subtree pattern into
-  /// `emit`; must stop when `emit` returns false. Fallback used when
-  /// `open_candidates` is unset: the enumerator materialises the batch
-  /// up front (the pre-suspendable behaviour — the naive oracle backends
-  /// still run this way).
-  std::function<void(const TripleSet& pattern,
-                     const std::function<bool(const VarAssignment&)>& emit)>
-      candidates;
-  /// Pull-based candidate source for one subtree pattern; preferred over
-  /// `candidates` when set. The engine's indexed backend wires a
-  /// resumable `JoinCursor` through here, which is what makes the whole
-  /// enumeration suspendable candidate-by-candidate.
-  std::function<std::unique_ptr<CandidateGenerator>(const TripleSet& pattern)>
+  /// Candidate source for one subtree pattern. `stop` is the
+  /// enumerator's interruption check: a source that does work up front
+  /// (materialising a match set) consults it per candidate and returns
+  /// early once it fires; a lazy source may ignore it, because the
+  /// enumerator checks between pulls. The engine's indexed backend wires
+  /// a resumable `JoinCursor` through here, which is what makes the
+  /// whole enumeration suspendable candidate-by-candidate.
+  std::function<std::unique_ptr<CandidateGenerator>(
+      const TripleSet& pattern, const std::function<bool()>& stop)>
       open_candidates;
   /// Maximality certificate: true iff some homomorphism of `combined`
   /// (the subtree pattern plus one child pattern) extends `mu`.
   std::function<bool(const TripleSet& combined, const Mapping& mu)> extends;
 };
 
-/// The enumeration skeleton every variant instantiates: per tree, per
-/// subtree, stream candidates, deduplicate across trees/subtrees,
-/// certify maximality against each child, emit. Plugging in the CSP
-/// solver, the pebble game or the engine's merge join yields the
-/// naive, Theorem 1 and indexed enumerators respectively.
-void EnumerateSolutionsWith(const PatternForest& forest, const EnumerationHooks& hooks,
-                            const std::function<bool(const Mapping&)>& callback,
-                            EnumerateStats* stats = nullptr);
+/// A candidate source for the paper's CSP solver: the homomorphisms of
+/// `pattern` into `source`, materialised up front and drained one pull
+/// at a time. Stops materialising as soon as `stop` returns true (the
+/// partial batch is never delivered: the enumerator is interrupted).
+std::unique_ptr<CandidateGenerator> MaterializeHomomorphisms(
+    const TripleSet& pattern, const TripleSource& source,
+    const std::function<bool()>& stop);
 
-/// Pull-based, suspendable instantiation of the same skeleton — the
-/// engine's `Cursor` runs on this. The enumeration is an explicit state
+/// One wdpf subtree's time span, recorded as plain values for an
+/// enumerator that runs off the trace context's thread (a parallel
+/// worker); the consumer turns these into `subtree` trace spans.
+struct SubtreeTiming {
+  uint64_t tree = 0;
+  uint64_t subtree = 0;
+  std::chrono::steady_clock::time_point start;
+  uint64_t duration_ns = 0;
+  uint64_t candidates = 0;
+};
+
+/// The enumeration skeleton, pull-based and suspendable — the engine's
+/// `Cursor` runs on this. The enumeration is an explicit state
 /// machine over (tree, subtree, candidate-generator) coordinates: each
 /// `Next` call resumes exactly where the previous one stopped, pulls
 /// candidates one at a time from the open subtree's generator, performs
 /// deduplication and the per-child maximality certificates for as many
 /// candidates as it takes to reach the next answer, and suspends again.
-/// With a pull-based `open_candidates` hook (the indexed backend's
-/// resumable join) nothing is materialised at all: a `row_limit=1`
+/// With a lazy candidate source (the indexed backend's resumable
+/// join) nothing is materialised at all: a `row_limit=1`
 /// execution generates one candidate, not the subtree's whole match
-/// set. Hooks providing only the batch `candidates` callback keep the
-/// old materialise-per-subtree behaviour.
+/// set. The naive backend's source (`MaterializeHomomorphisms`) keeps
+/// the materialise-per-subtree behaviour behind the same interface.
 ///
 /// The forest must outlive the enumerator, and the hooks must stay
 /// valid (they typically close over the storage backend).
@@ -182,6 +193,11 @@ class SolutionEnumerator {
     trace_parent_ = parent;
   }
 
+  /// The thread-free alternative to `SetTraceSink`: appends one
+  /// `SubtreeTiming` per wdpf subtree opened to `out`, which must
+  /// outlive the enumerator. Install before the first `Next`.
+  void SetSubtreeTimingSink(std::vector<SubtreeTiming>* out) { timings_ = out; }
+
  private:
   /// Opens the next subtree (pattern, children, candidate generator,
   /// trace span). Returns false when every tree is exhausted or the
@@ -197,17 +213,11 @@ class SolutionEnumerator {
   /// while `sink_` is set and the current subtree produced candidates).
   ExecStats::Subpattern* CurSubpattern();
 
-  /// Ends the open subtree's trace span, if any (subtree boundary,
-  /// exhaustion, interruption, destruction — whichever comes first),
-  /// annotating it with the candidates pulled so far — a lazy generator
+  /// Ends the open subtree's trace span or timing, if any (subtree
+  /// boundary, exhaustion, interruption, destruction — whichever comes
+  /// first), recording the candidates pulled so far — a lazy generator
   /// only knows its candidate count at the boundary, not up front.
-  void EndSubtreeSpan() {
-    if (subtree_span_ != 0) {
-      trace_->Annotate(subtree_span_, "candidates", cur_candidates_);
-      trace_->EndSpan(subtree_span_);
-      subtree_span_ = 0;
-    }
-  }
+  void EndSubtreeSpan();
 
   const PatternForest* forest_;
   EnumerationHooks hooks_;
@@ -224,6 +234,8 @@ class SolutionEnumerator {
   TraceContext* trace_ = nullptr;
   uint32_t trace_parent_ = 0;
   uint32_t subtree_span_ = 0;
+  std::vector<SubtreeTiming>* timings_ = nullptr;  // See SetSubtreeTimingSink.
+  bool timing_open_ = false;  // Does timings_->back() describe the open subtree?
 
   // Cooperative interruption (see SetInterruptProbe).
   std::function<bool()> probe_;
@@ -240,9 +252,9 @@ class SolutionEnumerator {
   std::size_t subtree_idx_ = 0;          // Next subtree to open.
   TripleSet pattern_;                    // pat(T') of the open subtree.
   std::vector<NodeId> children_;         // Children of the open subtree.
-  /// The open subtree's candidate source (null between subtrees). A
-  /// pull-based hook keeps the full suspendable-join state here; the
-  /// batch fallback wraps a materialised vector.
+  /// The open subtree's candidate source (null between subtrees): the
+  /// full suspendable-join state on the indexed backend, a materialised
+  /// vector on the naive one.
   std::unique_ptr<CandidateGenerator> generator_;
   uint64_t cur_candidates_ = 0;          // Candidates pulled from `generator_`.
   std::unordered_set<Mapping, MappingHash> seen_;  // Cross-subtree dedup.

@@ -7,8 +7,9 @@
 #include "engine/api_internal.h"
 #include "engine/dictionary.h"
 #include "engine/indexed_store.h"
-#include "engine/query_engine.h"
 #include "rdf/generator.h"
+#include "ptree/forest.h"
+#include "ptree/semantics.h"
 #include "rdf/graph.h"
 #include "sparql/parser.h"
 #include "sparql/semantics.h"
@@ -269,9 +270,10 @@ TEST(CursorTest, IndexedCursorKeepsItsPinnedViewAcrossMutations) {
   EXPECT_EQ(stmt.Count(), 3u);
 }
 
-TEST(CursorTest, NaiveCursorStillInvalidatesOnMutation) {
-  // The naive hash backend reads the live row store in place, so it
-  // keeps the historical fail-fast contract.
+TEST(CursorTest, NaiveCursorDrainsItsPinnedViewAcrossMutationAndCompact) {
+  // The naive oracle pins at Open under the same contract as the
+  // indexed engine: a writer's insert and a Compact underneath it change
+  // nothing about the rows it delivers.
   Database db = MakeSmallDatabase();
   SessionOptions naive;
   naive.backend = Backend::kNaiveHash;
@@ -279,13 +281,18 @@ TEST(CursorTest, NaiveCursorStillInvalidatesOnMutation) {
   ASSERT_TRUE(stmt.ok());
   Cursor cursor = stmt.Execute();
   ASSERT_TRUE(cursor.Next());
+  uint64_t pinned = cursor.generation();
+  std::set<std::string> seen = {cursor.Value(0) + " " + cursor.Value(1)};
   db.AddTriple("dave", "knows", "alice");
-  EXPECT_FALSE(cursor.Next());
-  EXPECT_EQ(cursor.state(), Cursor::State::kInvalidated);
-  // Invalidation is a structured, non-OK outcome.
-  EXPECT_EQ(cursor.diagnostics().code, QueryDiagnostics::Code::kInvalidated);
-  EXPECT_FALSE(cursor.diagnostics().ok());
-  // A fresh execution sees the new data.
+  db.Compact();
+  EXPECT_GT(db.generation(), pinned);
+  while (cursor.Next()) seen.insert(cursor.Value(0) + " " + cursor.Value(1));
+  EXPECT_EQ(seen, (std::set<std::string>{"alice bob", "bob carol"}));
+  EXPECT_EQ(cursor.rows(), 2u);
+  EXPECT_EQ(cursor.state(), Cursor::State::kExhausted);
+  EXPECT_TRUE(cursor.diagnostics().ok());
+  EXPECT_EQ(cursor.generation(), pinned);
+  // A fresh execution pins the freshest view and sees the new data.
   EXPECT_EQ(stmt.Count(), 3u);
 }
 
@@ -416,14 +423,16 @@ TEST(ProjectionTest, BindingTableRepresentsUnboundCells) {
 
 TEST(FilterTest, TopLevelFilterRunsOnBothBackends) {
   TermPool pool;
+  RdfGraph graph(&pool);
+  graph.Insert("a", "p", "a");
+  graph.Insert("a", "p", "b");
+  graph.Insert("b", "p", "c");
   Database db(&pool);
-  db.AddTriple("a", "p", "a");
-  db.AddTriple("a", "p", "b");
-  db.AddTriple("b", "p", "c");
+  testlib::LoadGraph(graph, &db);
 
   auto parsed = ParsePattern("((?x p ?y)) FILTER (?x != ?y)", &pool);
   ASSERT_TRUE(parsed.ok());
-  std::vector<Mapping> reference = Evaluate(*parsed.value(), db.graph());
+  std::vector<Mapping> reference = Evaluate(*parsed.value(), graph);
 
   for (Backend backend : {Backend::kNaiveHash, Backend::kIndexed}) {
     SessionOptions options;
@@ -513,14 +522,14 @@ TEST_P(IncrementalDifferentialTest, QueriesMatchRebuiltDatabaseUnderRandomUpdate
   DatabaseOptions options;
   options.merge_threshold = 16;
   Database db(&pool, options);
-  {
-    RdfGraph staged(&pool);
-    testlib::SmallWorkloadGraph(&rng, 5, 24, 3, &staged);
-    for (const Triple& t : staged.triples()) db.AddTriple(t);
-  }
+  // The model: a plain graph mirroring every add and remove, so the
+  // oracles below never read through the engine's write path.
+  RdfGraph model(&pool);
+  testlib::SmallWorkloadGraph(&rng, 5, 24, 3, &model);
+  for (const Triple& t : model.triples()) db.AddTriple(t);
   PatternPtr pattern = testlib::RandomWellDesignedUnion(&rng, &pool, 2);
 
-  std::vector<TermId> nodes = db.graph().triples().Iris();
+  std::vector<TermId> nodes = model.triples().Iris();
   auto random_triple = [&]() {
     auto pick = [&]() {
       return nodes[rng.NextBounded(static_cast<uint32_t>(nodes.size()))];
@@ -532,22 +541,23 @@ TEST_P(IncrementalDifferentialTest, QueriesMatchRebuiltDatabaseUnderRandomUpdate
     for (int i = 0; i < 6; ++i) {
       Triple t = random_triple();
       if (rng.NextBounded(3) == 0) {
-        db.RemoveTriple(t);
+        ASSERT_EQ(db.RemoveTriple(t), model.Remove(t));
       } else {
-        db.AddTriple(t);
+        ASSERT_EQ(db.AddTriple(t), model.Insert(t));
       }
     }
-    // Rebuild a fresh database with identical contents, then compare the
-    // full solution sets on both backends plus the set semantics.
+    ASSERT_EQ(db.size(), model.size());
+    // Rebuild a fresh database from the model, then compare the full
+    // solution sets on both backends plus the set semantics.
     Database rebuilt(&pool);
-    for (const Triple& t : db.graph().triples()) rebuilt.AddTriple(t);
+    for (const Triple& t : model.triples()) rebuilt.AddTriple(t);
 
     Statement incremental = db.OpenSession().PrepareParsed(pattern);
     Statement fresh = rebuilt.OpenSession().PrepareParsed(pattern);
     ASSERT_TRUE(incremental.ok() && fresh.ok());
     std::vector<Mapping> inc_solutions = incremental.Solutions();
     ASSERT_EQ(inc_solutions, fresh.Solutions()) << "round " << round;
-    ASSERT_EQ(inc_solutions, Evaluate(*pattern, db.graph())) << "round " << round;
+    ASSERT_EQ(inc_solutions, Evaluate(*pattern, model)) << "round " << round;
 
     SessionOptions naive;
     naive.backend = Backend::kNaiveHash;
@@ -560,17 +570,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalDifferentialTest,
                          ::testing::Range<uint64_t>(1, 7));
 
 // ---------------------------------------------------------------------
-// Cursor enumeration equals the deprecated facade (acceptance criterion)
+// Cursor enumeration equals the Lemma 1 oracle (ptree/semantics)
 // ---------------------------------------------------------------------
 
-class CursorVsFacadeTest : public ::testing::TestWithParam<uint64_t> {};
+class CursorVsOracleTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(CursorVsFacadeTest, CursorSolutionsEqualQueryEngineSolutions) {
+TEST_P(CursorVsOracleTest, CursorSolutionsEqualForestSemantics) {
   Rng rng(GetParam());
   TermPool pool;
   PatternPtr pattern = testlib::RandomWellDesignedUnion(&rng, &pool, 2);
   RdfGraph graph(&pool);
   testlib::SmallWorkloadGraph(&rng, 5, 16, 3, &graph);
+  Result<PatternForest> forest = BuildPatternForest(pattern, pool);
+  ASSERT_TRUE(forest.ok());
+  std::vector<Mapping> oracle = EnumerateForestSolutions(forest.value(), graph);
 
   Database db(&pool);
   for (const Triple& t : graph.triples()) db.AddTriple(t);
@@ -581,26 +594,19 @@ TEST_P(CursorVsFacadeTest, CursorSolutionsEqualQueryEngineSolutions) {
     Statement stmt = db.OpenSession(session_options).PrepareParsed(pattern);
     ASSERT_TRUE(stmt.ok());
 
-    QueryEngineOptions engine_options;
-    engine_options.backend = backend;
-    QueryEngine engine(graph, engine_options);
-    Result<PreparedQuery> prepared = engine.PrepareParsed(pattern);
-    ASSERT_TRUE(prepared.ok());
-
-    EXPECT_EQ(stmt.Solutions(), engine.Solutions(prepared.value()))
-        << BackendToString(backend);
+    EXPECT_EQ(stmt.Solutions(), oracle) << BackendToString(backend);
 
     // Membership agreement on answers and near-misses.
     Rng probe_rng(GetParam() ^ 0xfeed);
     for (const Mapping& probe :
          testlib::MembershipProbes(pattern, graph, &probe_rng, 6)) {
-      EXPECT_EQ(stmt.Contains(probe), engine.Evaluate(prepared.value(), probe))
+      EXPECT_EQ(stmt.Contains(probe), ForestContains(forest.value(), graph, probe))
           << probe.ToString(pool);
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, CursorVsFacadeTest, ::testing::Range<uint64_t>(1, 9));
+INSTANTIATE_TEST_SUITE_P(Seeds, CursorVsOracleTest, ::testing::Range<uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace wdsparql

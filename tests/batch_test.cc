@@ -429,10 +429,9 @@ TEST(SnapshotTest, ManyCursorsOneSnapshot) {
 }
 
 TEST(SnapshotTest, NaiveBackendReadsPinnedState) {
-  // The naive oracle accepts a snapshot by materialising a private copy
-  // of the pinned view's content at Open: it must see exactly the
-  // snapshot state — not the live graph — however the writer churns
-  // after the pin (this is what lets differential tests compare both
+  // The naive oracle accepts a snapshot and reads its pinned view in
+  // place: it must see exactly the snapshot state — not the live one —
+  // however the writer churns after the pin (this is what lets differential tests compare both
   // backends against one frozen state under a live writer).
   Database db;
   ASSERT_TRUE(db.LoadNTriples("a p0 b .\nb p0 c .\n").ok());
@@ -451,7 +450,7 @@ TEST(SnapshotTest, NaiveBackendReadsPinnedState) {
 
   // Snapshot-bound run still sees the pinned state; a live run sees the
   // mutated one. Mutating mid-enumeration must not invalidate the
-  // snapshot-bound cursor (it reads its own copy, not the live graph).
+  // snapshot-bound cursor (it reads the pinned view, not live state).
   EXPECT_EQ(before, DrainSorted(stmt.Execute(snap), db.pool()));
   Cursor mid = stmt.Execute(snap);
   ASSERT_TRUE(mid.Next());
@@ -521,15 +520,36 @@ TEST(ExecOptionsTest, ExpiredDeadlineStopsMidEnumeration) {
   for (int i = 0; i < 200; ++i) {
     db.AddTriple("s" + std::to_string(i), "p0", "o" + std::to_string(i % 5));
   }
-  Statement stmt = db.OpenSession().Prepare("(?x p0 ?y) OPT (?y p0 ?z)");
-  ASSERT_TRUE(stmt.ok());
+  for (Backend backend : {Backend::kNaiveHash, Backend::kIndexed}) {
+    SessionOptions session_options;
+    session_options.backend = backend;
+    Statement stmt =
+        db.OpenSession(session_options).Prepare("(?x p0 ?y) OPT (?y p0 ?z)");
+    ASSERT_TRUE(stmt.ok());
 
+    ExecOptions options;
+    options.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    options.check_interval = 1;  // Probe at every step: deterministic stop.
+    Cursor cursor = stmt.Execute(options);
+    EXPECT_FALSE(cursor.Next()) << BackendToString(backend);
+    EXPECT_EQ(cursor.state(), Cursor::State::kCancelled);
+    EXPECT_EQ(cursor.diagnostics().code, QueryDiagnostics::Code::kDeadlineExceeded);
+  }
+
+  // The naive oracle materialises each subtree's candidates up front,
+  // and every materialised candidate is a step: the first probe (step
+  // 100) lands inside the root subtree's 200-candidate batch, so the
+  // partial batch is dropped and no row is delivered.
+  SessionOptions naive;
+  naive.backend = Backend::kNaiveHash;
+  Statement stmt = db.OpenSession(naive).Prepare("(?x p0 ?y) OPT (?y p0 ?z)");
+  ASSERT_TRUE(stmt.ok());
   ExecOptions options;
   options.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
-  options.check_interval = 1;  // Probe at every step: deterministic stop.
+  options.check_interval = 100;
   Cursor cursor = stmt.Execute(options);
   EXPECT_FALSE(cursor.Next());
-  EXPECT_EQ(cursor.state(), Cursor::State::kCancelled);
+  EXPECT_EQ(cursor.rows(), 0u);
   EXPECT_EQ(cursor.diagnostics().code, QueryDiagnostics::Code::kDeadlineExceeded);
 }
 

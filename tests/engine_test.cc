@@ -6,7 +6,6 @@
 #include "engine/dictionary.h"
 #include "engine/indexed_store.h"
 #include "engine/join.h"
-#include "engine/query_engine.h"
 #include "hom/homomorphism.h"
 #include "rdf/generator.h"
 #include "rdf/graph.h"
@@ -14,6 +13,7 @@
 #include "sparql/semantics.h"
 #include "support/testlib.h"
 #include "util/rng.h"
+#include "wdsparql/database.h"
 
 namespace wdsparql {
 namespace {
@@ -210,79 +210,80 @@ TEST_P(JoinDifferentialTest, JoinMatchesHomomorphismEnumeration) {
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinDifferentialTest, ::testing::Range<uint64_t>(1, 9));
 
 // ---------------------------------------------------------------------
-// QueryEngine facade: backends must agree byte for byte.
+// Database/Session: backends must agree byte for byte.
 // ---------------------------------------------------------------------
 
-TEST(QueryEngineTest, PrepareRejectsSyntaxErrors) {
+TEST(SessionBackendTest, PrepareRejectsSyntaxErrors) {
   TermPool pool;
   RdfGraph graph(&pool);
   graph.Insert("a", "p", "b");
-  QueryEngine engine(graph);
-  Result<PreparedQuery> q = engine.Prepare("((?x p");
+  Database db(&pool);
+  testlib::LoadGraph(graph, &db);
+  Statement q = db.OpenSession().Prepare("((?x p");
   EXPECT_FALSE(q.ok());
-  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(q.diagnostics().code, QueryDiagnostics::Code::kParseError);
 }
 
-TEST(QueryEngineTest, PrepareRejectsNonWellDesignedPatterns) {
+TEST(SessionBackendTest, PrepareRejectsNonWellDesignedPatterns) {
   TermPool pool;
   RdfGraph graph(&pool);
   graph.Insert("a", "p", "b");
-  QueryEngine engine(graph);
+  Database db(&pool);
+  testlib::LoadGraph(graph, &db);
   // ?y occurs in the OPT right side and outside the OPT, but not in the
   // left side: the classic non-well-designed shape.
-  Result<PreparedQuery> q =
-      engine.Prepare("((?x p ?x) OPT (?x q ?y)) AND (?y p ?y)");
+  Statement q = db.OpenSession().Prepare("((?x p ?x) OPT (?x q ?y)) AND (?y p ?y)");
   EXPECT_FALSE(q.ok());
-  EXPECT_EQ(q.status().code(), StatusCode::kNotWellDesigned);
+  EXPECT_EQ(q.diagnostics().code, QueryDiagnostics::Code::kNotWellDesigned);
 }
 
-TEST(QueryEngineTest, SimpleOptQueryOnBothBackends) {
+TEST(SessionBackendTest, SimpleOptQueryOnBothBackends) {
   TermPool pool;
   RdfGraph graph(&pool);
   graph.Insert("alice", "knows", "bob");
   graph.Insert("bob", "knows", "carol");
   graph.Insert("bob", "email", "bob-at-example");
+  Database db(&pool);
+  testlib::LoadGraph(graph, &db);
   for (Backend backend : {Backend::kNaiveHash, Backend::kIndexed}) {
-    QueryEngineOptions options;
+    SessionOptions options;
     options.backend = backend;
-    QueryEngine engine(graph, options);
-    Result<PreparedQuery> q = engine.Prepare("(?x knows ?y) OPT (?y email ?e)");
+    Statement q = db.OpenSession(options).Prepare("(?x knows ?y) OPT (?y email ?e)");
     ASSERT_TRUE(q.ok()) << BackendToString(backend);
-    std::vector<Mapping> answers = engine.Solutions(q.value());
+    std::vector<Mapping> answers = q.Solutions();
     ASSERT_EQ(answers.size(), 2u) << BackendToString(backend);
-    EXPECT_EQ(engine.Count(q.value()), 2u);
+    EXPECT_EQ(q.Count(), 2u);
     for (const Mapping& mu : answers) {
-      EXPECT_TRUE(engine.Evaluate(q.value(), mu)) << BackendToString(backend);
+      EXPECT_TRUE(q.Contains(mu)) << BackendToString(backend);
     }
-    EXPECT_FALSE(engine.Evaluate(
-        q.value(), testlib::MakeMapping(&pool, {{"x", "carol"}, {"y", "alice"}})));
+    EXPECT_FALSE(
+        q.Contains(testlib::MakeMapping(&pool, {{"x", "carol"}, {"y", "alice"}})));
   }
 }
 
-class QueryEngineDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+class SessionBackendDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(QueryEngineDifferentialTest, BackendsProduceIdenticalVerdictsAndSolutions) {
+TEST_P(SessionBackendDifferentialTest, BackendsProduceIdenticalVerdictsAndSolutions) {
   Rng rng(GetParam());
   TermPool pool;
   PatternPtr pattern = testlib::RandomWellDesignedUnion(&rng, &pool, 2);
   RdfGraph graph(&pool);
   testlib::SmallWorkloadGraph(&rng, 5, 16, 3, &graph);
+  Database db(&pool);
+  testlib::LoadGraph(graph, &db);
 
-  QueryEngineOptions naive_options;
+  SessionOptions naive_options;
   naive_options.backend = Backend::kNaiveHash;
-  QueryEngine naive_engine(graph, naive_options);
-  QueryEngineOptions indexed_options;
+  SessionOptions indexed_options;
   indexed_options.backend = Backend::kIndexed;
-  QueryEngine indexed_engine(graph, indexed_options);
-
-  Result<PreparedQuery> naive_q = naive_engine.PrepareParsed(pattern);
-  Result<PreparedQuery> indexed_q = indexed_engine.PrepareParsed(pattern);
+  Statement naive_q = db.OpenSession(naive_options).PrepareParsed(pattern);
+  Statement indexed_q = db.OpenSession(indexed_options).PrepareParsed(pattern);
   ASSERT_TRUE(naive_q.ok());
   ASSERT_TRUE(indexed_q.ok());
 
   // Identical enumerated solution sets (both sorted + deduplicated).
-  std::vector<Mapping> naive_solutions = naive_engine.Solutions(naive_q.value());
-  std::vector<Mapping> indexed_solutions = indexed_engine.Solutions(indexed_q.value());
+  std::vector<Mapping> naive_solutions = naive_q.Solutions();
+  std::vector<Mapping> indexed_solutions = indexed_q.Solutions();
   EXPECT_EQ(naive_solutions, indexed_solutions);
 
   // Both must equal the compositional set semantics.
@@ -291,13 +292,11 @@ TEST_P(QueryEngineDifferentialTest, BackendsProduceIdenticalVerdictsAndSolutions
   // Identical wdEVAL membership verdicts on answers and near-misses.
   Rng probe_rng(GetParam() ^ 0xfeed);
   for (const Mapping& probe : testlib::MembershipProbes(pattern, graph, &probe_rng, 8)) {
-    EXPECT_EQ(naive_engine.Evaluate(naive_q.value(), probe),
-              indexed_engine.Evaluate(indexed_q.value(), probe))
-        << probe.ToString(pool);
+    EXPECT_EQ(naive_q.Contains(probe), indexed_q.Contains(probe)) << probe.ToString(pool);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, QueryEngineDifferentialTest,
+INSTANTIATE_TEST_SUITE_P(Seeds, SessionBackendDifferentialTest,
                          ::testing::Range<uint64_t>(1, 13));
 
 }  // namespace

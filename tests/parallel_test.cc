@@ -22,9 +22,9 @@
 ///                   ==  naive-hash oracle,
 ///
 /// all bound to the same `Snapshot` while a mutation stream churns the
-/// database around them (the naive oracle materialises a private copy of
-/// the pinned view at Open, so it too reads frozen state — that is what
-/// makes the three-way comparison meaningful under a live writer).
+/// database around them (the naive oracle reads the same pinned view, so
+/// it too reads frozen state — that is what makes the three-way
+/// comparison meaningful under a live writer).
 ///
 /// The suite runs under ThreadSanitizer in CI (the `tsan` job's regex
 /// includes it): assertions are differential, never timing based, and

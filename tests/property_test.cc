@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "engine/query_engine.h"
 #include "hom/homomorphism.h"
 #include "hom/pebble.h"
 #include "hom/treewidth.h"
@@ -17,6 +16,7 @@
 #include "wd/eval.h"
 #include "wd/local_tractability.h"
 #include "wd/paper_examples.h"
+#include "wdsparql/database.h"
 
 namespace wdsparql {
 namespace {
@@ -111,28 +111,25 @@ TEST_P(RandomWorkloadProperty, CountMatchesAnswerSetSize) {
 }
 
 TEST_P(RandomWorkloadProperty, EngineBackendsAgreeOnVerdictsAndSolutions) {
-  QueryEngineOptions naive_options;
+  Database db(&pool_);
+  testlib::LoadGraph(graph_.value(), &db);
+  SessionOptions naive_options;
   naive_options.backend = Backend::kNaiveHash;
-  QueryEngine naive_engine(graph_.value(), naive_options);
-  QueryEngineOptions indexed_options;
+  SessionOptions indexed_options;
   indexed_options.backend = Backend::kIndexed;
-  QueryEngine indexed_engine(graph_.value(), indexed_options);
-
-  Result<PreparedQuery> naive_q = naive_engine.PrepareParsed(pattern_);
-  Result<PreparedQuery> indexed_q = indexed_engine.PrepareParsed(pattern_);
+  Statement naive_q = db.OpenSession(naive_options).PrepareParsed(pattern_);
+  Statement indexed_q = db.OpenSession(indexed_options).PrepareParsed(pattern_);
   ASSERT_TRUE(naive_q.ok());
   ASSERT_TRUE(indexed_q.ok());
 
   // Identical enumerated solution sets, both equal to the ground truth.
-  EXPECT_EQ(naive_engine.Solutions(naive_q.value()), answers_);
-  EXPECT_EQ(indexed_engine.Solutions(indexed_q.value()), answers_);
+  EXPECT_EQ(naive_q.Solutions(), answers_);
+  EXPECT_EQ(indexed_q.Solutions(), answers_);
 
   // Identical wdEVAL verdicts on answers and mutated non-answers.
   for (const Mapping& probe : probes_) {
-    EXPECT_EQ(naive_engine.Evaluate(naive_q.value(), probe), IsAnswer(probe))
-        << probe.ToString(pool_);
-    EXPECT_EQ(indexed_engine.Evaluate(indexed_q.value(), probe), IsAnswer(probe))
-        << probe.ToString(pool_);
+    EXPECT_EQ(naive_q.Contains(probe), IsAnswer(probe)) << probe.ToString(pool_);
+    EXPECT_EQ(indexed_q.Contains(probe), IsAnswer(probe)) << probe.ToString(pool_);
   }
 }
 

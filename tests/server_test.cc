@@ -6,6 +6,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -431,17 +433,20 @@ TEST(SnapshotContainsTest, DecidesAgainstThePinnedStateNotTheLiveOne) {
   EXPECT_TRUE(stmt.Contains(new_pair, after));
   EXPECT_TRUE(stmt.Contains(new_pair));  // Live overload sees it too.
 
-  // Refusals collapse to false: invalid snapshot, foreign snapshot,
-  // naive backend.
+  // Refusals collapse to false: invalid snapshot, foreign snapshot.
   EXPECT_FALSE(stmt.Contains(old_pair, Snapshot()));
   Database other;
   other.AddTriple("http://t/a", "http://t/knows", "http://t/b");
   EXPECT_FALSE(stmt.Contains(old_pair, other.GetSnapshot()));
+
+  // The naive oracle reads the same pinned view.
   SessionOptions naive;
   naive.backend = Backend::kNaiveHash;
   Statement naive_stmt = db.OpenSession(naive).Prepare("(?x <http://t/knows> ?y)");
   ASSERT_TRUE(naive_stmt.ok());
-  EXPECT_FALSE(naive_stmt.Contains(old_pair, before));
+  EXPECT_TRUE(naive_stmt.Contains(old_pair, before));
+  EXPECT_FALSE(naive_stmt.Contains(new_pair, before));
+  EXPECT_TRUE(naive_stmt.Contains(new_pair, after));
 }
 
 TEST(ServeContainsTest, EndpointAnswersMembershipOverThePinnedSnapshot) {
@@ -540,6 +545,66 @@ TEST(ServeTraceTest, DebugTraceRoundTripByRequestId) {
   EXPECT_NE(dump.body.find("\"name\":\"request\""), std::string::npos);
   EXPECT_NE(dump.body.find("\"name\":\"enumerate\""), std::string::npos);
   EXPECT_NE(dump.body.find("\"name\":\"subtree\""), std::string::npos);
+  server->Stop();
+}
+
+TEST(ServeTraceTest, ParallelTraceNestsSubtreesUnderWorkers) {
+  Database db;
+  Populate(&db);
+  auto server = StartServer(&db, [] {
+    ServerOptions options;
+    options.quiet = true;
+    return options;
+  }());
+  HttpClient client = ClientFor(*server);
+
+  HttpResponse response;
+  ASSERT_TRUE(client.Fetch("POST", "/query?parallelism=4", "(?s <http://t/p1> ?o)",
+                           &response, {{"X-Request-Id", "cafe5678"}})
+                  .ok());
+  ASSERT_EQ(response.status, 200);
+  HttpResponse dump;
+  ASSERT_TRUE(Eventually([&] {
+    if (!client.Get("/debug/trace?n=8", &dump).ok()) return false;
+    return dump.body.find("00000000cafe5678") != std::string::npos;
+  }));
+
+  // This request's spans only: from its trace id to the next trace.
+  std::size_t begin = dump.body.find("00000000cafe5678");
+  std::size_t end = dump.body.find("\"trace_id\"", begin);
+  std::string trace = dump.body.substr(begin, end == std::string::npos
+                                                  ? std::string::npos
+                                                  : end - begin);
+  std::map<uint64_t, std::pair<uint64_t, std::string>> spans;  // id -> parent, name
+  std::regex span_re("\\{\"id\":(\\d+),\"parent\":(\\d+),\"name\":\"([^\"]*)\"");
+  for (std::sregex_iterator it(trace.begin(), trace.end(), span_re), last; it != last;
+       ++it) {
+    spans[std::stoull((*it)[1])] = {std::stoull((*it)[2]), (*it)[3]};
+  }
+  auto name_of = [&spans](uint64_t id) {
+    auto it = spans.find(id);
+    return it == spans.end() ? std::string() : it->second.second;
+  };
+  auto parent_of = [&spans](uint64_t id) { return spans.at(id).first; };
+
+  // request -> ... -> enumerate -> worker -> subtree, like a serial
+  // trace with the worker level in between.
+  int workers = 0;
+  int subtrees = 0;
+  for (const auto& [id, span] : spans) {
+    if (span.second == "worker") {
+      ++workers;
+      EXPECT_EQ(name_of(span.first), "enumerate");
+      uint64_t up = span.first;
+      while (up != 0 && name_of(up) != "request") up = parent_of(up);
+      EXPECT_NE(up, 0u) << "enumerate is not under the request span";
+    } else if (span.second == "subtree") {
+      ++subtrees;
+      EXPECT_EQ(name_of(span.first), "worker") << "subtree span " << id;
+    }
+  }
+  EXPECT_EQ(workers, 4);
+  EXPECT_EQ(subtrees, 4);  // One tree, one subtree, walked by every worker.
   server->Stop();
 }
 

@@ -96,6 +96,14 @@ void SmallWorkloadGraph(Rng* rng, int num_nodes, int num_triples, int num_predic
   GenerateRandomGraph(options, graph);
 }
 
+void LoadGraph(const RdfGraph& graph, Database* db) {
+  WDSPARQL_CHECK(graph.pool() == &db->pool());
+  WriteBatch batch;
+  for (const Triple& t : graph.triples()) batch.Add(db->pool(), t);
+  WDSPARQL_CHECK(db->Apply(std::move(batch)).ok());
+  db->Compact();
+}
+
 Mapping MakeMapping(TermPool* pool,
                     const std::vector<std::pair<std::string, std::string>>& bindings) {
   Mapping mu;

@@ -8,6 +8,7 @@
 #include "sparql/ast.h"
 #include "sparql/mapping.h"
 #include "util/rng.h"
+#include "wdsparql/database.h"
 
 /// \file
 /// Shared helpers for the test and benchmark executables: random
@@ -41,6 +42,11 @@ PatternPtr RandomWellDesignedUnion(Rng* rng, TermPool* pool, int arms,
 /// predicate pool "p0..").
 void SmallWorkloadGraph(Rng* rng, int num_nodes, int num_triples, int num_predicates,
                         RdfGraph* graph);
+
+/// Loads every triple of `graph` into `db` as one `WriteBatch`, then
+/// compacts. `db` must intern into the graph's pool, so ids line up and
+/// the graph stays an independent model of the database's content.
+void LoadGraph(const RdfGraph& graph, Database* db);
 
 /// Builds a mapping from variable/IRI spelling pairs, e.g.
 /// MakeMapping(&pool, {{"x", "a"}, {"y", "b"}}).
