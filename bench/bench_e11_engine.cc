@@ -60,11 +60,11 @@ struct E11Instance {
     path_pattern.Insert(Triple(y, pool.InternIri("p1"), z));
   }
 
-  const IndexedStore& store() const { return db.store(); }
+  const ReadView& view() const { return db.store().view(); }
   const HashTripleSource& hash() const { return hash_source; }
 
   const TripleSource& source(int backend) const {
-    if (backend == kBackendIndexed) return store();
+    if (backend == kBackendIndexed) return view();
     return hash();
   }
 };
@@ -109,7 +109,7 @@ void BM_E11_CandidateGeneration(benchmark::State& state) {
   uint64_t candidates = 0;
   for (auto _ : state) {
     if (indexed) {
-      JoinEnumerate(instance.store().view(), instance.path_pattern.triples(), VarAssignment{},
+      JoinEnumerate(instance.view(), instance.path_pattern.triples(), VarAssignment{},
                     [&](const VarAssignment&) {
                       ++candidates;
                       return true;

@@ -94,7 +94,7 @@ void BM_E12_InsertRebuild(benchmark::State& state) {
       inserted += graph.Insert(t) ? 1 : 0;
     }
     IndexedStore rebuilt = IndexedStore::Build(graph.triples());
-    benchmark::DoNotOptimize(rebuilt.size());
+    benchmark::DoNotOptimize(rebuilt.view().size());
   }
   state.counters["store"] = static_cast<double>(num_triples);
   state.SetItemsProcessed(static_cast<int64_t>(inserted));
@@ -147,7 +147,7 @@ void BM_E12_InterleavedQueryLatency(benchmark::State& state) {
       // Rebuild-from-scratch maintenance: what every reader waited for
       // before incremental deltas existed.
       IndexedStore rebuilt = IndexedStore::Build(instance.staged.triples());
-      benchmark::DoNotOptimize(rebuilt.size());
+      benchmark::DoNotOptimize(rebuilt.view().size());
     }
     Cursor cursor = query.Execute();
     while (cursor.Next()) ++answers;

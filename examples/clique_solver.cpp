@@ -35,10 +35,10 @@ void Solve(const char* name, const UndirectedGraph& h, int k) {
     return;
   }
   // Freeze the gadget into the database; the wdEVAL membership question
-  // then probes the indexed store through the TripleSource seam.
+  // then probes the store's read view through the TripleSource seam.
   Database db(&pool);
   for (const Triple& t : instance.value().graph.triples()) db.AddTriple(t);
-  bool member = NaiveWdEval(instance.value().forest, db.store(), instance.value().mu);
+  bool member = NaiveWdEval(instance.value().forest, db.store().view(), instance.value().mu);
   bool via_reduction = !member;  // Clique iff mu is NOT an answer.
   bool via_brute_force = HasCliqueBruteForce(h, k);
   std::printf(

@@ -151,7 +151,7 @@ void PrintPlan(const StatementImpl& stmt, TermPool* pool) {
 /// (set semantics, PebbleWdEval), which take one directly.
 RdfGraph GraphOf(const Database& db) {
   RdfGraph graph(&db.pool());
-  db.store().ScanPattern(Triple(kAnyTerm, kAnyTerm, kAnyTerm), [&graph](const Triple& t) {
+  db.store().view().ScanPattern(Triple(kAnyTerm, kAnyTerm, kAnyTerm), [&graph](const Triple& t) {
     graph.Insert(t);
     return true;
   });

@@ -10,15 +10,19 @@
 /// Per-query execution statistics.
 ///
 /// `ExecStats` is the per-execution observability record: one plain
-/// struct of counters and phase timers, filled in by a single cursor as
-/// it enumerates and retrievable from that cursor at any point
-/// (`Cursor::stats()`), final once the cursor finishes. Collection is
-/// opt-in per execution (`ExecOptions::collect_stats`); when it is off
-/// nothing is allocated and the enumeration hot path is untouched —
-/// `Cursor::stats()` simply returns null.
+/// struct of counters and phase timers, the only one an execution
+/// keeps. The join layer, the enumerator and the cursor each write their
+/// own fields (docs/OBSERVABILITY.md lists which); the enumeration's
+/// counters fold into the cursor's record when the cursor finishes, so
+/// read `Cursor::stats()` once the cursor is exhausted, limited or
+/// closed. Collection is opt-in per execution
+/// (`ExecOptions::collect_stats`); when it is off nothing is allocated
+/// and the enumeration hot path is untouched — `Cursor::stats()` simply
+/// returns null.
 ///
 /// The counters are *cursor-local*: plain (non-atomic) integers owned by
-/// the one thread driving the cursor, so collection adds increments, not
+/// the one thread driving the cursor (or by one parallel worker, merged
+/// at shutdown), so collection adds increments, not
 /// cache-line contention, to the hot path. Engine-wide aggregation
 /// happens once, at cursor finish, into the database's
 /// `MetricsRegistry` (see wdsparql/metrics.h).

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "engine/indexed_store.h"
-#include "engine/join.h"
 #include "engine/parallel_exec.h"
 #include "engine/read_view.h"
 #include "ptree/forest.h"
@@ -164,22 +163,20 @@ struct CursorImpl {
 
   /// Execution statistics, allocated only when
   /// `ExecOptions::collect_stats` is set (the disabled path allocates
-  /// and counts nothing — `Cursor::stats()` is null).
+  /// nothing — `Cursor::stats()` is null). The join layer of a serial
+  /// cursor counts straight into it; the enumeration record folds in at
+  /// finish.
   std::unique_ptr<ExecStats> stats;
-  /// Join-layer counters the indexed-backend hooks write into when
-  /// stats are on (cursor-local, folded into `stats` at finish).
-  JoinStats join_stats;
-  /// The enumerator's aggregate totals, snapshotted before the
-  /// enumerator is released on a finish path (they feed the registry
-  /// merge, which may run later than the reset).
-  EnumerateStats enum_totals;
   /// The "enumerate" span opened at `Open` in `exec.trace` (0 when not
   /// tracing); ended with rows/outcome annotations when the cursor
   /// finalizes. The TraceContext in `exec` must outlive the cursor.
   uint32_t enumerate_span = 0;
-  /// One-shot finish latch: the registry merge and the JoinStats fold
-  /// run exactly once, whichever of exhaustion/Close/destruction comes
-  /// first.
+  /// The serial enumerator's subtree timings (recorded only while
+  /// `enumerate_span` is set), emitted as `subtree` spans at finish.
+  std::vector<SubtreeTiming> subtree_timings;
+  /// One-shot finish latch: the record fold, the registry merge and the
+  /// release run exactly once, whichever of exhaustion/Close/destruction
+  /// comes first.
   bool finalized = false;
 };
 
@@ -202,7 +199,7 @@ namespace engine_internal {
 EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
                                       const SessionOptions& options,
                                       std::shared_ptr<const ReadView> view,
-                                      JoinStats* join_stats = nullptr,
+                                      ExecStats* join_stats = nullptr,
                                       std::function<bool()> root_claim = nullptr,
                                       bool optimize = true);
 

@@ -6,50 +6,31 @@
 namespace wdsparql {
 namespace {
 
-/// Snapshots the enumerator's aggregate counters into the cursor before
-/// the machinery is released (the finish paths reset the enumerator, but
-/// its totals feed the registry merge). The parallel path shuts the
-/// worker pool down first — Shutdown is where worker-local counters
-/// merge into the cursor's sinks, and it must happen before the stats
-/// are read whichever finish path runs first.
-void AbsorbEnumeratorTotals(CursorImpl* impl) {
-  if (impl->parallel != nullptr) {
-    impl->parallel->Shutdown();
-    impl->enum_totals = impl->parallel->stats();
-  } else if (impl->enumerator != nullptr) {
-    impl->enum_totals = impl->enumerator->stats();
-  }
-}
-
-/// Releases the live enumeration machinery (either engine) on a finish
-/// path; totals must have been absorbed first.
-void ReleaseEnumerators(CursorImpl* impl) {
-  impl->enumerator.reset();
-  impl->parallel.reset();
-}
-
-/// The once-per-execution finish step: folds the cursor-local counters
-/// into the final `ExecStats` and merges the execution's totals into the
-/// database's `MetricsRegistry`. This is the "per-worker accumulation,
-/// merge at close" half of the observability contract — the enumeration
-/// hot path touched only plain cursor-local integers; the shared atomics
-/// are touched here, once, whichever of exhaustion / `Close` /
-/// destruction ends the execution first.
+/// The once-per-execution finish step, whichever of exhaustion /
+/// `Close` / destruction ends the execution first. It ends the
+/// enumeration (a parallel pool is shut down, which merges its workers'
+/// records), folds the enumeration record into the cursor's `ExecStats`
+/// with the same `AccumulateExecStats` the workers merge through, merges
+/// the execution's totals into the database's `MetricsRegistry`, emits
+/// the serial subtree spans, and releases the machinery and the pinned
+/// view. This is the "per-worker accumulation, merge at close" half of
+/// the observability contract — the enumeration hot path touched only
+/// plain cursor-local integers; the shared atomics are touched here,
+/// once.
 void FinalizeCursorStats(CursorImpl* impl) {
   if (impl->finalized || impl->stmt == nullptr || impl->stmt->db == nullptr ||
       impl->open_generation == 0) {
     return;  // Never opened (or already merged): nothing to account.
   }
   impl->finalized = true;
-  AbsorbEnumeratorTotals(impl);
+  if (impl->parallel != nullptr) impl->parallel->Shutdown();
+  const ExecStats& record = impl->parallel != nullptr
+                                ? impl->parallel->stats()
+                                : impl->enumerator->stats();
+  const uint64_t candidates = record.candidates;
   if (impl->stats != nullptr) {
     ExecStats& stats = *impl->stats;
-    stats.ranges_scanned = impl->join_stats.ranges_scanned;
-    stats.values_probed = impl->join_stats.values_probed;
-    stats.base_triples_scanned = impl->join_stats.base_scanned;
-    stats.delta_triples_scanned = impl->join_stats.delta_scanned;
-    stats.dict_encodes = impl->join_stats.dict_encodes;
-    stats.dict_decodes = impl->join_stats.dict_decodes;
+    AccumulateExecStats(record, &stats);
     // Optimizer totals, folded up from the per-subtree breakdown (the
     // planner runs once per opened generator; parallel merges keep one
     // representative entry per subtree).
@@ -60,8 +41,12 @@ void FinalizeCursorStats(CursorImpl* impl) {
   }
   MetricsRegistry& metrics = *impl->stmt->db->metrics;
   metrics.counter("query.rows_emitted").Add(impl->rows);
-  metrics.counter("query.candidates").Add(impl->enum_totals.candidates);
-  metrics.counter("query.maximality_tests").Add(impl->enum_totals.maximality_tests);
+  metrics.counter("query.candidates").Add(candidates);
+  metrics.counter("query.maximality_tests").Add(record.maximality_tests);
+  // Releasing the serial enumerator completes its open subtree timing.
+  impl->enumerator.reset();
+  impl->parallel.reset();
+  impl->view.reset();  // Drop the pin: the store may free superseded runs.
   // Outcome counters: how executions ended, not just what they did. A
   // serving layer watches these to tell healthy truncation (limits) from
   // pressure (deadlines) from abandonment (cancellations / early closes).
@@ -88,11 +73,11 @@ void FinalizeCursorStats(CursorImpl* impl) {
   if (impl->stats != nullptr) {
     metrics.histogram("query.enumerate_ns").Observe(impl->stats->enumerate_ns);
   }
-  if (impl->exec.trace != nullptr && impl->enumerate_span != 0) {
+  if (impl->enumerate_span != 0) {
     TraceContext& trace = *impl->exec.trace;
+    EmitSubtreeSpans(impl->subtree_timings, &trace, impl->enumerate_span);
     trace.Annotate(impl->enumerate_span, "rows", impl->rows);
-    trace.Annotate(impl->enumerate_span, "candidates",
-                   impl->enum_totals.candidates);
+    trace.Annotate(impl->enumerate_span, "candidates", candidates);
     trace.Annotate(impl->enumerate_span, "outcome",
                    CursorStateToString(impl->state));
     trace.EndSpan(impl->enumerate_span);
@@ -136,9 +121,10 @@ bool Cursor::Open() {
   impl_->open_generation = impl_->view->generation();
   if (impl_->exec.trace != nullptr && impl_->exec.trace->enabled()) {
     // One span covering the whole enumeration (ended with rows/outcome
-    // annotations at finish), with per-wdpf-subtree child spans emitted
-    // by the enumerator at subtree boundaries — never per row. In the
-    // parallel mode the children are per-worker spans instead.
+    // annotations at finish), with one child span per wdpf subtree —
+    // never per row — emitted at finish from the enumerator's recorded
+    // timings. In the parallel mode the children are per-worker spans,
+    // each with its worker's subtree spans.
     impl_->enumerate_span =
         impl_->exec.trace->StartSpan("enumerate", impl_->exec.trace_parent);
   }
@@ -162,7 +148,7 @@ bool Cursor::Open() {
   if (impl_->exec.parallelism > 1 && stmt.options.backend == Backend::kIndexed) {
     // Parallel mode: fan the candidate space across a worker pool, every
     // worker enumerating the same pinned view. Each worker gets its own
-    // hooks (own JoinStats struct, own claim filter) built on its own
+    // hooks (own ExecStats record, own claim filter) built on its own
     // thread; the factory captures the shared immutable ingredients by
     // value so it outlives this frame.
     ParallelEnumerator::Options popts;
@@ -173,16 +159,13 @@ bool Cursor::Open() {
     std::shared_ptr<const ReadView> view = impl_->view;
     const bool optimize = impl_->exec.optimize;
     popts.hooks_factory = [db, sopts, view, optimize](
-                              JoinStats* stats, std::function<bool()> claim) {
+                              ExecStats* stats, std::function<bool()> claim) {
       return engine_internal::MakeEnumerationHooks(*db, sopts, view, stats,
                                                    std::move(claim), optimize);
     };
     impl_->parallel =
         std::make_unique<ParallelEnumerator>(stmt.forest, std::move(popts));
-    if (impl_->stats != nullptr) {
-      impl_->parallel->SetStatsSink(impl_->stats.get(), stmt.db->pool,
-                                    &impl_->join_stats);
-    }
+    if (impl_->stats != nullptr) impl_->parallel->CollectStats(stmt.db->pool);
     if (impl_->enumerate_span != 0) {
       impl_->parallel->SetTraceSink(impl_->exec.trace, impl_->enumerate_span);
     }
@@ -191,17 +174,16 @@ bool Cursor::Open() {
                                          impl_->exec.check_interval);
     }
   } else {
+    // The join layer counts straight into the cursor's record; the
+    // enumerator's own record folds in at finish.
     EnumerationHooks hooks = engine_internal::MakeEnumerationHooks(
-        *stmt.db, stmt.options, impl_->view,
-        impl_->stats != nullptr ? &impl_->join_stats : nullptr,
+        *stmt.db, stmt.options, impl_->view, impl_->stats.get(),
         /*root_claim=*/nullptr, impl_->exec.optimize);
     impl_->enumerator =
         std::make_unique<SolutionEnumerator>(stmt.forest, std::move(hooks));
-    if (impl_->stats != nullptr) {
-      impl_->enumerator->SetStatsSink(impl_->stats.get(), stmt.db->pool);
-    }
+    if (impl_->stats != nullptr) impl_->enumerator->CollectStats(stmt.db->pool);
     if (impl_->enumerate_span != 0) {
-      impl_->enumerator->SetTraceSink(impl_->exec.trace, impl_->enumerate_span);
+      impl_->enumerator->SetSubtreeTimingSink(&impl_->subtree_timings);
     }
     if (probe) {
       impl_->enumerator->SetInterruptProbe(std::move(probe),
@@ -216,19 +198,17 @@ bool Cursor::Open() {
 namespace {
 
 /// One pull: the body of `Cursor::Next` after the open/timing prologue.
-/// Terminal paths snapshot the enumerator's totals before releasing it;
-/// the caller runs the finish step once the phase timer has flushed.
+/// Terminal paths only set the final state; the caller runs the finish
+/// step (which releases the machinery and the pinned view) once the
+/// phase timer has flushed.
 bool NextRow(CursorImpl* impl) {
   if (impl->state != Cursor::State::kOpen) return false;
   if (impl->exec.row_limit != 0 && impl->rows >= impl->exec.row_limit) {
-    // The permitted prefix was delivered in full; park the cursor and
-    // release the machinery (and the pinned view) like exhaustion does.
-    // kLimited rather than kExhausted: the consumer can tell a complete
-    // answer set from a truncated one.
+    // The permitted prefix was delivered in full; park the cursor (the
+    // finish step releases it like exhaustion does). kLimited rather
+    // than kExhausted: the consumer can tell a complete answer set from
+    // a truncated one.
     impl->state = Cursor::State::kLimited;
-    AbsorbEnumeratorTotals(impl);
-    ReleaseEnumerators(impl);
-    impl->view.reset();
     return false;
   }
   const StatementImpl& stmt = *impl->stmt;
@@ -275,9 +255,6 @@ bool NextRow(CursorImpl* impl) {
   } else {
     impl->state = Cursor::State::kExhausted;
   }
-  AbsorbEnumeratorTotals(impl);
-  ReleaseEnumerators(impl);
-  impl->view.reset();  // Release the pinned snapshot promptly.
   return false;
 }
 
@@ -304,10 +281,11 @@ void Cursor::Close() {
     impl_->state = State::kClosed;
   }
   FinalizeCursorStats(impl_.get());
-  ReleaseEnumerators(impl_.get());
   impl_->emitted.clear();
-  // The explicit view release: dropping the last pin lets the store
-  // free superseded runs (and unmap a snapshot file they borrowed).
+  // The explicit view release (the finish step already dropped it unless
+  // a snapshot-bound cursor was never opened): dropping the last pin
+  // lets the store free superseded runs (and unmap a snapshot file they
+  // borrowed).
   impl_->view.reset();
 }
 

@@ -54,7 +54,7 @@ Status ApplyResolvedOps(DatabaseImpl* impl, const std::vector<ResolvedOp>& ops,
   std::vector<Triple> adds;
   std::vector<Triple> removes;
   for (const Triple& t : touched) {
-    bool present = impl->store.Contains(t);
+    bool present = impl->store.view().Contains(t);
     if (desired[t] && !present) {
       adds.push_back(t);
     } else if (!desired[t] && present) {
@@ -404,7 +404,7 @@ namespace {
 class JoinCursorGenerator final : public CandidateGenerator {
  public:
   JoinCursorGenerator(std::shared_ptr<const ReadView> view,
-                      const std::vector<Triple>& patterns, JoinStats* stats,
+                      const std::vector<Triple>& patterns, ExecStats* stats,
                       const std::function<bool()>& claim, bool optimize,
                       const TermPool* pool, Counter* plans_metric,
                       Histogram* plan_ns_metric)
@@ -454,11 +454,11 @@ class JoinCursorGenerator final : public CandidateGenerator {
 using Extends = std::function<bool(const TripleSet& combined, const Mapping& mu)>;
 
 /// The session backend's certificate over `view`: the engine's join on
-/// the indexed backend; on the naive oracle the CSP solver, or — under a
-/// domination-width promise — the (k+1)-pebble game, which needs its
-/// whole target as a hash-indexed set and so materialises the view.
+/// the indexed backend; on the naive oracle the CSP solver or — under a
+/// domination-width promise — the (k+1)-pebble game, both reading the
+/// pinned view itself.
 Extends MakeExtends(const SessionOptions& options,
-                    std::shared_ptr<const ReadView> view, JoinStats* join_stats) {
+                    std::shared_ptr<const ReadView> view, ExecStats* join_stats) {
   if (options.backend == Backend::kIndexed) {
     return [view, join_stats](const TripleSet& combined, const Mapping& mu) {
       return JoinExists(*view, combined.triples(), MappingToAssignment(mu),
@@ -466,14 +466,16 @@ Extends MakeExtends(const SessionOptions& options,
     };
   }
   if (options.pebble_promise > 0) {
-    auto target = std::make_shared<TripleSet>();
-    view->ScanPattern(Triple(kAnyTerm, kAnyTerm, kAnyTerm), [&target](const Triple& t) {
-      target->Insert(t);
-      return true;
-    });
+    // The game's domain is `ReadView::AllTerms`: every dictionary term,
+    // including dead ones a removal left in no triple. They cannot
+    // change the outcome at k+1 >= 2 pebbles on a non-empty view (and a
+    // certificate only runs once the candidate matched pat(T') in this
+    // view): a dead image for x survives only when every triple of x has
+    // three free variables and the game has two pebbles, and then any
+    // live term survives in its place.
     int k = options.pebble_promise;
-    return [target, k](const TripleSet& combined, const Mapping& mu) {
-      return PebbleGameWins(combined, MappingToAssignment(mu), *target, k + 1);
+    return [view, k](const TripleSet& combined, const Mapping& mu) {
+      return PebbleGameWins(combined, MappingToAssignment(mu), *view, k + 1);
     };
   }
   return [view](const TripleSet& combined, const Mapping& mu) {
@@ -486,7 +488,7 @@ Extends MakeExtends(const SessionOptions& options,
 EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
                                       const SessionOptions& options,
                                       std::shared_ptr<const ReadView> view,
-                                      JoinStats* join_stats,
+                                      ExecStats* join_stats,
                                       std::function<bool()> root_claim,
                                       bool optimize) {
   // The hooks share ownership of the pinned view: the enumeration stays

@@ -7,7 +7,6 @@
 
 #include "engine/dictionary.h"
 #include "engine/read_view.h"
-#include "rdf/scan.h"
 #include "rdf/triple_set.h"
 #include "wdsparql/metrics.h"
 #include "wdsparql/trace.h"
@@ -45,15 +44,16 @@
 /// pinned alive until they drop it. The mutation API itself is
 /// single-writer: concurrent mutators require external serialisation.
 ///
-/// The store also implements the `TripleSource` scan interface (against
-/// its freshest view), so the paper's homomorphism/wdEVAL algorithms run
-/// on top of it unchanged.
+/// The store itself has no read surface: every reader — the writer's
+/// own lookups included — goes through a `ReadView` (`view()` on the
+/// writer thread, `PinView()` anywhere), which implements the
+/// `TripleSource` scan interface the paper's algorithms run on.
 
 namespace wdsparql {
 
 /// Dictionary-encoded store with SPO/POS/OSP permutations, incremental
 /// base+delta maintenance, and epoch-published `ReadView` snapshots.
-class IndexedStore final : public TripleSource {
+class IndexedStore final {
  public:
   /// Delta size (inserts + tombstones) that triggers an automatic
   /// `MergeDelta` from a mutation. Small enough that sorted-delta
@@ -167,25 +167,8 @@ class IndexedStore final : public TripleSource {
   /// a snapshot's borrowed runs.
   void AdoptFrom(IndexedStore&& other);
 
-  // Writer-side lookup (delegates to the freshest view) ---------------
-
   /// The term dictionary (writer side; readers use `PinView()->dict()`).
   const Dictionary& dictionary() const { return dict_; }
-
-  /// See `ReadView::EncodeScanPattern`.
-  bool EncodeScanPattern(const Triple& pattern, EncPattern* out) const {
-    return view_->EncodeScanPattern(pattern, out);
-  }
-
-  /// See `ReadView::Scan`. The scan borrows the current view: do not
-  /// hold it across mutations (pin a view for that).
-  MergedScan Scan(const EncPattern& pattern) const { return view_->Scan(pattern); }
-
-  /// True iff the encoded triple is present (and not tombstoned).
-  bool Contains(const EncTriple& t) const { return view_->Contains(t); }
-
-  /// Decodes `t` back to `TermId` space.
-  Triple Decode(const EncTriple& t) const { return view_->Decode(t); }
 
   // Serialization surface (src/storage/) ------------------------------
 
@@ -219,17 +202,6 @@ class IndexedStore final : public TripleSource {
   /// publishes.
   void SetBuilt(Dictionary dict, std::vector<EncTriple> spo,
                 std::vector<EncTriple> pos, std::vector<EncTriple> osp);
-
-  // TripleSource interface (freshest view) ----------------------------
-  std::size_t size() const override { return view_->size(); }
-  bool Contains(const Triple& t) const override { return view_->Contains(t); }
-  bool ScanPattern(const Triple& pattern, const TripleScanCallback& fn) const override {
-    return view_->ScanPattern(pattern, fn);
-  }
-  /// All dictionary terms, ascending by `TermId`. After removals this may
-  /// include terms that no longer occur in any triple (the dictionary is
-  /// append-only); such terms simply match nothing.
-  std::vector<TermId> AllTerms() const override { return view_->AllTerms(); }
 
  private:
   void MaybeMerge();

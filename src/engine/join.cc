@@ -23,7 +23,7 @@ struct EncConjunct {
 /// and resume exactly there.
 struct JoinCursor::State {
   State(std::shared_ptr<const ReadView> owned, const ReadView& view,
-        const VarAssignment& fixed_in, JoinStats* stats_in)
+        const VarAssignment& fixed_in, ExecStats* stats_in)
       : keepalive(std::move(owned)), store(view), fixed(fixed_in), stats(stats_in) {}
 
   /// One descent level: the intersected candidate values of the level's
@@ -36,7 +36,7 @@ struct JoinCursor::State {
   std::shared_ptr<const ReadView> keepalive;  // Null for borrowed views.
   const ReadView& store;
   VarAssignment fixed;  // By value: the cursor outlives the Execute call.
-  JoinStats* stats;
+  ExecStats* stats;
   std::function<bool()> claim;  // Null = every root value is ours.
 
   std::vector<EncConjunct> conjuncts;
@@ -170,7 +170,8 @@ struct JoinCursor::State {
       ++stats->ranges_scanned;
       MergedScan scan = store.Scan(probe);
       for (auto it = scan.begin(); it != scan.end(); ++it) {
-        ++(it.on_delta() ? stats->delta_scanned : stats->base_scanned);
+        ++(it.on_delta() ? stats->delta_triples_scanned
+                           : stats->base_triples_scanned);
         keep(*it);
       }
     }
@@ -223,10 +224,7 @@ struct JoinCursor::State {
     for (std::size_t i = 0; i < vars.size(); ++i) {
       (*out)[vars[i]] = store.dict().Decode(binding[i]);
     }
-    if (stats != nullptr) {
-      ++stats->emitted;
-      stats->dict_decodes += vars.size();
-    }
+    if (stats != nullptr) stats->dict_decodes += vars.size();
   }
 
   bool Next(VarAssignment* out) {
@@ -271,7 +269,7 @@ struct JoinCursor::State {
 
 JoinCursor::JoinCursor(std::shared_ptr<const ReadView> view,
                        const std::vector<Triple>& patterns,
-                       const VarAssignment& fixed, JoinStats* stats,
+                       const VarAssignment& fixed, ExecStats* stats,
                        const std::vector<TermId>* var_order) {
   WDSPARQL_CHECK(view != nullptr);
   const ReadView& ref = *view;
@@ -280,7 +278,7 @@ JoinCursor::JoinCursor(std::shared_ptr<const ReadView> view,
 }
 
 JoinCursor::JoinCursor(const ReadView& view, const std::vector<Triple>& patterns,
-                       const VarAssignment& fixed, JoinStats* stats,
+                       const VarAssignment& fixed, ExecStats* stats,
                        const std::vector<TermId>* var_order)
     : state_(std::make_unique<State>(nullptr, view, fixed, stats)) {
   if (!state_->Setup(patterns, var_order)) state_->done = true;
@@ -299,7 +297,7 @@ void JoinCursor::SetRootClaim(std::function<bool()> claim) {
 void JoinEnumerate(const ReadView& store, const std::vector<Triple>& patterns,
                    const VarAssignment& fixed,
                    const std::function<bool(const VarAssignment&)>& callback,
-                   JoinStats* stats) {
+                   ExecStats* stats) {
   JoinCursor cursor(store, patterns, fixed, stats);
   VarAssignment out;
   while (cursor.Next(&out)) {
@@ -308,7 +306,7 @@ void JoinEnumerate(const ReadView& store, const std::vector<Triple>& patterns,
 }
 
 bool JoinExists(const ReadView& store, const std::vector<Triple>& patterns,
-                const VarAssignment& fixed, JoinStats* stats) {
+                const VarAssignment& fixed, ExecStats* stats) {
   JoinCursor cursor(store, patterns, fixed, stats);
   VarAssignment out;
   return cursor.Next(&out);

@@ -8,6 +8,7 @@
 
 #include "engine/read_view.h"
 #include "hom/homomorphism.h"
+#include "wdsparql/stats.h"
 
 /// \file
 /// Merge/leapfrog-style multiway join for conjunctive patterns.
@@ -27,21 +28,14 @@
 /// iterator (the engine's suspendable enumeration and the parallel
 /// execution mode both build on it), and the callback-shaped
 /// `JoinEnumerate`/`JoinExists`, which are thin drivers over a cursor.
+///
+/// Every entry point takes an optional `ExecStats*`: when non-null the
+/// join counts its storage work into it (`ranges_scanned`,
+/// `values_probed`, `base/delta_triples_scanned`, `dict_encodes`,
+/// `dict_decodes`) as plain increments from the pulling thread. Null
+/// (stats collection off) selects the uninstrumented scan walk.
 
 namespace wdsparql {
-
-/// Counters for one join run. Plain (non-atomic) integers owned by the
-/// calling thread — cursors accumulate these locally and merge at close,
-/// so no shared state sits on the enumeration hot path.
-struct JoinStats {
-  uint64_t ranges_scanned = 0;  ///< Permutation ranges materialised.
-  uint64_t values_probed = 0;   ///< Candidate values tested in merges.
-  uint64_t emitted = 0;         ///< Solutions produced.
-  uint64_t base_scanned = 0;    ///< Triples read from base runs.
-  uint64_t delta_scanned = 0;   ///< Triples read from delta runs.
-  uint64_t dict_encodes = 0;    ///< Term -> DataId dictionary probes.
-  uint64_t dict_decodes = 0;    ///< DataId -> Term resolutions.
-};
 
 /// Pull-based resumable join: each `Next` call produces one assignment
 /// and suspends with the whole descent state (one {values, position}
@@ -73,12 +67,12 @@ class JoinCursor {
   /// exactly (the `ExecOptions::optimize = false` contract).
   JoinCursor(std::shared_ptr<const ReadView> view,
              const std::vector<Triple>& patterns, const VarAssignment& fixed,
-             JoinStats* stats = nullptr,
+             ExecStats* stats = nullptr,
              const std::vector<TermId>* var_order = nullptr);
   /// Borrows `view`, which must outlive the cursor (the classic
   /// callback drivers below use this form).
   JoinCursor(const ReadView& view, const std::vector<Triple>& patterns,
-             const VarAssignment& fixed, JoinStats* stats = nullptr,
+             const VarAssignment& fixed, ExecStats* stats = nullptr,
              const std::vector<TermId>* var_order = nullptr);
   ~JoinCursor();
   JoinCursor(JoinCursor&&) noexcept;
@@ -115,11 +109,11 @@ class JoinCursor {
 void JoinEnumerate(const ReadView& view, const std::vector<Triple>& patterns,
                    const VarAssignment& fixed,
                    const std::function<bool(const VarAssignment&)>& callback,
-                   JoinStats* stats = nullptr);
+                   ExecStats* stats = nullptr);
 
 /// True iff at least one such assignment exists (early-exit join).
 bool JoinExists(const ReadView& view, const std::vector<Triple>& patterns,
-                const VarAssignment& fixed, JoinStats* stats = nullptr);
+                const VarAssignment& fixed, ExecStats* stats = nullptr);
 
 }  // namespace wdsparql
 

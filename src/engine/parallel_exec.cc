@@ -1,10 +1,62 @@
 #include "engine/parallel_exec.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "util/check.h"
 
 namespace wdsparql {
+
+void AccumulateExecStats(const ExecStats& from, ExecStats* into) {
+  into->parse_ns += from.parse_ns;
+  into->check_ns += from.check_ns;
+  into->plan_ns += from.plan_ns;
+  into->optimize_ns += from.optimize_ns;
+  into->enumerate_ns += from.enumerate_ns;
+  into->est_cost += from.est_cost;
+  into->rows_emitted += from.rows_emitted;
+  into->candidates += from.candidates;
+  into->dedup_rejected += from.dedup_rejected;
+  into->non_maximal += from.non_maximal;
+  into->maximality_tests += from.maximality_tests;
+  into->filtered_out += from.filtered_out;
+  into->projection_dedup_rejected += from.projection_dedup_rejected;
+  into->empty_subpatterns += from.empty_subpatterns;
+  into->interrupt_checks += from.interrupt_checks;
+  into->ranges_scanned += from.ranges_scanned;
+  into->values_probed += from.values_probed;
+  into->base_triples_scanned += from.base_triples_scanned;
+  into->delta_triples_scanned += from.delta_triples_scanned;
+  into->dict_encodes += from.dict_encodes;
+  into->dict_decodes += from.dict_decodes;
+  if (from.subpatterns.empty()) return;
+  // Merge by (tree, subtree): several workers contribute candidates to
+  // the same subtree, and the report should read like the serial one —
+  // one line per subtree, in enumeration order. The stable sort keeps
+  // `into`'s entry (and so its plan report) first among equal keys.
+  std::vector<ExecStats::Subpattern>& subs = into->subpatterns;
+  subs.insert(subs.end(), from.subpatterns.begin(), from.subpatterns.end());
+  std::stable_sort(subs.begin(), subs.end(),
+                   [](const ExecStats::Subpattern& a, const ExecStats::Subpattern& b) {
+                     return std::tie(a.tree, a.subtree) < std::tie(b.tree, b.subtree);
+                   });
+  std::vector<ExecStats::Subpattern> merged;
+  merged.reserve(subs.size());
+  for (ExecStats::Subpattern& sub : subs) {
+    if (merged.empty() || merged.back().tree != sub.tree ||
+        merged.back().subtree != sub.subtree) {
+      merged.push_back(std::move(sub));
+      continue;
+    }
+    ExecStats::Subpattern& into_sub = merged.back();
+    into_sub.candidates += sub.candidates;
+    into_sub.dedup_rejected += sub.dedup_rejected;
+    into_sub.non_maximal += sub.non_maximal;
+    into_sub.maximality_tests += sub.maximality_tests;
+    into_sub.rows += sub.rows;
+  }
+  subs = std::move(merged);
+}
 
 ParallelEnumerator::ParallelEnumerator(const PatternForest& forest, Options options)
     : forest_(&forest), options_(std::move(options)) {
@@ -45,13 +97,9 @@ std::function<bool()> ParallelEnumerator::MakeClaim() {
 
 void ParallelEnumerator::Start() {
   started_ = true;
-  if (trace_ != nullptr) launch_trace_ns_ = trace_->NowNs();
-  launch_tp_ = std::chrono::steady_clock::now();
   workers_.reserve(options_.workers);
   for (uint32_t i = 0; i < options_.workers; ++i) {
-    auto worker = std::make_unique<Worker>();
-    if (sink_ != nullptr) worker->exec_stats = std::make_unique<ExecStats>();
-    workers_.push_back(std::move(worker));
+    workers_.push_back(std::make_unique<Worker>());
   }
   active_workers_ = workers_.size();
   for (std::size_t i = 0; i < workers_.size(); ++i) {
@@ -64,13 +112,12 @@ void ParallelEnumerator::WorkerMain(std::size_t index) {
   worker.start = std::chrono::steady_clock::now();
   {
     // Worker-scoped machinery: its own enumerator over the shared forest
-    // and pinned view, its own counter structs — nothing shared but the
-    // claim counter, the stop flag and the result queue.
+    // and pinned view, its own record — nothing shared but the claim
+    // counter, the stop flag and the result queue.
     SolutionEnumerator enumerator(
-        *forest_, options_.hooks_factory(&worker.join_stats, MakeClaim()));
-    if (worker.exec_stats != nullptr) {
-      enumerator.SetStatsSink(worker.exec_stats.get(), sink_pool_);
-    }
+        *forest_, options_.hooks_factory(pool_ != nullptr ? &worker.stats : nullptr,
+                                         MakeClaim()));
+    if (pool_ != nullptr) enumerator.CollectStats(pool_);
     if (trace_ != nullptr) enumerator.SetSubtreeTimingSink(&worker.subtrees);
     enumerator.SetInterruptProbe(
         [this] {
@@ -90,11 +137,13 @@ void ParallelEnumerator::WorkerMain(std::size_t index) {
           return false;
         },
         options_.check_interval);
-    Mapping mu;
-    while (enumerator.Next(&mu)) {
-      if (!Push(std::move(mu))) break;
+    QueuedRow row;
+    while (enumerator.Next(&row.mu)) {
+      row.tree = enumerator.tree_index();
+      row.subtree = enumerator.subtree_index();
+      if (!Push(std::move(row))) break;
     }
-    worker.enum_stats = enumerator.stats();
+    AccumulateExecStats(enumerator.stats(), &worker.stats);
   }
   worker.duration_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -107,20 +156,20 @@ void ParallelEnumerator::WorkerMain(std::size_t index) {
   not_empty_.notify_all();
 }
 
-bool ParallelEnumerator::Push(Mapping mu) {
+bool ParallelEnumerator::Push(QueuedRow row) {
   std::unique_lock<std::mutex> lock(mutex_);
   not_full_.wait(lock, [this] {
     return queue_.size() < options_.queue_capacity ||
            stop_.load(std::memory_order_relaxed);
   });
   if (stop_.load(std::memory_order_relaxed)) return false;
-  queue_.push_back(std::move(mu));
+  queue_.push_back(std::move(row));
   lock.unlock();
   not_empty_.notify_one();
   return true;
 }
 
-bool ParallelEnumerator::Pop(Mapping* out) {
+bool ParallelEnumerator::Pop(QueuedRow* out) {
   std::unique_lock<std::mutex> lock(mutex_);
   not_empty_.wait(lock, [this] {
     return !queue_.empty() || active_workers_ == 0 ||
@@ -141,7 +190,7 @@ bool ParallelEnumerator::Next(Mapping* out) {
   WDSPARQL_CHECK(out != nullptr);
   if (finished_) return false;
   if (!started_) Start();
-  Mapping mu;
+  QueuedRow row;
   while (true) {
     // The consumer evaluates the user probe too (once per pull): workers
     // blocked on a full queue cannot reach their own probe sites, and a
@@ -154,15 +203,15 @@ bool ParallelEnumerator::Next(Mapping* out) {
       not_empty_.notify_all();
       not_full_.notify_all();
     }
-    if (!Pop(&mu)) break;
+    if (!Pop(&row)) break;
     // The one cross-worker deduplication point: workers dedup their own
     // subsets, the merge dedups across them, so the delivered set equals
     // the serial `seen_` semantics exactly.
-    if (!seen_.insert(mu).second) {
-      ++merged_stats_.merge_dedup;
+    if (!seen_.insert(row.mu).second) {
+      ++merge_rejected_[{row.tree, row.subtree}];
       continue;
     }
-    *out = std::move(mu);
+    *out = std::move(row.mu);
     return true;
   }
   Shutdown();
@@ -183,76 +232,32 @@ void ParallelEnumerator::Shutdown() {
 }
 
 void ParallelEnumerator::MergeWorkerStats() {
-  uint64_t merge_dedup = merged_stats_.merge_dedup;
-  merged_stats_ = EnumerateStats{};
-  merged_stats_.merge_dedup = merge_dedup;
+  uint64_t subtrees_seen = 0;
   for (const auto& worker : workers_) {
-    merged_stats_.candidates += worker->enum_stats.candidates;
-    merged_stats_.emitted += worker->enum_stats.emitted;
-    merged_stats_.maximality_tests += worker->enum_stats.maximality_tests;
-    if (join_sink_ != nullptr) {
-      const JoinStats& js = worker->join_stats;
-      join_sink_->ranges_scanned += js.ranges_scanned;
-      join_sink_->values_probed += js.values_probed;
-      join_sink_->emitted += js.emitted;
-      join_sink_->base_scanned += js.base_scanned;
-      join_sink_->delta_scanned += js.delta_scanned;
-      join_sink_->dict_encodes += js.dict_encodes;
-      join_sink_->dict_decodes += js.dict_decodes;
-    }
+    AccumulateExecStats(worker->stats, &stats_);
+    subtrees_seen = std::max<uint64_t>(
+        subtrees_seen,
+        worker->stats.empty_subpatterns + worker->stats.subpatterns.size());
   }
-  if (sink_ != nullptr) {
-    // Re-merge the per-worker breakdowns by (tree, subtree): several
-    // workers contribute candidates to the same subtree, and the report
-    // should read like the serial one — one line per subtree, counters
-    // summed, in enumeration order.
-    std::vector<ExecStats::Subpattern> merged;
-    auto find = [&merged](std::size_t tree,
-                          std::size_t subtree) -> ExecStats::Subpattern* {
-      for (ExecStats::Subpattern& sub : merged) {
-        if (sub.tree == tree && sub.subtree == subtree) return &sub;
+  if (pool_ != nullptr) {
+    // Every worker walks the same subtree sequence, so a subtree is
+    // empty only when no worker pulled a candidate from it: the subtrees
+    // a worker opened, minus the merged breakdown entries.
+    stats_.empty_subpatterns = subtrees_seen > stats_.subpatterns.size()
+                                   ? subtrees_seen - stats_.subpatterns.size()
+                                   : 0;
+  }
+  // A merge rejection turns one of its subpattern's worker-counted rows
+  // into a duplicate (a duplicate is a duplicate, wherever it was
+  // caught), so the breakdown keeps summing to the totals.
+  for (const auto& [key, count] : merge_rejected_) {
+    stats_.dedup_rejected += count;
+    for (ExecStats::Subpattern& sub : stats_.subpatterns) {
+      if (sub.tree == key.first && sub.subtree == key.second) {
+        sub.rows -= count;
+        sub.dedup_rejected += count;
+        break;
       }
-      return nullptr;
-    };
-    for (const auto& worker : workers_) {
-      if (worker->exec_stats == nullptr) continue;
-      const ExecStats& ws = *worker->exec_stats;
-      sink_->candidates += ws.candidates;
-      sink_->dedup_rejected += ws.dedup_rejected;
-      sink_->non_maximal += ws.non_maximal;
-      sink_->maximality_tests += ws.maximality_tests;
-      sink_->interrupt_checks += ws.interrupt_checks;
-      for (const ExecStats::Subpattern& sub : ws.subpatterns) {
-        ExecStats::Subpattern* into = find(sub.tree, sub.subtree);
-        if (into == nullptr) {
-          merged.push_back(sub);
-          continue;
-        }
-        into->candidates += sub.candidates;
-        into->dedup_rejected += sub.dedup_rejected;
-        into->non_maximal += sub.non_maximal;
-        into->maximality_tests += sub.maximality_tests;
-        into->rows += sub.rows;
-      }
-    }
-    std::sort(merged.begin(), merged.end(),
-              [](const ExecStats::Subpattern& a, const ExecStats::Subpattern& b) {
-                return a.tree != b.tree ? a.tree < b.tree : a.subtree < b.subtree;
-              });
-    // Cross-worker merge dedup counts with the cursor-level dedup (a
-    // duplicate is a duplicate, wherever it was caught).
-    sink_->dedup_rejected += merged_stats_.merge_dedup;
-    // Every worker visits every subtree, so any one worker's (entries +
-    // empties) is the subtree total; truly-empty subtrees are those no
-    // worker pulled a candidate from.
-    if (!workers_.empty() && workers_[0]->exec_stats != nullptr) {
-      uint64_t total = workers_[0]->exec_stats->empty_subpatterns +
-                       workers_[0]->exec_stats->subpatterns.size();
-      sink_->empty_subpatterns +=
-          total > merged.size() ? total - merged.size() : 0;
-    }
-    for (ExecStats::Subpattern& sub : merged) {
-      sink_->subpatterns.push_back(std::move(sub));
     }
   }
   if (trace_ != nullptr) {
@@ -261,29 +266,17 @@ void ParallelEnumerator::MergeWorkerStats() {
     // TraceContext is single-threaded by contract.
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       const Worker& worker = *workers_[i];
-      uint32_t span = trace_->AddCompleteSpan("worker", trace_parent_,
-                                              TraceTimeOf(worker.start),
-                                              worker.duration_ns);
+      const ExecStats& ws = worker.stats;
+      uint32_t span = trace_->AddCompleteSpan(
+          "worker", trace_parent_, TraceTimeOf(*trace_, worker.start),
+          worker.duration_ns);
       trace_->Annotate(span, "worker", static_cast<uint64_t>(i));
-      trace_->Annotate(span, "candidates", worker.enum_stats.candidates);
-      trace_->Annotate(span, "emitted", worker.enum_stats.emitted);
-      for (const SubtreeTiming& timing : worker.subtrees) {
-        uint32_t sub = trace_->AddCompleteSpan(
-            "subtree", span, TraceTimeOf(timing.start), timing.duration_ns);
-        trace_->Annotate(sub, "tree", timing.tree);
-        trace_->Annotate(sub, "subtree", timing.subtree);
-        trace_->Annotate(sub, "candidates", timing.candidates);
-      }
+      trace_->Annotate(span, "candidates", ws.candidates);
+      trace_->Annotate(span, "emitted",
+                       ws.candidates - ws.dedup_rejected - ws.non_maximal);
+      EmitSubtreeSpans(worker.subtrees, trace_, span);
     }
   }
-}
-
-uint64_t ParallelEnumerator::TraceTimeOf(
-    std::chrono::steady_clock::time_point tp) const {
-  return launch_trace_ns_ +
-         static_cast<uint64_t>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(tp - launch_tp_)
-                 .count());
 }
 
 }  // namespace wdsparql

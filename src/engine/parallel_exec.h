@@ -7,13 +7,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
-#include "engine/join.h"
 #include "ptree/forest.h"
 #include "sparql/mapping.h"
 #include "wd/enumerate.h"
@@ -38,11 +39,18 @@
 /// byte-identical to a serial run, the row *order* is not (callers that
 /// need determinism sort, exactly as they already must across backends).
 ///
-/// Observability keeps the cursor-local discipline: every worker counts
-/// into its own plain structs, merged exactly once at shutdown into the
-/// consumer's sinks; per-worker and per-subtree trace spans are recorded
-/// as plain timings by the workers and emitted from the consumer thread
-/// (the TraceContext stays single-threaded), so a parallel trace has the
+/// Observability keeps the cursor-local discipline and is exactly as
+/// explainable as a serial run: every worker counts into its own
+/// `ExecStats` (the join layer's storage counters and its enumerator's
+/// record), and shutdown merges them with `AccumulateExecStats` — the
+/// same function the cursor's finish path folds a serial record with.
+/// Every queued row carries the (tree, subtree) that produced it, so a
+/// cross-worker duplicate moves one count from that subpattern's `rows`
+/// to its `dedup_rejected`: the merged breakdown sums to the totals, and
+/// `candidates == dedup_rejected + non_maximal + rows delivered`.
+/// Per-worker and per-subtree trace spans are recorded as plain timings
+/// by the workers and emitted from the consumer thread (the
+/// TraceContext stays single-threaded), so a parallel trace has the
 /// serial one's `subtree` spans, one level down under each `worker`.
 ///
 /// Cancellation ordering: a fired user probe (deadline/cancel token)
@@ -52,19 +60,27 @@
 
 namespace wdsparql {
 
+/// Adds every counter and timer of `from` into `into` and merges the
+/// per-subpattern breakdowns by (tree, subtree): counters summed, the
+/// first entry's plan report kept, entries in enumeration order. The one
+/// accumulation of execution records — parallel workers into the merged
+/// record, an enumeration record into the cursor's.
+void AccumulateExecStats(const ExecStats& from, ExecStats* into);
+
 /// Merged, deduplicated, pull-based parallel enumeration. Mirrors the
 /// slice of the `SolutionEnumerator` interface the engine's cursor
 /// drives, so `CursorImpl` can hold either interchangeably.
 class ParallelEnumerator {
  public:
   /// Builds one worker's enumeration hooks: `stats` is that worker's
-  /// private join-counter struct, `claim` the work-partitioning filter
-  /// the hooks must install into every candidate generator they open
-  /// (see `JoinCursor::SetRootClaim`). Invoked once per worker, from the
+  /// private record for the join layer's counters (null when stats are
+  /// not collected), `claim` the work-partitioning filter the hooks must
+  /// install into every candidate generator they open (see
+  /// `JoinCursor::SetRootClaim`). Invoked once per worker, from the
   /// worker's own thread; everything it closes over must be safe to use
   /// from there (the pinned view is — it is immutable).
   using HooksFactory =
-      std::function<EnumerationHooks(JoinStats* stats, std::function<bool()> claim)>;
+      std::function<EnumerationHooks(ExecStats* stats, std::function<bool()> claim)>;
 
   struct Options {
     uint32_t workers = 2;
@@ -85,7 +101,7 @@ class ParallelEnumerator {
 
   /// Delivers the next distinct solution (arrival order). Launches the
   /// workers on the first call; returns false once all workers drained
-  /// (or the probe fired), after merging worker stats into the sinks.
+  /// (or the probe fired), after merging the worker records.
   bool Next(Mapping* out);
 
   /// True iff the enumeration was stopped by the interruption probe.
@@ -93,9 +109,9 @@ class ParallelEnumerator {
     return user_interrupted_.load(std::memory_order_relaxed);
   }
 
-  /// Merged per-worker totals; final once `Next` returned false or
-  /// `Shutdown` ran.
-  const EnumerateStats& stats() const { return merged_stats_; }
+  /// The merged record: every worker's, plus the merge's own dedup
+  /// rejections. Final once `Next` returned false or `Shutdown` ran.
+  const ExecStats& stats() const { return stats_; }
 
   /// Thread-safe interruption probe shared by every worker (the cursor
   /// wires deadline/cancel-token checks through here — both are safe to
@@ -105,15 +121,11 @@ class ParallelEnumerator {
     options_.check_interval = interval == 0 ? 1 : interval;
   }
 
-  /// Consumer-side stats sinks, merged once at shutdown: `sink` receives
-  /// summed counters plus the per-(tree, subtree) breakdown re-merged
-  /// across workers; `join_sink` the summed join-layer counters. Install
-  /// before the first `Next`; both must outlive the enumerator.
-  void SetStatsSink(ExecStats* sink, const TermPool* pool, JoinStats* join_sink) {
-    sink_ = sink;
-    sink_pool_ = pool;
-    join_sink_ = join_sink;
-  }
+  /// Enables the counters that cost time to collect: each worker's
+  /// per-subpattern breakdown (pat(T') rendered through `pool`, which must
+  /// outlive the enumerator) and the join layer's storage counters. The
+  /// totals are counted regardless. Call before the first `Next`.
+  void CollectStats(const TermPool* pool) { pool_ = pool; }
 
   /// Trace sink: one "worker" span per worker under `parent`, with that
   /// worker's "subtree" spans under it, recorded by the workers as plain
@@ -125,7 +137,7 @@ class ParallelEnumerator {
   }
 
   /// Stops the workers (raising the shared stop flag), joins them, and
-  /// merges their stats into the sinks. Idempotent; the destructor and
+  /// merges their records into `stats()`. Idempotent; the destructor and
   /// the natural end of `Next` both funnel through here. After an early
   /// exit (row limit, Close) this is how the cursor tears the pool down
   /// promptly: workers blocked on the full queue wake immediately,
@@ -133,17 +145,23 @@ class ParallelEnumerator {
   void Shutdown();
 
  private:
-  /// Everything one worker owns: private counter structs (merged once at
+  /// Everything one worker owns: its private record (merged once at
   /// shutdown — workers never touch shared state mid-enumeration) and
   /// the plain span timings for the trace.
   struct Worker {
-    JoinStats join_stats;
-    EnumerateStats enum_stats;
-    std::unique_ptr<ExecStats> exec_stats;  // Only when a sink is set.
+    ExecStats stats;
     std::chrono::steady_clock::time_point start;
     uint64_t duration_ns = 0;
     std::vector<SubtreeTiming> subtrees;  // Only when a trace sink is set.
     std::thread thread;
+  };
+
+  /// A delivered answer and the (tree, subtree) coordinates of the
+  /// subpattern that produced it.
+  struct QueuedRow {
+    Mapping mu;
+    std::size_t tree = 0;
+    std::size_t subtree = 0;
   };
 
   void Start();
@@ -152,12 +170,10 @@ class ParallelEnumerator {
   /// to exactly one worker via `claim_counter_`.
   std::function<bool()> MakeClaim();
   /// Blocking bounded push; false when the stop flag cut it short.
-  bool Push(Mapping mu);
+  bool Push(QueuedRow row);
   /// Blocking pop; false when drained or stopped.
-  bool Pop(Mapping* out);
+  bool Pop(QueuedRow* out);
   void MergeWorkerStats();
-  /// A worker-recorded steady-clock instant on the trace's clock.
-  uint64_t TraceTimeOf(std::chrono::steady_clock::time_point tp) const;
 
   const PatternForest* forest_;
   Options options_;
@@ -170,27 +186,22 @@ class ParallelEnumerator {
   std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  std::deque<Mapping> queue_;
+  std::deque<QueuedRow> queue_;
   std::size_t active_workers_ = 0;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   bool started_ = false;
   bool finished_ = false;
 
-  // Consumer-thread state: cross-worker dedup and merged totals.
+  // Consumer-thread state: cross-worker dedup, its rejections per
+  // (tree, subtree), and the merged record.
   std::unordered_set<Mapping, MappingHash> seen_;
-  EnumerateStats merged_stats_;
+  std::map<std::pair<std::size_t, std::size_t>, uint64_t> merge_rejected_;
+  ExecStats stats_;
 
-  ExecStats* sink_ = nullptr;
-  const TermPool* sink_pool_ = nullptr;
-  JoinStats* join_sink_ = nullptr;
+  const TermPool* pool_ = nullptr;  // Non-null: CollectStats enabled.
   TraceContext* trace_ = nullptr;
   uint32_t trace_parent_ = 0;
-  /// Trace-epoch offset and steady-clock instant of worker launch, for
-  /// converting worker-recorded timings into trace timestamps
-  /// (`TraceTimeOf`).
-  uint64_t launch_trace_ns_ = 0;
-  std::chrono::steady_clock::time_point launch_tp_;
 };
 
 }  // namespace wdsparql

@@ -40,7 +40,7 @@ struct Node {
 class PebbleGame {
  public:
   PebbleGame(const TripleSet& source, const VarAssignment& fixed,
-             const TripleSet& target, int k, PebbleGameStats* stats)
+             const TripleSource& target, int k, PebbleGameStats* stats)
       : source_(source), target_(target), fixed_(fixed), stats_(stats) {
     for (TermId var : source_.Variables()) {
       if (fixed_.find(var) == fixed_.end()) {
@@ -224,7 +224,7 @@ class PebbleGame {
   }
 
   const TripleSet& source_;
-  const TripleSet& target_;
+  const TripleSource& target_;
   VarAssignment fixed_;
   PebbleGameStats* stats_;
 
@@ -241,10 +241,15 @@ class PebbleGame {
 }  // namespace
 
 bool PebbleGameWins(const TripleSet& source, const VarAssignment& fixed,
-                    const TripleSet& target, int k, PebbleGameStats* stats) {
+                    const TripleSource& target, int k, PebbleGameStats* stats) {
   WDSPARQL_CHECK(k >= 1);
   PebbleGame game(source, fixed, target, k, stats);
   return game.Decide();
+}
+
+bool PebbleGameWins(const TripleSet& source, const VarAssignment& fixed,
+                    const TripleSet& target, int k, PebbleGameStats* stats) {
+  return PebbleGameWins(source, fixed, HashTripleSource(target), k, stats);
 }
 
 }  // namespace wdsparql

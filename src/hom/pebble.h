@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "hom/homomorphism.h"
+#include "rdf/scan.h"
 #include "rdf/triple_set.h"
 
 /// \file
@@ -39,6 +40,15 @@ struct PebbleGameStats {
 ///
 /// Setting k >= |free vars| makes the game equivalent to exact
 /// homomorphism (every configuration is total).
+///
+/// The game reads its target through `Contains` and `AllTerms` only (the
+/// Duplicator's domain is `target.AllTerms()`), so it runs on any
+/// `TripleSource` — a pinned engine `ReadView` included.
+bool PebbleGameWins(const TripleSet& source, const VarAssignment& fixed,
+                    const TripleSource& target, int k,
+                    PebbleGameStats* stats = nullptr);
+
+/// Same, over a hash-indexed triple set.
 bool PebbleGameWins(const TripleSet& source, const VarAssignment& fixed,
                     const TripleSet& target, int k,
                     PebbleGameStats* stats = nullptr);

@@ -49,16 +49,43 @@ class MaterializedGenerator final : public CandidateGenerator {
 /// below).
 void Drain(const PatternForest& forest, EnumerationHooks hooks,
            const std::function<bool(const Mapping&)>& callback,
-           EnumerateStats* stats) {
+           ExecStats* stats) {
   SolutionEnumerator enumerator(forest, std::move(hooks));
   Mapping mu;
+  uint64_t rows = 0;
   while (enumerator.Next(&mu)) {
+    ++rows;
     if (!callback(mu)) break;
   }
-  if (stats != nullptr) *stats = enumerator.stats();
+  if (stats != nullptr) {
+    *stats = enumerator.stats();
+    stats->rows_emitted = rows;
+  }
 }
 
 }  // namespace
+
+uint64_t TraceTimeOf(const TraceContext& trace,
+                     std::chrono::steady_clock::time_point tp) {
+  const uint64_t now_ns = trace.NowNs();
+  const uint64_t ago = static_cast<uint64_t>(std::max<int64_t>(
+      0, std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now() - tp)
+             .count()));
+  return ago < now_ns ? now_ns - ago : 0;
+}
+
+void EmitSubtreeSpans(const std::vector<SubtreeTiming>& timings,
+                      TraceContext* trace, uint32_t parent) {
+  for (const SubtreeTiming& timing : timings) {
+    uint32_t span = trace->AddCompleteSpan("subtree", parent,
+                                           TraceTimeOf(*trace, timing.start),
+                                           timing.duration_ns);
+    trace->Annotate(span, "tree", timing.tree);
+    trace->Annotate(span, "subtree", timing.subtree);
+    trace->Annotate(span, "candidates", timing.candidates);
+  }
+}
 
 std::unique_ptr<CandidateGenerator> MaterializeHomomorphisms(
     const TripleSet& pattern, const TripleSource& source,
@@ -80,14 +107,9 @@ SolutionEnumerator::SolutionEnumerator(const PatternForest& forest,
                                        EnumerationHooks hooks)
     : forest_(&forest), hooks_(std::move(hooks)) {}
 
-SolutionEnumerator::~SolutionEnumerator() { EndSubtreeSpan(); }
+SolutionEnumerator::~SolutionEnumerator() { EndSubtreeTiming(); }
 
-void SolutionEnumerator::EndSubtreeSpan() {
-  if (subtree_span_ != 0) {
-    trace_->Annotate(subtree_span_, "candidates", cur_candidates_);
-    trace_->EndSpan(subtree_span_);
-    subtree_span_ = 0;
-  }
+void SolutionEnumerator::EndSubtreeTiming() {
   if (timing_open_) {
     SubtreeTiming& timing = timings_->back();
     timing.duration_ns = static_cast<uint64_t>(
@@ -99,21 +121,17 @@ void SolutionEnumerator::EndSubtreeSpan() {
   }
 }
 
-ExecStats::Subpattern* SolutionEnumerator::CurSubpattern() {
-  return sink_has_cur_ ? &sink_->subpatterns.back() : nullptr;
-}
-
 bool SolutionEnumerator::CheckInterrupt() {
   if (interrupted_ || !probe_) return interrupted_;
   if (++steps_since_probe_ < probe_interval_) return false;
   steps_since_probe_ = 0;
-  if (sink_ != nullptr) ++sink_->interrupt_checks;
+  ++stats_.interrupt_checks;
   if (probe_()) interrupted_ = true;
   return interrupted_;
 }
 
 bool SolutionEnumerator::AdvanceSubtree() {
-  EndSubtreeSpan();
+  EndSubtreeTiming();
   while (subtree_idx_ >= subtrees_.size()) {
     // Drained the loaded tree (or nothing loaded yet, which the kNoTree
     // sentinel turns into "load tree 0"): materialise the next tree's
@@ -132,17 +150,11 @@ bool SolutionEnumerator::AdvanceSubtree() {
   pattern_ = SubtreePattern(subtree);
   children_ = SubtreeChildren(subtree);
   cur_candidates_ = 0;
-  sink_has_cur_ = false;
-  // One span per wdpf subtree, covering its whole candidate pull and the
-  // maximality work until the next boundary — this is the subtree-
+  sub_open_ = false;
+  // One timing per wdpf subtree, covering its whole candidate pull and
+  // the maximality work until the next boundary — this is the subtree-
   // granular "where did the time go" answer; per-candidate cost stays
   // out of the trace entirely.
-  if (trace_ != nullptr) {
-    subtree_span_ = trace_->StartSpan("subtree", trace_parent_);
-    trace_->Annotate(subtree_span_, "tree", static_cast<uint64_t>(tree_idx_));
-    trace_->Annotate(subtree_span_, "subtree",
-                     static_cast<uint64_t>(subtree_idx_ - 1));
-  }
   if (timings_ != nullptr) {
     SubtreeTiming timing;
     timing.tree = tree_idx_;
@@ -156,7 +168,7 @@ bool SolutionEnumerator::AdvanceSubtree() {
     // A materialising source stopped part-way: the partial batch is
     // never delivered.
     generator_.reset();
-    EndSubtreeSpan();
+    EndSubtreeTiming();
     return false;
   }
   return true;
@@ -170,7 +182,7 @@ bool SolutionEnumerator::Next(Mapping* out) {
   while (true) {
     if (CheckInterrupt()) {
       state_ = State::kDone;
-      EndSubtreeSpan();
+      EndSubtreeTiming();
       return false;
     }
     if (generator_ == nullptr) {
@@ -184,13 +196,13 @@ bool SolutionEnumerator::Next(Mapping* out) {
       // Subtree exhausted. Empty subtrees are only tallied (no
       // breakdown entry), or a wide forest would drown the report in
       // zero rows.
-      if (sink_ != nullptr && cur_candidates_ == 0) ++sink_->empty_subpatterns;
+      if (pool_ != nullptr && cur_candidates_ == 0) ++stats_.empty_subpatterns;
       generator_.reset();
       continue;
     }
     ++stats_.candidates;
     ++cur_candidates_;
-    if (sink_ != nullptr) {
+    if (pool_ != nullptr) {
       if (cur_candidates_ == 1) {
         // Lazily opened breakdown entry: with a suspendable generator,
         // whether a subtree has candidates at all is only known at the
@@ -198,17 +210,16 @@ bool SolutionEnumerator::Next(Mapping* out) {
         ExecStats::Subpattern sub;
         sub.tree = tree_idx_;
         sub.subtree = subtree_idx_ - 1;
-        sub.pattern = RenderPattern(*sink_pool_, pattern_);
+        sub.pattern = RenderPattern(*pool_, pattern_);
         if (const CandidatePlanInfo* info = generator_->plan_info()) {
           sub.est_rows = info->est_rows;
           sub.est_cost = info->est_cost;
           sub.plan_ns = info->plan_ns;
           sub.plan = info->description;
         }
-        sink_->subpatterns.push_back(std::move(sub));
-        sink_has_cur_ = true;
+        stats_.subpatterns.push_back(std::move(sub));
+        sub_open_ = true;
       }
-      ++sink_->candidates;
       ++CurSubpattern()->candidates;
     }
     Mapping candidate;
@@ -217,20 +228,15 @@ bool SolutionEnumerator::Next(Mapping* out) {
     }
     const Mapping& mu = candidate;
     if (seen_.count(mu) > 0) {
-      if (sink_ != nullptr) {
-        ++sink_->dedup_rejected;
-        ++CurSubpattern()->dedup_rejected;
-      }
+      ++stats_.dedup_rejected;
+      if (ExecStats::Subpattern* sub = CurSubpattern()) ++sub->dedup_rejected;
       continue;
     }
     // Maximality: no child may extend mu.
     bool maximal = true;
     for (NodeId child : children_) {
       ++stats_.maximality_tests;
-      if (sink_ != nullptr) {
-        ++sink_->maximality_tests;
-        ++CurSubpattern()->maximality_tests;
-      }
+      if (ExecStats::Subpattern* sub = CurSubpattern()) ++sub->maximality_tests;
       TripleSet combined = pattern_;
       combined.InsertAll(cur_tree_->pattern(child));
       if (hooks_.extends(combined, mu)) {
@@ -239,15 +245,12 @@ bool SolutionEnumerator::Next(Mapping* out) {
       }
     }
     if (!maximal) {
-      if (sink_ != nullptr) {
-        ++sink_->non_maximal;
-        ++CurSubpattern()->non_maximal;
-      }
+      ++stats_.non_maximal;
+      if (ExecStats::Subpattern* sub = CurSubpattern()) ++sub->non_maximal;
       continue;
     }
     seen_.insert(mu);
-    ++stats_.emitted;
-    if (sink_ != nullptr) ++CurSubpattern()->rows;
+    if (ExecStats::Subpattern* sub = CurSubpattern()) ++sub->rows;
     *out = mu;
     return true;
   }
@@ -255,14 +258,14 @@ bool SolutionEnumerator::Next(Mapping* out) {
 
 void EnumerateSolutionsNaive(const PatternForest& forest, const RdfGraph& graph,
                              const std::function<bool(const Mapping&)>& callback,
-                             EnumerateStats* stats) {
+                             ExecStats* stats) {
   HashTripleSource scan(graph.triples());
   EnumerateSolutionsNaive(forest, scan, callback, stats);
 }
 
 void EnumerateSolutionsNaive(const PatternForest& forest, const TripleSource& graph,
                              const std::function<bool(const Mapping&)>& callback,
-                             EnumerateStats* stats) {
+                             ExecStats* stats) {
   EnumerationHooks hooks;
   hooks.open_candidates = [&graph](const TripleSet& pattern,
                                    const std::function<bool()>& stop) {
@@ -276,7 +279,7 @@ void EnumerateSolutionsNaive(const PatternForest& forest, const TripleSource& gr
 
 void EnumerateSolutionsPebble(const PatternForest& forest, const RdfGraph& graph,
                               int k, const std::function<bool(const Mapping&)>& callback,
-                              EnumerateStats* stats) {
+                              ExecStats* stats) {
   WDSPARQL_CHECK(k >= 1);
   HashTripleSource scan(graph.triples());
   EnumerationHooks hooks;
@@ -292,7 +295,7 @@ void EnumerateSolutionsPebble(const PatternForest& forest, const RdfGraph& graph
 
 std::vector<Mapping> AllSolutionsPebble(const PatternForest& forest,
                                         const RdfGraph& graph, int k,
-                                        EnumerateStats* stats) {
+                                        ExecStats* stats) {
   std::vector<Mapping> out;
   EnumerateSolutionsPebble(
       forest, graph, k,

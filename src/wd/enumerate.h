@@ -38,18 +38,19 @@
 /// be exponentially many); the promise only de-NP-hardens the per-
 /// candidate maximality certificates, mirroring the paper's separation
 /// between candidate structure and extension tests.
+///
+/// Observability follows the same split. Every enumerator counts into
+/// one `ExecStats` record it owns: per candidate, the homomorphism of
+/// pat(T') pulled (`candidates`), then exactly one verdict — a
+/// duplicate (`dedup_rejected`), extendable by a child (`non_maximal`,
+/// after `maximality_tests` extension tests), or an answer. The record
+/// is the only counter struct of an execution: the engine's cursor and
+/// its parallel workers fold enumerator records (and the join layer's
+/// storage counters, written into the same type) into one `ExecStats`.
+/// Subtree time spans are recorded as plain `SubtreeTiming` values and
+/// turned into trace spans by `EmitSubtreeSpans` on the trace's thread.
 
 namespace wdsparql {
-
-/// Statistics of one enumeration run.
-struct EnumerateStats {
-  uint64_t candidates = 0;   ///< Homomorphisms considered.
-  uint64_t emitted = 0;      ///< Answers produced (pre-deduplication).
-  uint64_t maximality_tests = 0;
-  /// Duplicates dropped at the cross-worker merge (parallel execution
-  /// only; always 0 for a serial enumeration).
-  uint64_t merge_dedup = 0;
-};
 
 /// What a cost-based generator decided for its subtree, surfaced for
 /// EXPLAIN output: the estimates feed `ExecStats::Subpattern` so a
@@ -110,9 +111,10 @@ std::unique_ptr<CandidateGenerator> MaterializeHomomorphisms(
     const TripleSet& pattern, const TripleSource& source,
     const std::function<bool()>& stop);
 
-/// One wdpf subtree's time span, recorded as plain values for an
-/// enumerator that runs off the trace context's thread (a parallel
-/// worker); the consumer turns these into `subtree` trace spans.
+/// One wdpf subtree's time span, recorded as plain values: the
+/// enumerator never touches a `TraceContext` (single-threaded by
+/// contract), so serial cursors and parallel workers record the same
+/// way and the trace owner emits the spans (`EmitSubtreeSpans`).
 struct SubtreeTiming {
   uint64_t tree = 0;
   uint64_t subtree = 0;
@@ -120,6 +122,19 @@ struct SubtreeTiming {
   uint64_t duration_ns = 0;
   uint64_t candidates = 0;
 };
+
+/// A steady-clock instant as a timestamp of `trace` (its recorder's
+/// clock is the steady clock too, offset by the recorder's epoch).
+uint64_t TraceTimeOf(const TraceContext& trace,
+                     std::chrono::steady_clock::time_point tp);
+
+/// Emits one `subtree` span per timing under `parent`, annotated with
+/// `tree`, `subtree` and `candidates` — the one producer of subtree
+/// spans: a serial cursor parents them under its `enumerate` span, a
+/// parallel execution under each `worker` span. Call on the trace
+/// context's thread.
+void EmitSubtreeSpans(const std::vector<SubtreeTiming>& timings,
+                      TraceContext* trace, uint32_t parent);
 
 /// The enumeration skeleton, pull-based and suspendable — the engine's
 /// `Cursor` runs on this. The enumeration is an explicit state
@@ -170,37 +185,35 @@ class SolutionEnumerator {
   bool interrupted() const { return interrupted_; }
 
   State state() const { return state_; }
-  const EnumerateStats& stats() const { return stats_; }
 
-  /// Installs an optional `ExecStats` sink for fine-grained collection:
-  /// per-subpattern candidate/rejection/row counters (rendered through
-  /// `pool`), interrupt-probe counts and enumeration totals, all written
-  /// as plain cursor-local increments. Null sink (the default) keeps the
-  /// hot path exactly as uninstrumented. Both pointers must outlive the
-  /// enumerator; install before the first `Next`.
-  void SetStatsSink(ExecStats* sink, const TermPool* pool) {
-    sink_ = sink;
-    sink_pool_ = pool;
-  }
+  /// The enumeration's record, always counted as plain increments:
+  /// `candidates`, `dedup_rejected`, `non_maximal`, `maximality_tests`
+  /// and `interrupt_checks`. Every candidate gets exactly one verdict, so
+  /// `candidates == dedup_rejected + non_maximal + answers delivered`.
+  /// The per-subpattern breakdown (`subpatterns`, `empty_subpatterns`)
+  /// is only filled once `CollectStats` enabled it.
+  const ExecStats& stats() const { return stats_; }
 
-  /// Installs a request-scoped trace sink (see wdsparql/trace.h): the
-  /// enumerator then emits one `subtree` span per wdpf subtree it opens,
-  /// parented under `parent` — a span at subtree *boundaries*, never per
-  /// candidate or per row, so the hot loop stays untouched. The context
-  /// must outlive the enumerator; install before the first `Next`.
-  void SetTraceSink(TraceContext* trace, uint32_t parent) {
-    trace_ = trace;
-    trace_parent_ = parent;
-  }
+  /// Enables the per-subpattern breakdown, with pat(T') rendered through
+  /// `pool` (which must outlive the enumerator). Without it the hot path
+  /// renders and allocates nothing. Call before the first `Next`.
+  void CollectStats(const TermPool* pool) { pool_ = pool; }
 
-  /// The thread-free alternative to `SetTraceSink`: appends one
-  /// `SubtreeTiming` per wdpf subtree opened to `out`, which must
-  /// outlive the enumerator. Install before the first `Next`.
+  /// Appends one `SubtreeTiming` per wdpf subtree opened to `out`, which
+  /// must outlive the enumerator; the open subtree's timing is completed
+  /// at its boundary, at exhaustion, interruption or destruction. Call
+  /// before the first `Next`.
   void SetSubtreeTimingSink(std::vector<SubtreeTiming>* out) { timings_ = out; }
+
+  /// The `ExecStats::Subpattern` key of the answer `Next` delivered
+  /// last: its tree's index in the forest and its subtree's index
+  /// within that tree.
+  std::size_t tree_index() const { return tree_idx_; }
+  std::size_t subtree_index() const { return subtree_idx_ - 1; }
 
  private:
   /// Opens the next subtree (pattern, children, candidate generator,
-  /// trace span). Returns false when every tree is exhausted or the
+  /// subtree timing). Returns false when every tree is exhausted or the
   /// interruption probe fired mid-materialisation.
   bool AdvanceSubtree();
 
@@ -209,31 +222,26 @@ class SolutionEnumerator {
   /// state.
   bool CheckInterrupt();
 
-  /// The `ExecStats::Subpattern` entry of the open subtree (valid only
-  /// while `sink_` is set and the current subtree produced candidates).
-  ExecStats::Subpattern* CurSubpattern();
+  /// The breakdown entry of the open subtree, or null when the
+  /// breakdown is off or the subtree has produced no candidate yet.
+  ExecStats::Subpattern* CurSubpattern() {
+    return sub_open_ ? &stats_.subpatterns.back() : nullptr;
+  }
 
-  /// Ends the open subtree's trace span or timing, if any (subtree
-  /// boundary, exhaustion, interruption, destruction — whichever comes
-  /// first), recording the candidates pulled so far — a lazy generator
-  /// only knows its candidate count at the boundary, not up front.
-  void EndSubtreeSpan();
+  /// Completes the open subtree's timing, if any (subtree boundary,
+  /// exhaustion, interruption, destruction — whichever comes first),
+  /// recording the candidates pulled so far — a lazy generator only
+  /// knows its candidate count at the boundary, not up front.
+  void EndSubtreeTiming();
 
   const PatternForest* forest_;
   EnumerationHooks hooks_;
-  EnumerateStats stats_;
+  ExecStats stats_;
   State state_ = State::kStart;
 
-  // Optional fine-grained stats collection (see SetStatsSink).
-  ExecStats* sink_ = nullptr;
-  const TermPool* sink_pool_ = nullptr;
-  bool sink_has_cur_ = false;  // Does subpatterns.back() describe the open subtree?
+  const TermPool* pool_ = nullptr;  // Non-null: breakdown on (CollectStats).
+  bool sub_open_ = false;  // Does subpatterns.back() describe the open subtree?
 
-  // Optional per-subtree tracing (see SetTraceSink). `subtree_span_` is
-  // the open subtree's span, ended at the next boundary (or destruction).
-  TraceContext* trace_ = nullptr;
-  uint32_t trace_parent_ = 0;
-  uint32_t subtree_span_ = 0;
   std::vector<SubtreeTiming>* timings_ = nullptr;  // See SetSubtreeTimingSink.
   bool timing_open_ = false;  // Does timings_->back() describe the open subtree?
 
@@ -262,28 +270,29 @@ class SolutionEnumerator {
 
 /// Streams every mu in JFKG, using exact homomorphism maximality tests.
 /// The callback may return false to stop. Duplicates across trees and
-/// subtrees are suppressed.
+/// subtrees are suppressed. A non-null `stats` receives the enumerator's
+/// record, with `rows_emitted` set to the answers the callback received.
 void EnumerateSolutionsNaive(const PatternForest& forest, const RdfGraph& graph,
                              const std::function<bool(const Mapping&)>& callback,
-                             EnumerateStats* stats = nullptr);
+                             ExecStats* stats = nullptr);
 
 /// Backend-generic variant: candidate generation and maximality tests
 /// run against the `TripleSource` scan interface (hash backend or the
 /// engine's dictionary-encoded permutation store).
 void EnumerateSolutionsNaive(const PatternForest& forest, const TripleSource& graph,
                              const std::function<bool(const Mapping&)>& callback,
-                             EnumerateStats* stats = nullptr);
+                             ExecStats* stats = nullptr);
 
 /// Streams answers using (k+1)-pebble maximality tests. Every emitted
 /// mapping is in JFKG; under dw(F) <= k the stream is exactly JFKG.
 void EnumerateSolutionsPebble(const PatternForest& forest, const RdfGraph& graph,
                               int k, const std::function<bool(const Mapping&)>& callback,
-                              EnumerateStats* stats = nullptr);
+                              ExecStats* stats = nullptr);
 
 /// Convenience: materialise the pebble enumeration, sorted and unique.
 std::vector<Mapping> AllSolutionsPebble(const PatternForest& forest,
                                         const RdfGraph& graph, int k,
-                                        EnumerateStats* stats = nullptr);
+                                        ExecStats* stats = nullptr);
 
 /// |JFKG| via the naive enumeration (counting variant; Section 5).
 uint64_t CountSolutions(const PatternForest& forest, const RdfGraph& graph);

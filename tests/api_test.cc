@@ -493,7 +493,7 @@ TEST_P(IncrementalDifferentialTest, ScansMatchRebuiltStoreUnderRandomUpdates) {
     // Differential check: the incrementally maintained store behaves
     // exactly like one rebuilt from scratch over the mirror.
     IndexedStore rebuilt = IndexedStore::Build(mirror.triples());
-    ASSERT_EQ(small.store().size(), rebuilt.size());
+    ASSERT_EQ(small.store().view().size(), rebuilt.view().size());
     for (int trial = 0; trial < 12; ++trial) {
       Triple probe = random_triple();
       int mask = static_cast<int>(rng.NextBounded(8));
@@ -501,11 +501,11 @@ TEST_P(IncrementalDifferentialTest, ScansMatchRebuiltStoreUnderRandomUpdates) {
         if (((mask >> pos) & 1) == 0) probe.Set(pos, kAnyTerm);
       }
       std::vector<Triple> incremental, fresh;
-      small.store().ScanPattern(probe, [&](const Triple& match) {
+      small.store().view().ScanPattern(probe, [&](const Triple& match) {
         incremental.push_back(match);
         return true;
       });
-      rebuilt.ScanPattern(probe, [&](const Triple& match) {
+      rebuilt.view().ScanPattern(probe, [&](const Triple& match) {
         fresh.push_back(match);
         return true;
       });

@@ -13,6 +13,7 @@
 #include "sparql/semantics.h"
 #include "support/testlib.h"
 #include "util/rng.h"
+#include "wd/domination.h"
 #include "wdsparql/database.h"
 
 namespace wdsparql {
@@ -72,7 +73,7 @@ TEST_P(IndexedStoreScanTest, EveryBoundMaskMatchesNaiveFilter) {
   options.seed = GetParam();
   GenerateRandomGraph(options, &graph);
   IndexedStore store = IndexedStore::Build(graph.triples());
-  ASSERT_EQ(store.size(), graph.size());
+  ASSERT_EQ(store.view().size(), graph.size());
 
   Rng rng(GetParam() ^ 0xabc);
   std::vector<Triple> all = graph.triples().triples();
@@ -97,7 +98,7 @@ TEST_P(IndexedStoreScanTest, EveryBoundMaskMatchesNaiveFilter) {
     std::sort(expected.begin(), expected.end());
 
     std::vector<Triple> scanned;
-    store.ScanPattern(probe, [&](const Triple& t) {
+    store.view().ScanPattern(probe, [&](const Triple& t) {
       scanned.push_back(t);
       return true;
     });
@@ -106,8 +107,8 @@ TEST_P(IndexedStoreScanTest, EveryBoundMaskMatchesNaiveFilter) {
 
     // The range must be exact: no post-filtering means size equality.
     EncPattern enc;
-    if (store.EncodeScanPattern(probe, &enc)) {
-      EXPECT_EQ(store.Scan(enc).size(), expected.size());
+    if (store.view().EncodeScanPattern(probe, &enc)) {
+      EXPECT_EQ(store.view().Scan(enc).size(), expected.size());
     } else {
       EXPECT_TRUE(expected.empty());
     }
@@ -125,15 +126,15 @@ TEST_P(IndexedStoreScanTest, AgreesWithHashSourceOnContainsAndAllTerms) {
   IndexedStore store = IndexedStore::Build(graph.triples());
   HashTripleSource hash(graph.triples());
 
-  EXPECT_EQ(store.AllTerms(), hash.AllTerms());
-  EXPECT_EQ(store.size(), hash.size());
+  EXPECT_EQ(store.view().AllTerms(), hash.AllTerms());
+  EXPECT_EQ(store.view().size(), hash.size());
   Rng rng(GetParam());
-  std::vector<TermId> terms = store.AllTerms();
+  std::vector<TermId> terms = store.view().AllTerms();
   for (int trial = 0; trial < 50; ++trial) {
     Triple t(terms[rng.NextBounded(static_cast<uint32_t>(terms.size()))],
              terms[rng.NextBounded(static_cast<uint32_t>(terms.size()))],
              terms[rng.NextBounded(static_cast<uint32_t>(terms.size()))]);
-    EXPECT_EQ(store.Contains(t), hash.Contains(t));
+    EXPECT_EQ(store.view().Contains(t), hash.Contains(t));
   }
 }
 
@@ -293,6 +294,45 @@ TEST_P(SessionBackendDifferentialTest, BackendsProduceIdenticalVerdictsAndSoluti
   Rng probe_rng(GetParam() ^ 0xfeed);
   for (const Mapping& probe : testlib::MembershipProbes(pattern, graph, &probe_rng, 8)) {
     EXPECT_EQ(naive_q.Contains(probe), indexed_q.Contains(probe)) << probe.ToString(pool);
+  }
+}
+
+TEST_P(SessionBackendDifferentialTest, PebblePromiseOnThePinnedViewMatchesIndexed) {
+  Rng rng(GetParam());
+  TermPool pool;
+  PatternPtr pattern = testlib::RandomWellDesignedUnion(&rng, &pool, 2);
+  Result<int> dw = DominationWidthOfPattern(pattern, &pool);
+  if (!dw.ok() || dw.value() > 3) GTEST_SKIP() << "outside budgeted promise";
+  RdfGraph graph(&pool);
+  testlib::SmallWorkloadGraph(&rng, 5, 16, 3, &graph);
+  Database db(&pool);
+  testlib::LoadGraph(graph, &db);
+  // Remove every third triple: the dictionary keeps their terms, so the
+  // pebble game's domain (`ReadView::AllTerms`) includes dead terms.
+  RdfGraph kept(&pool);
+  std::size_t i = 0;
+  for (const Triple& t : graph.triples().triples()) {
+    if (i++ % 3 == 0) {
+      ASSERT_TRUE(db.RemoveTriple(t));
+    } else {
+      kept.Insert(t);
+    }
+  }
+
+  SessionOptions pebble_options;
+  pebble_options.backend = Backend::kNaiveHash;
+  pebble_options.pebble_promise = std::max(dw.value(), 1);
+  Statement pebble_q = db.OpenSession(pebble_options).PrepareParsed(pattern);
+  Statement indexed_q = db.OpenSession().PrepareParsed(pattern);
+  ASSERT_TRUE(pebble_q.ok());
+  ASSERT_TRUE(indexed_q.ok());
+
+  std::vector<Mapping> pebble_solutions = pebble_q.Solutions();
+  EXPECT_EQ(pebble_solutions, indexed_q.Solutions());
+  EXPECT_EQ(pebble_solutions, Evaluate(*pattern, kept));
+  Rng probe_rng(GetParam() ^ 0xbeef);
+  for (const Mapping& probe : testlib::MembershipProbes(pattern, kept, &probe_rng, 8)) {
+    EXPECT_EQ(pebble_q.Contains(probe), indexed_q.Contains(probe)) << probe.ToString(pool);
   }
 }
 

@@ -34,7 +34,7 @@ TEST_F(EnumerateTest, StreamsEveryAnswerOnce) {
   g.Insert("b", "q", "e");
 
   std::vector<Mapping> streamed;
-  EnumerateStats stats;
+  ExecStats stats;
   EnumerateSolutionsNaive(
       forest, g,
       [&](const Mapping& mu) {
@@ -44,8 +44,8 @@ TEST_F(EnumerateTest, StreamsEveryAnswerOnce) {
       &stats);
   std::sort(streamed.begin(), streamed.end());
   EXPECT_EQ(streamed, EnumerateForestSolutions(forest, g));
-  EXPECT_EQ(stats.emitted, streamed.size());
-  EXPECT_GE(stats.candidates, stats.emitted);
+  EXPECT_EQ(stats.rows_emitted, streamed.size());
+  EXPECT_GE(stats.candidates, stats.rows_emitted);
 }
 
 TEST_F(EnumerateTest, EarlyStopRespectsCallback) {

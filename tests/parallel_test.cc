@@ -362,5 +362,76 @@ TEST(ParallelModeTest, ParallelRunReportsMergedStats) {
   EXPECT_EQ(subpattern_candidates, pc.stats()->candidates);
 }
 
+TEST(ParallelModeTest, ParallelBreakdownSumsToTotalsAcrossMergeDedup) {
+  // Two overlapping trees: every (?x, ?y) row of the second tree whose
+  // ?y has no p1 edge is also an answer of the first, so duplicates are
+  // caught inside a worker or — when two workers produced them — at the
+  // cross-worker merge. Either way the record must read like a serial
+  // one: the breakdown sums to the totals, every candidate has exactly
+  // one verdict, and the registry merged exactly the record's totals.
+  TermPool pool;
+  Database db(&pool);
+  for (int i = 0; i < 64; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      db.AddTriple("a" + std::to_string(i), "p0", "m" + std::to_string(j));
+    }
+  }
+  db.AddTriple("m0", "p1", "b0");
+  db.AddTriple("m2", "p1", "b2");
+  Statement stmt = db.OpenSession().Prepare(
+      "((?x p0 ?y) OPT (?y p1 ?z)) UNION (?x p0 ?y)");
+  ASSERT_TRUE(stmt.ok());
+
+  ExecStats serial_stats;
+  for (uint32_t parallelism : {1u, 4u}) {
+    SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
+    MetricsRegistry& metrics = db.metrics();
+    const uint64_t candidates_before = metrics.counter("query.candidates").value();
+    const uint64_t tests_before = metrics.counter("query.maximality_tests").value();
+    ExecOptions exec;
+    exec.collect_stats = true;
+    exec.parallelism = parallelism;
+    Cursor cursor = stmt.Execute(exec);
+    uint64_t rows = 0;
+    while (cursor.Next()) ++rows;
+    ASSERT_EQ(cursor.state(), Cursor::State::kExhausted);
+    ASSERT_NE(cursor.stats(), nullptr);
+    const ExecStats& stats = *cursor.stats();
+    EXPECT_EQ(rows, 384u);  // 256 (?x, ?y) rows plus 128 extended by ?z.
+    EXPECT_EQ(stats.rows_emitted, rows);
+    EXPECT_GT(stats.dedup_rejected, 0u);
+
+    uint64_t candidates = 0, dedup = 0, non_maximal = 0, tests = 0, sub_rows = 0;
+    for (const ExecStats::Subpattern& sub : stats.subpatterns) {
+      candidates += sub.candidates;
+      dedup += sub.dedup_rejected;
+      non_maximal += sub.non_maximal;
+      tests += sub.maximality_tests;
+      sub_rows += sub.rows;
+    }
+    EXPECT_EQ(candidates, stats.candidates);
+    EXPECT_EQ(dedup, stats.dedup_rejected);
+    EXPECT_EQ(non_maximal, stats.non_maximal);
+    EXPECT_EQ(tests, stats.maximality_tests);
+    EXPECT_EQ(sub_rows, stats.rows_emitted);
+    EXPECT_EQ(stats.candidates,
+              stats.dedup_rejected + stats.non_maximal + stats.rows_emitted);
+
+    EXPECT_EQ(metrics.counter("query.candidates").value() - candidates_before,
+              stats.candidates);
+    EXPECT_EQ(metrics.counter("query.maximality_tests").value() - tests_before,
+              stats.maximality_tests);
+
+    if (parallelism == 1) {
+      serial_stats = stats;
+    } else {
+      // Root-claim partitioning: each candidate is generated by exactly
+      // one worker, so candidate work matches the serial run.
+      EXPECT_EQ(stats.candidates, serial_stats.candidates);
+      EXPECT_EQ(stats.subpatterns.size(), serial_stats.subpatterns.size());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace wdsparql

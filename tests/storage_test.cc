@@ -178,11 +178,11 @@ TEST(SnapshotTest, MutationsOnReopenedDatabaseMatchInMemory) {
   // Interleave adds and removes identically on both sides; the reopened
   // database starts from borrowed runs and must behave identically.
   std::vector<Triple> victims;
-  in_memory.store().ScanPattern(Triple(kAnyTerm, kAnyTerm, kAnyTerm),
-                                [&victims](const Triple& t) {
-                                  victims.push_back(t);
-                                  return true;
-                                });
+  in_memory.store().view().ScanPattern(Triple(kAnyTerm, kAnyTerm, kAnyTerm),
+                                       [&victims](const Triple& t) {
+                                         victims.push_back(t);
+                                         return true;
+                                       });
   for (std::size_t i = 0; i < victims.size(); i += 3) {
     std::string s = std::string(in_memory.pool().Spelling(victims[i].subject));
     std::string p = std::string(in_memory.pool().Spelling(victims[i].predicate));
