@@ -6,13 +6,13 @@
 ///
 ///  * raw triple-pattern scans (the candidate-generation primitive),
 ///  * conjunctive candidate generation (CSP solver over each scan
-///    backend, plus the leapfrog join native to the indexed store),
+///    backend, plus the Generic Join native to the indexed store),
 ///  * end-to-end well-designed enumeration through the public
 ///    Database/Session/Cursor API.
 ///
 /// Expected shape: at small scale the backends are comparable; as the
 /// graph grows, the indexed backend's contiguous two-position prefix
-/// ranges and merge joins pull ahead of hash-bucket probing — the
+/// ranges and Generic Join pull ahead of hash-bucket probing — the
 /// RDF-3X/Trident design rationale this engine reproduces.
 
 #include <benchmark/benchmark.h>
@@ -101,7 +101,7 @@ void BM_E11_PatternScan(benchmark::State& state) {
 /// Conjunctive candidate generation, each backend running its native
 /// strategy (what the engine actually executes): the hash backend
 /// enumerates homomorphisms with the CSP solver over hash scans, the
-/// indexed backend runs the leapfrog join over its permutation ranges.
+/// indexed backend runs the Generic Join over its permutation ranges.
 void BM_E11_CandidateGeneration(benchmark::State& state) {
   E11Instance instance(static_cast<int>(state.range(0)));
   bool indexed = state.range(1) == kBackendIndexed;
@@ -129,7 +129,7 @@ void BM_E11_CandidateGeneration(benchmark::State& state) {
 
 /// Ablation: the CSP solver routed through each scan backend. Isolates
 /// the scan interface from the join algorithm — the permutation store's
-/// win comes from the merge join, not from swapping the solver's probe
+/// win comes from the join algorithm, not from swapping the solver's probe
 /// primitive.
 void BM_E11_SolverScanAblation(benchmark::State& state) {
   E11Instance instance(static_cast<int>(state.range(0)));

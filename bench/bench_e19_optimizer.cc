@@ -14,11 +14,13 @@
 ///
 ///     Both variables sit in exactly three conjuncts, so the
 ///     most-constrained-first heuristic is at a tie and its
-///     deterministic tie-break binds ?x first — N root bindings, each
-///     rescanning the full (*, pb, cb) range at the ?y level:
-///     Theta(N^2) base triples for 4 answers. The planner sees from the
+///     deterministic tie-break binds ?x first: the join walks an N-row
+///     x range and probes every value into the other two x conjuncts,
+///     then walks one p1 triple per x at the ?y level — Theta(N) base
+///     triples and probes for 4 answers. The planner sees from the
 ///     exact (p2, q) pair count that ?y has 4 candidate values and
-///     binds it first: Theta(N) triples. `<opt>` is
+///     binds it first: the 4 bridge rows plus one p1 triple per bridge
+///     row, independent of N. `<opt>` is
 ///     `ExecOptions::optimize` (0 = heuristic, 1 = planned); the world
 ///     verifies once at startup that both modes return byte-identical
 ///     sorted answer sets.
@@ -32,8 +34,10 @@
 ///
 ///   * BowtieSkew: optimize=1 executes the skewed join >= 3x faster
 ///     than optimize=0 with an identical answer set (the recorded run
-///     shows ~two orders of magnitude — the gap is Theta(N) vs
-///     Theta(N^2) scan volume, see the base_triples counters);
+///     shows ~two orders of magnitude — the gap is Theta(1) vs
+///     Theta(N) scan volume, see the base_triples counters; CI gates
+///     on heuristic base_triples >= 3x planned, a count that does not
+///     depend on the runner's speed);
 ///   * PlanningOverhead: optimize=1 adds only a bounded, data-size-
 ///     independent per-open cost (~1us of DP on this library build) on
 ///     a point query that planning cannot improve — visible only

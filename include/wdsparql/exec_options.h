@@ -79,7 +79,7 @@ struct ExecOptions {
 
   /// Cost-based variable-order optimization (indexed backend only):
   /// when true and the store carries cardinality statistics, each wdpf
-  /// subtree's leapfrog binding order is chosen by the bottom-up planner
+  /// subtree's join binding order is chosen by the bottom-up planner
   /// instead of the built-in most-constrained-first heuristic. The
   /// answer *set* is identical either way (the order only changes work);
   /// set false to reproduce pre-optimizer plans exactly (A/B runs,

@@ -45,7 +45,7 @@ enum class Backend {
   kNaiveHash,  ///< The paper's CSP solver (or pebble game) over the
                ///< pinned view: the paper-faithful oracle, kept for
                ///< differential testing.
-  kIndexed,    ///< Dictionary-encoded permutation store + merge joins.
+  kIndexed,    ///< Dictionary-encoded permutation store + Generic Join.
 };
 
 /// Human-readable backend name ("naive-hash" / "indexed").

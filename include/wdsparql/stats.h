@@ -55,9 +55,9 @@ struct ExecStats {
     // est_rows stays -1 when no plan was chosen — e.g.
     // `ExecOptions::optimize = false` or a stats-less legacy snapshot).
     double est_rows = -1;     ///< Estimated candidates (compare `candidates`).
-    double est_cost = 0;      ///< Estimated scan volume of the chosen order.
+    double est_cost = 0;      ///< Estimated join work of the chosen order.
     uint64_t plan_ns = 0;     ///< Time the optimizer spent on this subtree.
-    std::string plan;         ///< Chosen order, e.g. "order=[?y ?x] scans=[POS SPO]".
+    std::string plan;         ///< Chosen order, e.g. "order=[?y ?x]".
   };
 
   // Phase timers (nanoseconds). Parse/check/plan are properties of the
@@ -70,7 +70,7 @@ struct ExecStats {
   uint64_t optimize_ns = 0;   ///< Cost-based variable-order planning.
   uint64_t enumerate_ns = 0;  ///< Time spent pulling rows.
 
-  /// Summed estimated scan volume across the planned subpatterns (0 when
+  /// Summed estimated join work across the planned subpatterns (0 when
   /// the optimizer never ran — see `Subpattern::est_rows`).
   double est_cost = 0;
 
@@ -86,8 +86,8 @@ struct ExecStats {
   uint64_t interrupt_checks = 0;   ///< Deadline/cancellation probe calls.
 
   // Storage counters (indexed backend; zero on the naive-hash oracle).
-  uint64_t ranges_scanned = 0;        ///< Permutation ranges materialised.
-  uint64_t values_probed = 0;         ///< Candidate values tested in merges.
+  uint64_t ranges_scanned = 0;        ///< Ranges materialised, one per level fill.
+  uint64_t values_probed = 0;         ///< Existence probes of a value into a conjunct.
   uint64_t base_triples_scanned = 0;  ///< Triples read from base runs.
   uint64_t delta_triples_scanned = 0; ///< Triples read from delta runs.
   uint64_t dict_encodes = 0;          ///< Term -> DataId dictionary probes.

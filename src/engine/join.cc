@@ -1,6 +1,7 @@
 #include "engine/join.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
 
 #include "util/check.h"
@@ -132,91 +133,99 @@ struct JoinCursor::State {
     return true;
   }
 
-  /// Sorted distinct candidate values for variable `v` from conjunct
-  /// `ci`, given the current bindings. Values come out of one
-  /// permutation range; when `v` sits right after the bound prefix they
-  /// are already sorted, otherwise a sort pass normalises them.
-  std::vector<DataId> CollectValues(std::size_t ci, int v) {
+  /// Conjunct `ci` as a scan pattern under the current bindings, with
+  /// `value` at every position `v` occupies (`kNoDataId`: a wildcard).
+  /// Variables still unbound are wildcards too.
+  EncPattern PatternOf(std::size_t ci, int v, DataId value) const {
     const EncConjunct& c = conjuncts[ci];
-    EncPattern probe;
-    int v_positions[3];
-    int num_v_positions = 0;
+    EncPattern pattern;
     for (int pos = 0; pos < 3; ++pos) {
-      DataId bound = kNoDataId;
+      DataId bound;
       if (c.var[pos] < 0) {
         bound = c.constant[pos];
       } else if (c.var[pos] == v) {
-        v_positions[num_v_positions++] = pos;
+        bound = value;
       } else {
-        bound = binding[c.var[pos]];  // kNoDataId while unbound: wildcard.
+        bound = binding[c.var[pos]];  // kNoDataId while unbound.
       }
-      (pos == 0 ? probe.s : (pos == 1 ? probe.p : probe.o)) = bound;
+      (pos == 0 ? pattern.s : (pos == 1 ? pattern.p : pattern.o)) = bound;
+    }
+    return pattern;
+  }
+
+  /// Writes the sorted distinct values of variable `v` in `scan`, the
+  /// range of conjunct `ci` with `v` unbound, to `values`. When `v` sits
+  /// right after the bound prefix the values arrive sorted; otherwise a
+  /// sort pass normalises them.
+  void CollectValues(std::size_t ci, int v, const MergedScan& scan,
+                     std::vector<DataId>* values) {
+    const EncConjunct& c = conjuncts[ci];
+    int v_positions[3];
+    int num_v_positions = 0;
+    for (int pos = 0; pos < 3; ++pos) {
+      if (c.var[pos] == v) v_positions[num_v_positions++] = pos;
     }
     WDSPARQL_DCHECK(num_v_positions > 0);
 
-    std::vector<DataId> values;
     auto keep = [&](const EncTriple& t) {
       // Repeated variable inside the conjunct: all its positions must
       // carry the same value.
       if (num_v_positions > 1 && t[v_positions[1]] != t[v_positions[0]]) return;
       if (num_v_positions > 2 && t[v_positions[2]] != t[v_positions[0]]) return;
-      values.push_back(t[v_positions[0]]);
+      values->push_back(t[v_positions[0]]);
     };
     if (stats == nullptr) {
-      for (const EncTriple& t : store.Scan(probe)) keep(t);
+      for (const EncTriple& t : scan) keep(t);
     } else {
       // Instrumented walk: the explicit iterator exposes which run each
       // triple came from, attributing scan volume to base vs delta.
       ++stats->ranges_scanned;
-      MergedScan scan = store.Scan(probe);
       for (auto it = scan.begin(); it != scan.end(); ++it) {
         ++(it.on_delta() ? stats->delta_triples_scanned
                            : stats->base_triples_scanned);
         keep(*it);
       }
     }
-    if (!std::is_sorted(values.begin(), values.end())) {
-      std::sort(values.begin(), values.end());
+    if (!std::is_sorted(values->begin(), values->end())) {
+      std::sort(values->begin(), values->end());
     }
-    values.erase(std::unique(values.begin(), values.end()), values.end());
-    return values;
+    values->erase(std::unique(values->begin(), values->end()), values->end());
   }
 
-  /// Galloping intersection of sorted candidate lists, smallest first.
-  std::vector<DataId> Intersect(std::vector<std::vector<DataId>> lists) {
-    std::sort(lists.begin(), lists.end(),
-              [](const auto& a, const auto& b) { return a.size() < b.size(); });
-    std::vector<DataId> current = std::move(lists.front());
-    for (std::size_t i = 1; i < lists.size() && !current.empty(); ++i) {
-      const std::vector<DataId>& other = lists[i];
-      std::vector<DataId> next;
-      next.reserve(current.size());
-      auto it = other.begin();
-      for (DataId value : current) {
-        if (stats != nullptr) ++stats->values_probed;
-        it = std::lower_bound(it, other.end(), value);
-        if (it == other.end()) break;
-        if (*it == value) next.push_back(value);
-      }
-      current = std::move(next);
-    }
-    return current;
-  }
-
-  /// Computes level `d`'s value list under the bindings above it. An
-  /// empty conjunct list short-circuits to an empty level (dead branch).
+  /// Computes level `d`'s value list under the bindings above it, the
+  /// Generic Join way: size every range of a conjunct containing the
+  /// level's variable in O(log n), materialise only the smallest, and
+  /// keep a value iff an existence probe with it bound succeeds on every
+  /// other such conjunct. An empty range short-circuits to an empty
+  /// level (dead branch).
   void FillLevel(std::size_t d) {
     Level& level = levels[d];
     level.values.clear();
     level.pos = 0;
-    int v = order[d];
-    std::vector<std::vector<DataId>> lists;
-    lists.reserve(conjuncts_of_var[v].size());
-    for (std::size_t ci : conjuncts_of_var[v]) {
-      lists.push_back(CollectValues(ci, v));
-      if (lists.back().empty()) return;  // Dead branch.
+    const int v = order[d];
+    const std::vector<std::size_t>& with_v = conjuncts_of_var[v];
+    std::optional<MergedScan> smallest;
+    std::size_t smallest_ci = 0;
+    for (std::size_t ci : with_v) {
+      MergedScan scan = store.Scan(PatternOf(ci, v, kNoDataId));
+      if (scan.bound_size() == 0) return;  // Dead branch.
+      if (!smallest || scan.bound_size() < smallest->bound_size()) {
+        smallest = scan;
+        smallest_ci = ci;
+      }
     }
-    level.values = Intersect(std::move(lists));
+    CollectValues(smallest_ci, v, *smallest, &level.values);
+    auto fails_a_probe = [&](DataId value) {
+      for (std::size_t ci : with_v) {
+        if (ci == smallest_ci) continue;
+        if (stats != nullptr) ++stats->values_probed;
+        if (!store.Exists(PatternOf(ci, v, value))) return true;
+      }
+      return false;
+    };
+    level.values.erase(
+        std::remove_if(level.values.begin(), level.values.end(), fails_a_probe),
+        level.values.end());
   }
 
   void Emit(VarAssignment* out) {

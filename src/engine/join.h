@@ -11,18 +11,26 @@
 #include "wdsparql/stats.h"
 
 /// \file
-/// Merge/leapfrog-style multiway join for conjunctive patterns.
+/// Generic Join: a worst-case-optimal multiway join for conjunctive
+/// patterns (Ngo, Re & Rudra, "Skew strikes back", SIGMOD Record 2013).
 ///
 /// A conjunctive (AND-only) subpattern is a set of triple patterns; its
 /// solutions over a ground store are exactly the homomorphisms of the
 /// pattern set. Where the generic CSP solver of hom/homomorphism.h
 /// backtracks over per-variable domains with AC-3 propagation, this join
-/// binds variables one at a time in a fixed global order and, at each
-/// level, intersects the *sorted* candidate ranges contributed by every
-/// pattern containing the variable — the variable-at-a-time scheme of
-/// leapfrog triejoin, with galloping (exponential-probe) merges over the
-/// permutation ranges of `IndexedStore`. Candidate values arrive sorted
-/// because `DataId` order is preserved inside every permutation range.
+/// binds variables one at a time in a fixed global order. At each level
+/// it sizes the permutation range of every conjunct containing the
+/// level's variable from the range bounds alone (O(log n), no
+/// iteration), materialises the values of the smallest range only, and
+/// keeps a value iff an existence probe with the value bound — one
+/// binary search per run (`ReadView::Exists`) — succeeds on every other
+/// such conjunct. A probe binds the variable at every position it
+/// occupies, so conjuncts that repeat a variable need no special path.
+/// Any one or two bound positions form a sort prefix of one of the
+/// three cyclic permutations SPO/POS/OSP, so every range and every probe
+/// is a binary search. Level values are sorted and distinct, so the
+/// enumeration order depends on the variable order alone, never on which
+/// range happened to be the smallest.
 ///
 /// The join is exposed two ways: `JoinCursor`, a pull-based resumable
 /// iterator (the engine's suspendable enumeration and the parallel

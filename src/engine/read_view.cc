@@ -23,28 +23,63 @@ constexpr Permutation kPermForMask[8] = {
     Permutation::kSpo,  // SPO
 };
 
+/// Three-way comparison of `t` against the pattern's bound values on
+/// the first `prefix` positions of `order`: negative, zero or positive.
+int ComparePrefix(const EncTriple& t, const EncPattern& p, const int* order,
+                  int prefix) {
+  for (int i = 0; i < prefix; ++i) {
+    int pos = order[i];
+    if (t[pos] != p[pos]) return t[pos] < p[pos] ? -1 : 1;
+  }
+  return 0;
+}
+
+/// The first triple of `[begin, end)` not below the pattern's prefix.
+const EncTriple* PrefixLowerBound(const EncTriple* begin, const EncTriple* end,
+                                  const EncPattern& pattern, const int* order,
+                                  int prefix) {
+  return std::lower_bound(begin, end, pattern,
+                          [&](const EncTriple& t, const EncPattern& p) {
+                            return ComparePrefix(t, p, order, prefix) < 0;
+                          });
+}
+
 /// The contiguous [lo, hi) range of `[begin, end)` whose first `prefix`
 /// positions (in permutation order) equal the pattern's bound values.
 std::pair<const EncTriple*, const EncTriple*> PrefixRange(
     const EncTriple* begin, const EncTriple* end, const EncPattern& pattern,
     const int* order, int prefix) {
-  auto triple_below = [&](const EncTriple& t, const EncPattern& p) {
-    for (int i = 0; i < prefix; ++i) {
-      int pos = order[i];
-      if (t[pos] != p[pos]) return t[pos] < p[pos];
-    }
-    return false;
-  };
-  auto pattern_below = [&](const EncPattern& p, const EncTriple& t) {
-    for (int i = 0; i < prefix; ++i) {
-      int pos = order[i];
-      if (t[pos] != p[pos]) return p[pos] < t[pos];
-    }
-    return false;
-  };
-  const EncTriple* lo = std::lower_bound(begin, end, pattern, triple_below);
-  const EncTriple* hi = std::upper_bound(lo, end, pattern, pattern_below);
+  const EncTriple* lo = PrefixLowerBound(begin, end, pattern, order, prefix);
+  const EncTriple* hi = std::upper_bound(
+      lo, end, pattern, [&](const EncPattern& p, const EncTriple& t) {
+        return ComparePrefix(t, p, order, prefix) > 0;
+      });
   return {lo, hi};
+}
+
+/// Where a pattern's matches live: the permutation whose sort prefix
+/// covers its bound positions, the prefix length, and that
+/// permutation's base and delta runs.
+struct PatternRuns {
+  Permutation perm;
+  int prefix;
+  const EncRun* base;
+  const std::vector<EncTriple>* delta;
+};
+
+PatternRuns RunsFor(const BaseRuns& base, const DeltaRuns& delta,
+                    const EncPattern& pattern) {
+  int mask = (pattern.s != kNoDataId ? 1 : 0) | (pattern.p != kNoDataId ? 2 : 0) |
+             (pattern.o != kNoDataId ? 4 : 0);
+  PatternRuns runs;
+  runs.perm = kPermForMask[mask];
+  runs.prefix = (mask & 1) + ((mask >> 1) & 1) + ((mask >> 2) & 1);
+  switch (runs.perm) {
+    case Permutation::kSpo: runs.base = &base.spo; runs.delta = &delta.dspo; break;
+    case Permutation::kPos: runs.base = &base.pos; runs.delta = &delta.dpos; break;
+    default: runs.base = &base.osp; runs.delta = &delta.dosp; break;
+  }
+  return runs;
 }
 
 const std::shared_ptr<const BaseRuns>& EmptyBaseRuns() {
@@ -58,12 +93,6 @@ const std::shared_ptr<const DeltaRuns>& EmptyDeltaRuns() {
 }
 
 }  // namespace
-
-namespace enc_order {
-
-Permutation PermForBoundMask(int mask) { return kPermForMask[mask & 7]; }
-
-}  // namespace enc_order
 
 // ---------------------------------------------------------------------
 // MergedScan
@@ -157,24 +186,35 @@ bool ReadView::EncodeScanPattern(const Triple& pattern, EncPattern* out) const {
 }
 
 MergedScan ReadView::Scan(const EncPattern& pattern) const {
-  int mask = (pattern.s != kNoDataId ? 1 : 0) | (pattern.p != kNoDataId ? 2 : 0) |
-             (pattern.o != kNoDataId ? 4 : 0);
-  Permutation perm = kPermForMask[mask];
-  const int* order = OrderOf(perm);
-  int prefix = (mask & 1) + ((mask >> 1) & 1) + ((mask >> 2) & 1);
-
-  const EncRun* base;
-  const std::vector<EncTriple>* delta;
-  switch (perm) {
-    case Permutation::kSpo: base = &base_->spo; delta = &delta_->dspo; break;
-    case Permutation::kPos: base = &base_->pos; delta = &delta_->dpos; break;
-    default: base = &base_->osp; delta = &delta_->dosp; break;
-  }
+  const PatternRuns runs = RunsFor(*base_, *delta_, pattern);
+  const int* order = OrderOf(runs.perm);
+  const EncTriple* delta_begin = runs.delta->data();
   auto [base_lo, base_hi] =
-      PrefixRange(base->begin(), base->end(), pattern, order, prefix);
+      PrefixRange(runs.base->begin(), runs.base->end(), pattern, order, runs.prefix);
   auto [delta_lo, delta_hi] = PrefixRange(
-      delta->data(), delta->data() + delta->size(), pattern, order, prefix);
-  return MergedScan(base_lo, base_hi, delta_lo, delta_hi, &delta_->dead, perm);
+      delta_begin, delta_begin + runs.delta->size(), pattern, order, runs.prefix);
+  return MergedScan(base_lo, base_hi, delta_lo, delta_hi, &delta_->dead, runs.perm);
+}
+
+bool ReadView::Exists(const EncPattern& pattern) const {
+  const PatternRuns runs = RunsFor(*base_, *delta_, pattern);
+  const int* order = OrderOf(runs.perm);
+  // Delta triples are live by construction: one match there decides.
+  const EncTriple* delta_end = runs.delta->data() + runs.delta->size();
+  const EncTriple* d =
+      PrefixLowerBound(runs.delta->data(), delta_end, pattern, order, runs.prefix);
+  if (d != delta_end && ComparePrefix(*d, pattern, order, runs.prefix) == 0) return true;
+  const MergedScan::Tombstones& dead = delta_->dead;
+  const PermLess spo_less{OrderOf(Permutation::kSpo)};
+  for (const EncTriple* b = PrefixLowerBound(runs.base->begin(), runs.base->end(),
+                                             pattern, order, runs.prefix);
+       b != runs.base->end() && ComparePrefix(*b, pattern, order, runs.prefix) == 0;
+       ++b) {
+    if (dead.empty() || !std::binary_search(dead.begin(), dead.end(), *b, spo_less)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 bool ReadView::InDelta(const EncTriple& t) const {

@@ -74,11 +74,6 @@ inline const int* OrderOf(Permutation perm) {
   return kPermOrder[static_cast<int>(perm)];
 }
 
-/// The permutation whose sort prefix covers a bound-position mask
-/// (bit 0 = S bound, bit 1 = P, bit 2 = O): the choice `Scan` makes, so
-/// the planner can predict/report which index a scan will touch.
-Permutation PermForBoundMask(int mask);
-
 /// Lexicographic comparator in the given permutation order.
 struct PermLess {
   const int* order;
@@ -96,10 +91,9 @@ struct PermLess {
 /// The matching triples of one scan: a sorted base-run range merged on
 /// the fly with a sorted delta-run range, with tombstoned base triples
 /// skipped. Iteration yields triples in permutation order (so the first
-/// unbound position is ascending, as the merge join requires). The
-/// backing `ReadView` must outlive the scan; because views are
-/// immutable, a scan over a pinned view is valid for the view's whole
-/// lifetime regardless of store mutations.
+/// unbound position is ascending). The backing `ReadView` must outlive
+/// the scan; because views are immutable, a scan over a pinned view is
+/// valid for the view's whole lifetime regardless of store mutations.
 class MergedScan {
  public:
   /// Tombstoned base-resident triples, sorted in SPO order. A sorted
@@ -147,6 +141,13 @@ class MergedScan {
   /// Number of live triples in the scan. O(range) — counts by iterating;
   /// intended for tests and diagnostics, not hot paths.
   std::size_t size() const;
+  /// O(1) upper bound on `size()`: the base and delta range lengths,
+  /// tombstoned base triples included. Zero iff the scan is provably
+  /// empty. The join sizes candidate ranges with this.
+  std::size_t bound_size() const {
+    return static_cast<std::size_t>(base_end_ - base_begin_) +
+           static_cast<std::size_t>(delta_end_ - delta_begin_);
+  }
   bool empty() const { return !(begin() != end()); }
   /// The permutation the scan is ordered in.
   Permutation permutation() const { return perm_; }
@@ -282,7 +283,7 @@ class ReadView final : public TripleSource {
            std::shared_ptr<const DeltaRuns> delta, uint64_t generation,
            std::shared_ptr<const void> lifetime_token = nullptr);
 
-  // Encoded access (the merge join's surface) -------------------------
+  // Encoded access (the join's surface) -------------------------------
 
   /// The dictionary prefix of this view.
   const DictView& dict() const { return dict_; }
@@ -296,6 +297,12 @@ class ReadView final : public TripleSource {
   /// prefix covers the bound positions. Every yielded triple matches; no
   /// residual filtering is needed.
   MergedScan Scan(const EncPattern& pattern) const;
+
+  /// True iff some live triple matches `pattern`: `Scan(pattern)` is
+  /// non-empty. One lower bound per run in the permutation `Scan` would
+  /// pick, a prefix check, and a skip over tombstoned base triples — no
+  /// range is sized or merged.
+  bool Exists(const EncPattern& pattern) const;
 
   /// True iff the encoded triple is present (and not tombstoned).
   bool Contains(const EncTriple& t) const;

@@ -13,9 +13,10 @@ namespace optimizer {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// Fixed per-scan overhead (the binary searches locating a range): keeps
-/// the model from calling a plan free just because its ranges are empty.
-constexpr double kScanOverhead = 1.0;
+/// Cost of one binary-search pass over the runs: locating (and so
+/// sizing) a range, or one existence probe. Keeps the model from calling
+/// a plan free just because its ranges are empty.
+constexpr double kSearchCost = 1.0;
 
 /// One non-ground conjunct, encoded like the join encodes it (constant
 /// DataIds, local variable indexes) plus its exact base cardinality —
@@ -99,15 +100,20 @@ struct Model {
     return sel == kInf ? 0.0 : sel;
   }
 
-  /// Scan work at the level binding `v` (per partial binding above it):
-  /// each conjunct containing `v` walks its estimated matching range.
+  /// Work at the level binding `v` (per partial binding above it), as
+  /// the join does it: locate the range of every conjunct containing
+  /// `v`, walk the smallest, and probe each of its values into every
+  /// other such conjunct.
   double LevelWork(int v, uint32_t mask) const {
-    double work = 0;
+    double smallest = kInf;
+    int with_v = 0;
     for (const Conjunct& c : conjuncts) {
-      bool contains = c.var[0] == v || c.var[1] == v || c.var[2] == v;
-      if (contains) work += EstMatches(c, mask) + kScanOverhead;
+      if (c.var[0] == v || c.var[1] == v || c.var[2] == v) {
+        ++with_v;
+        smallest = std::min(smallest, EstMatches(c, mask));
+      }
     }
-    return work;
+    return with_v * kSearchCost + smallest * (1 + (with_v - 1) * kSearchCost);
   }
 
   /// Estimated bindings of the variable set `mask`, computed canonically
@@ -187,14 +193,6 @@ std::vector<int> OrderGreedy(const Model& model, double* est_cost) {
   return order;
 }
 
-const char* PermName(Permutation perm) {
-  switch (perm) {
-    case Permutation::kSpo: return "SPO";
-    case Permutation::kPos: return "POS";
-    default: return "OSP";
-  }
-}
-
 }  // namespace
 
 std::optional<SubtreePlan> PlanSubtree(const ReadView& view,
@@ -267,29 +265,6 @@ std::optional<SubtreePlan> PlanSubtree(const ReadView& view,
       plan.est_rows = rows;
     }
   }
-
-  // Report, per conjunct, the permutation its first scan touches: at
-  // the first level binding one of its variables, the bound positions
-  // are its constants plus variables bound at earlier levels.
-  plan.scan_perms.assign(model.conjuncts.size(), Permutation::kSpo);
-  std::vector<char> scanned(model.conjuncts.size(), 0);
-  uint32_t bound = 0;
-  for (int v : order) {
-    for (std::size_t ci = 0; ci < model.conjuncts.size(); ++ci) {
-      const Conjunct& c = model.conjuncts[ci];
-      bool contains = c.var[0] == v || c.var[1] == v || c.var[2] == v;
-      if (!contains || scanned[ci]) continue;
-      int mask3 = 0;
-      for (int pos = 0; pos < 3; ++pos) {
-        bool is_bound = c.var[pos] < 0 ||
-                        (c.var[pos] != v && ((bound >> c.var[pos]) & 1u) != 0);
-        if (is_bound) mask3 |= 1 << pos;
-      }
-      plan.scan_perms[ci] = enc_order::PermForBoundMask(mask3);
-      scanned[ci] = 1;
-    }
-    bound |= 1u << v;
-  }
   return plan;
 }
 
@@ -299,11 +274,6 @@ std::string DescribePlan(const SubtreePlan& plan, const TermPool& pool) {
     if (i > 0) out += ' ';
     out += '?';
     out += pool.Spelling(plan.var_order[i]);
-  }
-  out += "] scans=[";
-  for (std::size_t i = 0; i < plan.scan_perms.size(); ++i) {
-    if (i > 0) out += ' ';
-    out += PermName(plan.scan_perms[i]);
   }
   out += ']';
   return out;

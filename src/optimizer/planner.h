@@ -14,21 +14,23 @@
 /// The engine evaluates a well-designed pattern forest subtree by
 /// subtree; inside one subtree the pattern is purely conjunctive, and
 /// its solution set — the homomorphisms of the triple-pattern set — is
-/// independent of the order in which the leapfrog join binds variables.
-/// That is the legality boundary the optimizer lives inside: *any*
-/// variable order within a subtree is a correct plan, while reordering
-/// *across* subtrees would change which maximality certificates wdEVAL
-/// tests and is never attempted. So the search space per subtree is
-/// (variable order) x (scan permutation per conjunct), where the
-/// permutation is a function of the order (the store picks the index
-/// whose sort prefix covers the bound positions of each scan).
+/// independent of the order in which the Generic Join (engine/join.h)
+/// binds variables. That is the legality boundary the optimizer lives
+/// inside: *any* variable order within a subtree is a correct plan,
+/// while reordering *across* subtrees would change which maximality
+/// certificates wdEVAL tests and is never attempted. So the search
+/// space per subtree is the variable order; which range the join walks
+/// and which it probes at each level follows from the range sizes at
+/// run time.
 ///
 /// Costing follows RDF-3X: exact cardinalities for the conjunct's
 /// constant bindings from `CardinalityStats`, the independence
 /// assumption for positions bound by earlier variables (divide by the
 /// position's distinct-value count), and a bottom-up dynamic program
 /// over variable subsets (Held-Karp style, exact up to `kDpMaxVars`
-/// variables, greedy beyond) minimising estimated scan volume.
+/// variables, greedy beyond) minimising the estimated join work: per
+/// level, the smallest range walked plus one binary search per range
+/// located and per existence probe.
 ///
 /// Determinism matters beyond reproducibility: parallel workers each
 /// plan their own cursor over the same pinned view and partition work
@@ -49,13 +51,10 @@ struct SubtreePlan {
   /// Variable binding order (global `TermId`s, first-bound first) —
   /// what `JoinCursor` consumes.
   std::vector<TermId> var_order;
-  /// Per non-ground conjunct, in pattern order: the permutation index
-  /// its first scan under `var_order` touches (reporting only; the
-  /// store re-derives this from bound positions at scan time).
-  std::vector<Permutation> scan_perms;
   /// Estimated solutions of the subtree (independence assumption).
   double est_rows = 0;
-  /// Estimated scan volume of the whole descent under `var_order`.
+  /// Estimated join work of the whole descent under `var_order`:
+  /// triples walked plus binary searches (ranges located, probes).
   double est_cost = 0;
 };
 
@@ -66,8 +65,7 @@ struct SubtreePlan {
 std::optional<SubtreePlan> PlanSubtree(const ReadView& view,
                                        const std::vector<Triple>& patterns);
 
-/// Renders the plan for EXPLAIN output, e.g.
-/// "order=[?y ?x] scans=[POS SPO]".
+/// Renders the plan for EXPLAIN output, e.g. "order=[?y ?x]".
 std::string DescribePlan(const SubtreePlan& plan, const TermPool& pool);
 
 }  // namespace optimizer

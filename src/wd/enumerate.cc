@@ -146,9 +146,12 @@ bool SolutionEnumerator::AdvanceSubtree() {
     subtree_idx_ = 0;
   }
   const Subtree& subtree = subtrees_[subtree_idx_++];
-  cur_tree_ = subtree.tree;
   pattern_ = SubtreePattern(subtree);
-  children_ = SubtreeChildren(subtree);
+  certificates_.clear();
+  for (NodeId child : SubtreeChildren(subtree)) {
+    certificates_.push_back(pattern_);
+    certificates_.back().InsertAll(subtree.tree->pattern(child));
+  }
   cur_candidates_ = 0;
   sub_open_ = false;
   // One timing per wdpf subtree, covering its whole candidate pull and
@@ -234,11 +237,9 @@ bool SolutionEnumerator::Next(Mapping* out) {
     }
     // Maximality: no child may extend mu.
     bool maximal = true;
-    for (NodeId child : children_) {
+    for (const TripleSet& combined : certificates_) {
       ++stats_.maximality_tests;
       if (ExecStats::Subpattern* sub = CurSubpattern()) ++sub->maximality_tests;
-      TripleSet combined = pattern_;
-      combined.InsertAll(cur_tree_->pattern(child));
       if (hooks_.extends(combined, mu)) {
         maximal = false;
         break;

@@ -57,9 +57,9 @@ namespace wdsparql {
 /// report shows estimated next to actual cardinality per subtree.
 struct CandidatePlanInfo {
   double est_rows = 0;       ///< Estimated subtree solutions.
-  double est_cost = 0;       ///< Estimated scan volume of the descent.
+  double est_cost = 0;       ///< Estimated join work of the descent.
   uint64_t plan_ns = 0;      ///< Time spent planning this subtree.
-  std::string description;   ///< e.g. "order=[?y ?x] scans=[POS SPO]".
+  std::string description;   ///< e.g. "order=[?y ?x]".
 };
 
 /// A suspendable candidate source: one subtree pattern's homomorphisms,
@@ -85,7 +85,7 @@ class CandidateGenerator {
 /// Hooks customising the enumeration skeleton: per tree, per subtree,
 /// pull candidates, deduplicate across trees/subtrees, certify
 /// maximality against each child, emit. Plugging in the CSP solver, the
-/// pebble game or the engine's merge join yields the naive, Theorem 1
+/// pebble game or the engine's Generic Join yields the naive, Theorem 1
 /// and indexed enumerators respectively.
 struct EnumerationHooks {
   /// Candidate source for one subtree pattern. `stop` is the
@@ -255,11 +255,12 @@ class SolutionEnumerator {
   // the first advance wraps it to tree 0.
   static constexpr std::size_t kNoTree = static_cast<std::size_t>(-1);
   std::size_t tree_idx_ = kNoTree;
-  const PatternTree* cur_tree_ = nullptr;  // Tree of the open subtree.
   std::vector<Subtree> subtrees_;        // Subtrees of the current tree.
   std::size_t subtree_idx_ = 0;          // Next subtree to open.
   TripleSet pattern_;                    // pat(T') of the open subtree.
-  std::vector<NodeId> children_;         // Children of the open subtree.
+  /// The maximality certificates of the open subtree: pat(T') ∪ pat(c)
+  /// for each child c, built once when the subtree opens.
+  std::vector<TripleSet> certificates_;
   /// The open subtree's candidate source (null between subtrees): the
   /// full suspendable-join state on the indexed backend, a materialised
   /// vector on the naive one.

@@ -63,7 +63,7 @@ bool NaiveWdEval(const PatternForest& forest, const TripleSource& graph,
 /// find the matched subtree T^mu against `graph`, and accept iff some
 /// tree has no child for which `extends` certifies an extension of mu.
 /// `extends` receives pat(T^mu) ∪ pat(child); plugging in exact
-/// homomorphism, pebble-game or merge-join existence tests yields the
+/// homomorphism, pebble-game or Generic Join existence tests yields the
 /// naive, Theorem 1 and engine evaluators respectively.
 bool WdEvalWith(const PatternForest& forest, const TripleSource& graph,
                 const Mapping& mu, EvalStats* stats,
