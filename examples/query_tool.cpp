@@ -315,7 +315,7 @@ int main(int argc, char** argv) {
 
   if (explain_plan && options.backend == Backend::kIndexed) {
     // Cardinality statistics are gathered at delta merge; an in-memory
-    // load below the merge threshold has none yet. One Compact makes the
+    // load too small to spend the merge budget has none yet. One Compact makes the
     // EXPLAIN show real plans instead of "no statistics".
     db.Compact();
   }

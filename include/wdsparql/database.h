@@ -61,9 +61,14 @@ struct DatabaseImpl;
 
 /// Construction-time tuning.
 struct DatabaseOptions {
-  /// Delta size (pending inserts + tombstones) that triggers an
-  /// automatic merge into the base permutation runs. 0 disables
-  /// automatic merging (callers then `Compact()` explicitly).
+  /// Slack of the automatic merge's copy budget. Every commit rebuilds
+  /// the pending delta (inserts + tombstones) copy-on-write; a commit
+  /// merges the delta into the base permutation runs once the delta
+  /// sizes built since the last merge sum to at least the base size
+  /// plus this value. Merges then cost at most about as much as the
+  /// copies between them, and the pending delta stays below the base
+  /// size plus this value. 0 disables automatic merging (callers then
+  /// `Compact()` explicitly).
   std::size_t merge_threshold = 4096;
 
   /// Span capacity of the flight-recorder trace ring (rounded up to a
@@ -202,9 +207,10 @@ class Database {
   /// read view. Every successful mutation and every (non-empty)
   /// compaction publishes at least one new view, so two equal
   /// generations bracket an unchanged database; cursors record the
-  /// generation of the view they pinned (`Cursor::generation()`). The
-  /// counter may advance by more than one across a single mutation
-  /// (e.g. a threshold merge publishes, then the mutation publishes).
+  /// generation of the view they pinned (`Cursor::generation()`). A
+  /// commit advances it by exactly one, an automatic merge included;
+  /// only a batch too large for one WAL group frame advances it once
+  /// per group (`ApplyResult::publishes`).
   uint64_t generation() const;
 
   /// The term pool. Const access still permits interning (the pool is an

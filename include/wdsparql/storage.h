@@ -73,8 +73,8 @@ struct OpenOptions {
   /// which behaves identically but pays the copy up front.
   bool use_mmap = true;
 
-  /// Delta size (pending inserts + tombstones) that triggers an
-  /// automatic merge, as `DatabaseOptions::merge_threshold`.
+  /// Slack of the automatic merge's copy budget, as
+  /// `DatabaseOptions::merge_threshold`.
   std::size_t merge_threshold = 4096;
 
   /// Flight-recorder span capacity, as `DatabaseOptions::trace_capacity`

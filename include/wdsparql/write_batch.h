@@ -55,8 +55,8 @@ struct ApplyResult {
   uint64_t wal_groups = 0;
 
   /// Read-view publishes this commit performed: 1 for an effective
-  /// batch, 2 when the grown delta crossed the merge threshold (the
-  /// fold publishes too), 0 for a no-op.
+  /// batch (an automatic merge folds inside that publish), one per
+  /// group when the batch spans several WAL group frames, 0 for a no-op.
   uint64_t publishes = 0;
 
   /// Net operations applied (adds + removes after cancellation).

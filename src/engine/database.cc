@@ -100,8 +100,9 @@ Status ApplyResolvedOps(DatabaseImpl* impl, const std::vector<ResolvedOp>& ops,
     if (result != nullptr) {
       result->added += chunk_adds.size();
       result->removed += chunk_removes.size();
-      // Generation delta, not a constant: a threshold merge inside
-      // ApplyBatch publishes twice, and error paths return the facts of
+      // Generation delta, not a constant: each chunk's ApplyBatch
+      // publishes once (a budget merge inside it included), a batch may
+      // span several WAL chunks, and error paths return the facts of
       // whatever prefix committed.
       result->publishes = impl->store.generation() - generation_before;
     }

@@ -1,6 +1,7 @@
 #include "engine/dictionary.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace wdsparql {
 namespace {
@@ -151,13 +152,26 @@ void Dictionary::AppendTerm(TermId t, DataId id) {
   ++tail_size_;
 
   if (tail_size_ < kFoldLimit) return;
-  // Fold the tail into a fresh sorted run. The old run stays alive for
-  // any view that still references it.
+  FoldTail({});
+}
+
+void Dictionary::FoldTail(std::vector<AppendedEntry> entries) {
+  // Sort only the newcomers and the bounded tail, then fold them into a
+  // fresh run with one linear merge: O(F + k log k) for F folded terms,
+  // where re-sorting the whole run would be O(F log F) per fold. The
+  // old run stays alive for any view that still references it.
+  if (tail_ != nullptr) {
+    entries.insert(entries.end(), tail_->begin(), tail_->begin() + tail_size_);
+  }
+  std::sort(entries.begin(), entries.end());
   auto folded = std::make_shared<std::vector<AppendedEntry>>();
-  folded->reserve((folded_ == nullptr ? 0 : folded_->size()) + tail_size_);
-  if (folded_ != nullptr) *folded = *folded_;
-  folded->insert(folded->end(), tail_->begin(), tail_->begin() + tail_size_);
-  std::sort(folded->begin(), folded->end());
+  if (folded_ == nullptr) {
+    *folded = std::move(entries);
+  } else {
+    folded->reserve(folded_->size() + entries.size());
+    std::merge(folded_->begin(), folded_->end(), entries.begin(), entries.end(),
+               std::back_inserter(*folded));
+  }
   folded_ = std::move(folded);
   tail_ = nullptr;
   tail_size_ = 0;
@@ -208,21 +222,8 @@ void Dictionary::EnsureTerms(const std::vector<TermId>& terms) {
   }
 
   // ONE fold: the new sorted run absorbs the old run, the pending tail
-  // and every newcomer. Old runs stay alive for views that hold them.
-  auto folded = std::make_shared<std::vector<AppendedEntry>>();
-  folded->reserve((folded_ == nullptr ? 0 : folded_->size()) + tail_size_ +
-                  entries.size());
-  if (folded_ != nullptr) {
-    folded->insert(folded->end(), folded_->begin(), folded_->end());
-  }
-  if (tail_ != nullptr) {
-    folded->insert(folded->end(), tail_->begin(), tail_->begin() + tail_size_);
-  }
-  folded->insert(folded->end(), entries.begin(), entries.end());
-  std::sort(folded->begin(), folded->end());
-  folded_ = std::move(folded);
-  tail_ = nullptr;
-  tail_size_ = 0;
+  // and every newcomer.
+  FoldTail(std::move(entries));
 }
 
 DictView Dictionary::view() const {

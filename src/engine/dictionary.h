@@ -177,6 +177,9 @@ class Dictionary {
  private:
   void InitBuffers(std::vector<TermId> sorted_terms);
   void AppendTerm(TermId t, DataId id);
+  /// Folds `entries` (appended terms not yet indexed) and the tail into
+  /// a fresh sorted run, leaving the tail empty.
+  void FoldTail(std::vector<std::pair<TermId, DataId>> entries);
 
   // Shared, over-allocated buffers: the first `size_`/`tail_size_`
   // entries are live. Growth swaps in a fresh doubled buffer instead of

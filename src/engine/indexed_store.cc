@@ -14,33 +14,6 @@ using enc_order::PermLess;
 
 namespace {
 
-/// Copies `src` with `t` inserted at its sorted position — the
-/// copy-on-write successor of one delta run.
-std::vector<EncTriple> CopyInsert(const std::vector<EncTriple>& src,
-                                  const EncTriple& t, Permutation perm) {
-  PermLess less{OrderOf(perm)};
-  auto pivot = std::upper_bound(src.begin(), src.end(), t, less);
-  std::vector<EncTriple> out;
-  out.reserve(src.size() + 1);
-  out.insert(out.end(), src.begin(), pivot);
-  out.push_back(t);
-  out.insert(out.end(), pivot, src.end());
-  return out;
-}
-
-/// Copies `src` with `t` removed (must be present).
-std::vector<EncTriple> CopyErase(const std::vector<EncTriple>& src,
-                                 const EncTriple& t, Permutation perm) {
-  PermLess less{OrderOf(perm)};
-  auto pivot = std::lower_bound(src.begin(), src.end(), t, less);
-  WDSPARQL_DCHECK(pivot != src.end() && *pivot == t);
-  std::vector<EncTriple> out;
-  out.reserve(src.size() - 1);
-  out.insert(out.end(), src.begin(), pivot);
-  out.insert(out.end(), pivot + 1, src.end());
-  return out;
-}
-
 /// Encodes `triples` against `dict` and installs the three sorted base
 /// runs. With `dedup`, equal encoded triples collapse (plain-vector
 /// inputs carry no set guarantee).
@@ -114,6 +87,7 @@ void IndexedStore::SetBuilt(Dictionary dict, std::vector<EncTriple> spo,
                                         base->osp.data(), base->spo.size());
   base_ = std::move(base);
   delta_ = std::make_shared<const DeltaRuns>();
+  copied_since_merge_ = 0;
   Publish();
 }
 
@@ -165,76 +139,8 @@ void IndexedStore::AdoptFrom(IndexedStore&& other) {
   dict_ = std::move(other.dict_);
   base_ = std::move(other.base_);
   delta_ = std::move(other.delta_);
+  copied_since_merge_ = 0;
   Publish();
-}
-
-bool IndexedStore::Insert(const Triple& t) {
-  EncTriple enc;
-  enc.s = dict_.GetOrAdd(t.subject);
-  enc.p = dict_.GetOrAdd(t.predicate);
-  enc.o = dict_.GetOrAdd(t.object);
-  bool in_base = std::binary_search(base_->spo.begin(), base_->spo.end(), enc,
-                                    PermLess{OrderOf(Permutation::kSpo)});
-  if (in_base) {
-    // Re-inserting a tombstoned base triple just revives it.
-    if (!std::binary_search(delta_->dead.begin(), delta_->dead.end(), enc,
-                            PermLess{OrderOf(Permutation::kSpo)})) {
-      return false;
-    }
-    auto next = std::make_shared<DeltaRuns>();
-    next->dspo = delta_->dspo;
-    next->dpos = delta_->dpos;
-    next->dosp = delta_->dosp;
-    next->dead = CopyErase(delta_->dead, enc, Permutation::kSpo);
-    delta_ = std::move(next);
-    Publish();
-    return true;
-  }
-  if (view_->InDelta(enc)) return false;
-  auto next = std::make_shared<DeltaRuns>();
-  next->dspo = CopyInsert(delta_->dspo, enc, Permutation::kSpo);
-  next->dpos = CopyInsert(delta_->dpos, enc, Permutation::kPos);
-  next->dosp = CopyInsert(delta_->dosp, enc, Permutation::kOsp);
-  next->dead = delta_->dead;
-  delta_ = std::move(next);
-  MaybeMerge();
-  Publish();
-  return true;
-}
-
-bool IndexedStore::Erase(const Triple& t) {
-  EncTriple enc;
-  for (int pos = 0; pos < 3; ++pos) {
-    std::optional<DataId> id = dict_.TryResolve(t[pos]);
-    if (!id.has_value()) return false;  // Unknown term: nothing to remove.
-    (pos == 0 ? enc.s : (pos == 1 ? enc.p : enc.o)) = *id;
-  }
-  if (view_->InDelta(enc)) {
-    auto next = std::make_shared<DeltaRuns>();
-    next->dspo = CopyErase(delta_->dspo, enc, Permutation::kSpo);
-    next->dpos = CopyErase(delta_->dpos, enc, Permutation::kPos);
-    next->dosp = CopyErase(delta_->dosp, enc, Permutation::kOsp);
-    next->dead = delta_->dead;
-    delta_ = std::move(next);
-    Publish();
-    return true;
-  }
-  bool in_base = std::binary_search(base_->spo.begin(), base_->spo.end(), enc,
-                                    PermLess{OrderOf(Permutation::kSpo)});
-  if (!in_base ||
-      std::binary_search(delta_->dead.begin(), delta_->dead.end(), enc,
-                         PermLess{OrderOf(Permutation::kSpo)})) {
-    return false;
-  }
-  auto next = std::make_shared<DeltaRuns>();
-  next->dspo = delta_->dspo;
-  next->dpos = delta_->dpos;
-  next->dosp = delta_->dosp;
-  next->dead = CopyInsert(delta_->dead, enc, Permutation::kSpo);
-  delta_ = std::move(next);
-  MaybeMerge();
-  Publish();
-  return true;
 }
 
 void IndexedStore::ApplyBatch(const std::vector<Triple>& adds,
@@ -306,9 +212,8 @@ void IndexedStore::ApplyBatch(const std::vector<Triple>& adds,
   }
 
   // The successor delta: per permutation, one linear merge of (old run
-  // minus the delta removals) with the sorted fresh adds — the batched
-  // generalisation of CopyInsert/CopyErase, whose per-op O(delta) copy
-  // this amortises into O(delta + batch log batch) for the whole batch.
+  // minus the delta removals) with the sorted fresh adds, O(delta +
+  // batch log batch) for the whole batch.
   auto next = std::make_shared<DeltaRuns>();
   auto rebuild_run = [&](const std::vector<EncTriple>& old_run, Permutation perm,
                          std::vector<EncTriple>* out) {
@@ -348,16 +253,20 @@ void IndexedStore::ApplyBatch(const std::vector<Triple>& adds,
              newly_dead.end(), std::back_inserter(next->dead), spo_less);
 
   delta_ = std::move(next);
+  copied_since_merge_ += delta_->pending();
   if (delta_build_ns_metric_ != nullptr) {
-    // The delta build proper; a threshold fold below reports separately
-    // as store.compaction_ns.
+    // The delta build proper; a budget fold below reports separately as
+    // store.compaction_ns.
     delta_build_ns_metric_->Observe(build_timer.ElapsedNanos());
   }
   if (trace != nullptr) trace->EndSpan(build_span);
-  // Exactly one publish per batch: a threshold crossing folds the delta
-  // through MergeDelta (which publishes the merged state itself) instead
-  // of publishing twice.
-  if (merge_threshold_ != 0 && delta_->pending() >= merge_threshold_) {
+  // The copy budget (rent or buy): this build copied ~|delta|, a merge
+  // copies ~|base| + |delta|. Fold once the copies since the last merge
+  // have paid for one, which keeps total work within 2x of the best
+  // merge schedule. Exactly one publish per batch: the fold publishes
+  // the merged state itself. An emptied delta has nothing to fold.
+  if (merge_threshold_ != 0 && delta_->pending() != 0 &&
+      copied_since_merge_ >= base_size() + merge_threshold_) {
     ScopedTraceSpan span(trace, "compact", trace_parent);
     MergeDelta();
   } else {
@@ -366,13 +275,9 @@ void IndexedStore::ApplyBatch(const std::vector<Triple>& adds,
   }
 }
 
-void IndexedStore::MaybeMerge() {
-  if (merge_threshold_ == 0) return;
-  if (delta_->pending() >= merge_threshold_) MergeDelta();
-}
-
 void IndexedStore::MergeDelta() {
-  if (delta_->dspo.empty() && delta_->dead.empty()) {
+  copied_since_merge_ = 0;
+  if (delta_->pending() == 0) {
     if (base_->stats != nullptr) return;
     // Nothing to merge, but the base carries no cardinality statistics —
     // a legacy snapshot opened before the stats sections existed. This

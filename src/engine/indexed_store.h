@@ -30,9 +30,20 @@
 /// *delta* run absorbing inserts; deletions of base-resident triples go
 /// to a tombstone set. Scans merge the two runs on the fly (skipping
 /// tombstones), preserving permutation order, and the delta is folded
-/// into the base with one linear `std::merge` pass per permutation when
-/// it exceeds a threshold (`MergeDelta`). `DataId`s are stable across
-/// merges: the dictionary only ever appends, so no run is re-encoded.
+/// into the base with one linear `std::merge` pass per permutation
+/// (`MergeDelta`). `DataId`s are stable across merges: the dictionary
+/// only ever appends, so no run is re-encoded.
+///
+/// When to merge is a copy budget, the rent-or-buy rule behind
+/// x-RDF-3X's differential indexes and the LSM-tree: each commit
+/// rebuilds the delta copy-on-write, which costs about |delta|, while a
+/// merge costs about |base| + |delta|. The writer sums the sizes of the
+/// deltas it builds and merges once that sum reaches |base| + threshold,
+/// so total work stays within 2x of the best merge schedule whatever
+/// the commit size. Commits of b triples over a base of N then merge
+/// every ~sqrt(2(N + threshold)/b) commits, and the delta a reader
+/// scans (and the planner's statistics miss) stays below N + threshold
+/// — about sqrt(2b(N + threshold)) in practice.
 ///
 /// Concurrency (single writer, many readers): all store state lives in
 /// immutable refcounted pieces (`BaseRuns`, `DeltaRuns`, the dictionary
@@ -55,9 +66,9 @@ namespace wdsparql {
 /// base+delta maintenance, and epoch-published `ReadView` snapshots.
 class IndexedStore final {
  public:
-  /// Delta size (inserts + tombstones) that triggers an automatic
-  /// `MergeDelta` from a mutation. Small enough that sorted-delta
-  /// insertion stays cheap, large enough to amortise the linear merge.
+  /// Slack of the copy budget: a commit merges once the delta sizes
+  /// built since the last merge sum to at least `base_size()` plus this.
+  /// Over an empty or small base it alone paces the merges.
   static constexpr std::size_t kDefaultMergeThreshold = 4096;
 
   IndexedStore();
@@ -89,29 +100,17 @@ class IndexedStore final {
 
   // Mutation (single writer) ------------------------------------------
 
-  /// Inserts `t`, growing the dictionary as needed; returns true iff it
-  /// was not already present. O(delta) for the copy-on-write sorted-run
-  /// insertion, amortised O(size/threshold) for merges. Publishes a new
-  /// view on success.
-  bool Insert(const Triple& t);
-
-  /// Removes `t`; returns true iff it was present. Base-resident triples
-  /// are tombstoned (physically removed by the next merge); delta
-  /// triples are removed copy-on-write. Publishes a new view on success.
-  bool Erase(const Triple& t);
-
   /// Applies a pre-resolved net batch in one step: every triple of
   /// `adds` must be absent from the current view and every triple of
   /// `removes` present (`Database::Apply` guarantees both by computing
-  /// the net effect first). Builds ONE successor delta copy-on-write —
-  /// one linear pass per permutation, O(batch log batch + delta)
-  /// however large the batch — and performs ONE view publish; when the
-  /// grown delta crosses the merge threshold, the fold happens inside
-  /// the same step and the merge's publish is the only one. This is the
-  /// amortised bulk path that retires the old per-triple loop (and the
-  /// empty-database-only `Build` fast path) for ingest.
+  /// the net effect first). The store's only mutation path: builds ONE
+  /// successor delta copy-on-write — one linear pass per permutation,
+  /// O(batch log batch + delta) however large the batch — and performs
+  /// ONE view publish; when the batch exhausts the copy budget (see the
+  /// file comment), the fold happens inside the same step and the
+  /// merge's publish is the only one.
   /// A non-null `trace` receives `delta_build` and `publish` (or
-  /// `compact`, when the batch crosses the merge threshold) spans under
+  /// `compact`, when the batch exhausts the budget) spans under
   /// `trace_parent`; writer-side, so no synchronisation is needed.
   void ApplyBatch(const std::vector<Triple>& adds,
                   const std::vector<Triple>& removes,
@@ -130,7 +129,7 @@ class IndexedStore final {
   /// Pending un-merged work: delta triples plus tombstones.
   std::size_t delta_size() const { return delta_->pending(); }
 
-  /// Sets the auto-merge trigger (0 disables automatic merging; callers
+  /// Sets the copy budget's slack (0 disables automatic merging; callers
   /// then compact via `MergeDelta` explicitly).
   void set_merge_threshold(std::size_t n) { merge_threshold_ = n; }
 
@@ -153,18 +152,18 @@ class IndexedStore final {
   const ReadView& view() const { return *view_; }
 
   /// Monotonic publish counter (the generation of the latest view).
-  /// This IS the public `Database::generation()` value; note it can
-  /// advance by more than one across a single mutation (a threshold
-  /// merge publishes, then the mutation publishes again). Writer-side
-  /// read; other threads read `PinView()->generation()` instead.
+  /// This IS the public `Database::generation()` value; every effective
+  /// `ApplyBatch` advances it by exactly one, a merge included.
+  /// Writer-side read; other threads read `PinView()->generation()`
+  /// instead.
   uint64_t generation() const { return generation_; }
 
   /// \internal Adopts another store's content (dictionary + runs +
   /// delta) and publishes it as this store's next view. Unlike a plain
   /// assignment this keeps the publish atomic — concurrent readers may
   /// pin views throughout — and keeps the generation monotonic. The
-  /// merge threshold is retained. Used by `Database::Open` to install
-  /// a snapshot's borrowed runs.
+  /// merge threshold is retained; the copy budget starts afresh. Used
+  /// by `Database::Open` to install a snapshot's borrowed runs.
   void AdoptFrom(IndexedStore&& other);
 
   /// The term dictionary (writer side; readers use `PinView()->dict()`).
@@ -204,7 +203,6 @@ class IndexedStore final {
                 std::vector<EncTriple> pos, std::vector<EncTriple> osp);
 
  private:
-  void MaybeMerge();
   /// Builds and atomically publishes the view of the current state.
   void Publish();
 
@@ -217,6 +215,9 @@ class IndexedStore final {
   std::shared_ptr<const ReadView> view_;
   uint64_t generation_ = 0;
   std::size_t merge_threshold_ = kDefaultMergeThreshold;
+  // Sum of the delta sizes built since the last merge: the copy budget
+  // spent so far. Reset by every merge and every wholesale install.
+  std::size_t copied_since_merge_ = 0;
 
   // Metrics (null when detached). Instrument pointers are cached at
   // set_metrics so the hot paths skip the registry's name lookup.

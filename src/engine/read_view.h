@@ -325,7 +325,8 @@ class ReadView final : public TripleSource {
   /// the base carries none (legacy snapshot not yet compacted, or a
   /// store that has never merged). The stats describe the base only —
   /// `pending_delta()` triples are not counted; the planner treats them
-  /// as estimation noise.
+  /// as estimation noise. The merge's copy budget keeps them below the
+  /// base size plus the merge threshold (see optimizer/cardinality.h).
   const CardinalityStats* stats() const { return base_->stats.get(); }
 
   /// \internal True when any base run of this view borrows mapped

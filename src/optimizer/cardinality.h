@@ -30,11 +30,12 @@
 /// base runs — the engine builds it when the base changes (delta merge
 /// / Compact / Checkpoint) and hangs it off `BaseRuns`, so every pinned
 /// `ReadView` carries the statistics consistent with the runs it scans.
-/// Pending delta triples are *not* reflected (they are few by
-/// construction — the merge threshold bounds them — and folding them in
-/// on every write would put a linear pass on the commit path); the
-/// planner treats stats as a slightly stale census, which estimation
-/// tolerates by design.
+/// Pending delta triples are *not* reflected (folding them in on every
+/// write would put a linear pass on the commit path). The merge's copy
+/// budget bounds them: below base size N + `merge_threshold` T, and
+/// about sqrt(2b(N + T)) for commits of b triples — ~17% of the base at
+/// b = 4096, N = 287k. The planner treats stats as a slightly stale
+/// census, which estimation tolerates by design.
 ///
 /// The entry structs double as the on-disk snapshot section images
 /// (sections 6..11, see docs/FILE_FORMAT.md): fixed 16-byte layouts,

@@ -309,11 +309,14 @@ TEST(CursorTest, PinnedCursorSurvivesCompactAndMergeChurn) {
   ASSERT_TRUE(stmt.ok());
   Cursor cursor = stmt.Execute();
   ASSERT_TRUE(cursor.Next());
-  // Churn: inserts crossing the merge threshold repeatedly, removals of
+  // Churn: inserts spending the merge budget repeatedly, removals of
   // rows the cursor has not delivered yet, and an explicit Compact.
+  const Counter& compactions = db.metrics().counter("store.compactions");
+  const uint64_t compactions_before = compactions.value();
   for (int i = 0; i < 16; ++i) {
     db.AddTriple("m" + std::to_string(i), "p", "m" + std::to_string(i + 1));
   }
+  EXPECT_GE(compactions.value(), compactions_before + 1);  // Merged mid-cursor.
   for (int i = 10; i < 20; ++i) {
     db.RemoveTriple("n" + std::to_string(i), "p", "n" + std::to_string(i + 1));
   }

@@ -156,7 +156,8 @@ TEST(WriteBatchTest, SinglePublishPerBatch) {
   uint64_t before = db.generation();
   ASSERT_TRUE(db.Apply(std::move(batch)).ok());
   // One merged delta build, ONE view publish — not one per triple.
-  // (200 < merge threshold, so no fold publish either.)
+  // (A merge, had the batch spent the copy budget, would fold inside
+  // that same publish.)
   EXPECT_EQ(db.generation(), before + 1);
   EXPECT_EQ(db.size(), triples.size());
 }

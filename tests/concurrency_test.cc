@@ -71,9 +71,12 @@ TEST(PinnedViewTest, OpenCursorSurvivesHeavyMutationAndDeliversItsSnapshot) {
   // Mutate everything underneath the open cursor: new rows, removal of
   // rows it has not reached, merges, a compaction, even a removal of a
   // row it already delivered.
+  const Counter& compactions = db.metrics().counter("store.compactions");
+  const uint64_t compactions_before = compactions.value();
   for (int i = 0; i < 64; ++i) {
     db.AddTriple("c" + std::to_string(i), "knows", "d" + std::to_string(i));
   }
+  EXPECT_GE(compactions.value(), compactions_before + 1);  // Merged mid-cursor.
   for (int i = 0; i < 64; i += 2) {
     db.RemoveTriple("a" + std::to_string(i), "knows", "b" + std::to_string(i));
   }
@@ -150,6 +153,7 @@ TEST(PinnedViewTest, ConcurrentReadersObserveMonotonicConsistentSnapshots) {
   EXPECT_EQ(write_failures.load(), 0u);
   EXPECT_EQ(reader_failures.load(), 0u);
   EXPECT_EQ(db.size(), static_cast<std::size_t>(kRows) + 1);
+  EXPECT_GE(db.metrics().counter("store.compactions").value(), 1u);
 }
 
 TEST(PinnedViewTest, ReadersMidCursorWhileWriterRemovesAndCompacts) {
@@ -468,22 +472,25 @@ TEST(SnapshotConcurrencyTest, PinnedViewKeepsMappedSnapshotAliveAcrossMerge) {
   Database db = std::move(reopened).value();
   ASSERT_TRUE(db.store().borrows_snapshot());
 
-  // Pin a cursor into the mapped base runs, then force merges that
-  // migrate the store to owned storage. The cursor's view must keep the
-  // mapping alive and valid until it is released.
+  // Pin a cursor into the mapped base runs, then force a merge that
+  // migrates the store to owned storage. The cursor's view must keep the
+  // mapping alive and valid until it is released. Single adds build
+  // deltas of 1, 2, ..., 20, whose sum (210) is the first to reach the
+  // copy budget of base + threshold = 204.
   Statement stmt = db.OpenSession().Prepare("(?x p0 ?y)");
   ASSERT_TRUE(stmt.ok());
   Cursor cursor = stmt.Execute();
   ASSERT_TRUE(cursor.Next());
-  for (int i = 0; i < 16; ++i) {
+  for (int i = 0; i < 20; ++i) {
     db.AddTriple("extra" + std::to_string(i), "p0", "extra" + std::to_string(i + 1));
   }
+  EXPECT_GE(db.metrics().counter("store.compactions").value(), 1u);
   EXPECT_FALSE(db.store().borrows_snapshot());  // Store migrated.
   uint64_t rows = 1;
   while (cursor.Next()) ++rows;
   EXPECT_EQ(rows, 200u);  // Full pre-mutation snapshot, read off the mapping.
   EXPECT_EQ(cursor.state(), Cursor::State::kExhausted);
-  EXPECT_EQ(stmt.Count(), 216u);
+  EXPECT_EQ(stmt.Count(), 220u);
 }
 
 }  // namespace

@@ -57,6 +57,66 @@ TEST(DictionaryTest, EncodingPreservesTermOrder) {
   }
 }
 
+TEST(DictionaryTest, EnsureTermsInterleavedWithTailAppendsKeepsIdsStable) {
+  // Intern the terms in one order and register them in a shuffled one,
+  // so every fold merges newcomers between already-folded TermIds.
+  TermPool pool;
+  std::vector<TermId> terms;
+  for (int i = 0; i < 3000; ++i) terms.push_back(pool.InternIri("t" + std::to_string(i)));
+  Rng rng(7);
+  for (std::size_t i = terms.size(); i > 1; --i) {
+    std::swap(terms[i - 1], terms[rng.NextBounded(static_cast<uint32_t>(i))]);
+  }
+  Dictionary dict = Dictionary::Build(std::vector<Triple>{
+      Triple(terms[0], terms[1], terms[2])});
+  std::vector<std::pair<TermId, DataId>> assigned;
+  for (std::size_t i = 0; i < 3; ++i) assigned.push_back({terms[i], dict.Encode(terms[i])});
+  auto expect_stable = [&](const std::string& step) {
+    const DictView view = dict.view();
+    for (const auto& [term, id] : assigned) {
+      ASSERT_EQ(dict.Encode(term), id) << step;
+      ASSERT_EQ(view.Encode(term), id) << step;
+      ASSERT_EQ(dict.Decode(id), term) << step;
+    }
+    ASSERT_EQ(dict.size(), assigned.size()) << step;
+  };
+  auto record_new = [&](std::size_t size_before) {
+    for (DataId id = static_cast<DataId>(size_before); id < dict.size(); ++id) {
+      assigned.push_back({dict.Decode(id), id});
+    }
+  };
+
+  std::size_t next = 3;
+  for (int round = 0; round < 8; ++round) {
+    // A bulk batch (past the fold limit on even rounds, below it on odd
+    // ones), repeating some already-known terms.
+    const std::size_t fresh = round % 2 == 0 ? 300 + 20 * round : 40;
+    std::vector<TermId> batch(terms.begin() + static_cast<std::ptrdiff_t>(next),
+                              terms.begin() + static_cast<std::ptrdiff_t>(next + fresh));
+    batch.insert(batch.end(), terms.begin(), terms.begin() + 10);
+    next += fresh;
+    std::size_t before = dict.size();
+    dict.EnsureTerms(batch);
+    EXPECT_EQ(dict.size(), before + fresh);
+    record_new(before);
+    expect_stable("EnsureTerms round " + std::to_string(round));
+
+    // Single appends onto the tail, sometimes crossing its fold.
+    for (int i = 0; i < 97; ++i) {
+      before = dict.size();
+      const DataId id = dict.GetOrAdd(terms[next++]);
+      EXPECT_EQ(id, before);
+      record_new(before);
+      EXPECT_EQ(dict.GetOrAdd(assigned[static_cast<std::size_t>(i) * 7 % assigned.size()].first),
+                assigned[static_cast<std::size_t>(i) * 7 % assigned.size()].second);
+    }
+    expect_stable("GetOrAdd round " + std::to_string(round));
+  }
+  for (std::size_t i = next; i < terms.size(); ++i) {
+    EXPECT_EQ(dict.Encode(terms[i]), kNoDataId);
+  }
+}
+
 // ---------------------------------------------------------------------
 // IndexedStore: permutation-range scans against the naive filter.
 // ---------------------------------------------------------------------
@@ -243,13 +303,16 @@ TEST_P(JoinDifferentialTest, JoinMatchesSolverOverLiveDeltaAndTombstones) {
     std::vector<Triple> present = graph.triples().triples();
     if (!present.empty() && rng.NextBounded(2) == 0) {
       const Triple t = present[rng.NextBounded(static_cast<uint32_t>(present.size()))];
-      ASSERT_TRUE(store.Erase(t));
+      ASSERT_TRUE(store.view().Contains(t));
+      store.ApplyBatch({}, {t});
       graph.Remove(t);
       continue;
     }
     TermId s = node();
     Triple t(s, node(), rng.NextBounded(3) == 0 ? s : node());
-    EXPECT_EQ(store.Insert(t), graph.Insert(t));
+    const bool added = graph.Insert(t);
+    EXPECT_EQ(store.view().Contains(t), !added);
+    if (added) store.ApplyBatch({t}, {});
   }
   ASSERT_GT(store.delta_size(), 0u);
   ASSERT_EQ(store.view().size(), graph.size());
@@ -284,7 +347,8 @@ TEST(JoinProbeTest, ProbeWhoseOnlyBaseMatchIsTombstonedFails) {
   IndexedStore store = IndexedStore::Build(graph.triples());
   store.set_merge_threshold(0);
   const Triple dead(pool.InternIri("a"), pool.InternIri("p"), pool.InternIri("b"));
-  ASSERT_TRUE(store.Erase(dead));
+  ASSERT_TRUE(store.view().Contains(dead));
+  store.ApplyBatch({}, {dead});
 
   EncPattern probe;
   ASSERT_TRUE(store.view().EncodeScanPattern(dead, &probe));
@@ -302,7 +366,8 @@ TEST(JoinProbeTest, ProbeWhoseOnlyMatchIsInTheDeltaSucceeds) {
   IndexedStore store = IndexedStore::Build(graph.triples());
   store.set_merge_threshold(0);
   const Triple fresh(pool.InternIri("a"), pool.InternIri("p"), pool.InternIri("b"));
-  ASSERT_TRUE(store.Insert(fresh));
+  ASSERT_FALSE(store.view().Contains(fresh));
+  store.ApplyBatch({fresh}, {});
 
   EncPattern probe;
   ASSERT_TRUE(store.view().EncodeScanPattern(fresh, &probe));
@@ -310,6 +375,130 @@ TEST(JoinProbeTest, ProbeWhoseOnlyMatchIsInTheDeltaSucceeds) {
   const std::vector<VarAssignment> answers = ProbeJoin(store, &pool);
   ASSERT_EQ(answers.size(), 1u);
   EXPECT_EQ(answers[0].at(pool.InternVariable("y")), pool.InternIri("b"));
+}
+
+// ---------------------------------------------------------------------
+// IndexedStore: the copy-budget merge schedule.
+// ---------------------------------------------------------------------
+
+/// `n` distinct triples `(<prefix>i p <prefix>i+1)`.
+std::vector<Triple> FreshTriples(TermPool* pool, const std::string& prefix, int n) {
+  std::vector<Triple> out;
+  const TermId p = pool->InternIri("p");
+  for (int i = 0; i < n; ++i) {
+    out.emplace_back(pool->InternIri(prefix + std::to_string(i)), p,
+                     pool->InternIri(prefix + std::to_string(i + 1)));
+  }
+  return out;
+}
+
+TEST(MergeScheduleTest, MergesExactlyWhereTheCopyBudgetRunsOut) {
+  // Base N = 200, threshold T = 8, commits of b = 10 fresh triples. The
+  // commits build deltas of 10, 20, 30, ...; their running sum reaches
+  // N + T = 208 at the 6th commit (10 + ... + 60 = 210), which merges.
+  // The new base of 260 needs 268, reached at the 7th commit after it.
+  TermPool pool;
+  IndexedStore store = IndexedStore::Build(FreshTriples(&pool, "base", 200));
+  store.set_merge_threshold(8);
+  auto metrics = std::make_shared<MetricsRegistry>();
+  store.set_metrics(metrics);
+  const Counter& compactions = metrics->counter("store.compactions");
+  const std::vector<int> expected_merges = {6, 13, 21, 30, 40};
+
+  std::size_t expected_size = 200;
+  uint64_t merges = 0;
+  for (int commit = 1; commit <= 40; ++commit) {
+    const uint64_t generation_before = store.generation();
+    const std::size_t base_before = store.base_size();
+    store.ApplyBatch(FreshTriples(&pool, "c" + std::to_string(commit) + "_", 10), {});
+    expected_size += 10;
+    const bool merged = std::find(expected_merges.begin(), expected_merges.end(),
+                                  commit) != expected_merges.end();
+    if (merged) ++merges;
+    EXPECT_EQ(compactions.value(), merges) << "commit " << commit;
+    EXPECT_EQ(store.delta_size() == 0, merged) << "commit " << commit;
+    EXPECT_EQ(store.base_size(), merged ? expected_size : base_before)
+        << "commit " << commit;
+    EXPECT_LT(store.delta_size(), store.base_size() + 8) << "commit " << commit;
+    EXPECT_EQ(store.generation(), generation_before + 1) << "commit " << commit;
+    EXPECT_EQ(store.view().size(), expected_size) << "commit " << commit;
+  }
+}
+
+TEST(MergeScheduleTest, CommitLargerThanTheBudgetMergesInsideOneApplyBatch) {
+  TermPool pool;
+  IndexedStore store = IndexedStore::Build(FreshTriples(&pool, "base", 20));
+  store.set_merge_threshold(8);
+  auto metrics = std::make_shared<MetricsRegistry>();
+  store.set_metrics(metrics);
+  const uint64_t generation_before = store.generation();
+  // One delta of 40 >= 20 + 8: the budget is spent by this commit alone.
+  store.ApplyBatch(FreshTriples(&pool, "big", 40), {});
+  EXPECT_EQ(metrics->counter("store.compactions").value(), 1u);
+  EXPECT_EQ(metrics->counter("write.publishes").value(), 1u);
+  EXPECT_EQ(store.generation(), generation_before + 1);
+  EXPECT_EQ(store.delta_size(), 0u);
+  EXPECT_EQ(store.base_size(), 60u);
+  EXPECT_EQ(store.view().size(), 60u);
+}
+
+TEST(MergeScheduleTest, RemovesSpendTheBudgetToo) {
+  // Tombstones are delta entries: removing base triples fills the delta
+  // like adds do.
+  TermPool pool;
+  const std::vector<Triple> base = FreshTriples(&pool, "base", 20);
+  IndexedStore store = IndexedStore::Build(base);
+  store.set_merge_threshold(4);
+  auto metrics = std::make_shared<MetricsRegistry>();
+  store.set_metrics(metrics);
+  const Counter& compactions = metrics->counter("store.compactions");
+  // Deltas of 5, 10: sum 15 < 24. Then 15: sum 30 >= 24, merge.
+  store.ApplyBatch({}, {base.begin(), base.begin() + 5});
+  store.ApplyBatch({}, {base.begin() + 5, base.begin() + 10});
+  EXPECT_EQ(compactions.value(), 0u);
+  EXPECT_EQ(store.delta_size(), 10u);
+  store.ApplyBatch({}, {base.begin() + 10, base.begin() + 15});
+  EXPECT_EQ(compactions.value(), 1u);
+  EXPECT_EQ(store.base_size(), 5u);
+  EXPECT_EQ(store.view().size(), 5u);
+}
+
+TEST(MergeScheduleTest, CommitThatEmptiesTheDeltaPublishesWithoutMerging) {
+  // A spent budget over an empty delta has nothing to fold: the commit
+  // must still publish its own view. (Reachable when the threshold is
+  // lowered after the copies were counted.)
+  TermPool pool;
+  IndexedStore store = IndexedStore::Build(FreshTriples(&pool, "base", 5));
+  store.set_merge_threshold(1000);
+  auto metrics = std::make_shared<MetricsRegistry>();
+  store.set_metrics(metrics);
+  const std::vector<Triple> fresh = FreshTriples(&pool, "fresh", 6);
+  store.ApplyBatch({fresh.begin(), fresh.begin() + 3}, {});
+  store.ApplyBatch({fresh.begin() + 3, fresh.end()}, {});  // Sum 3 + 6 = 9.
+  store.set_merge_threshold(1);                            // Budget 5 + 1 = 6.
+  const uint64_t generation_before = store.generation();
+  store.ApplyBatch({}, fresh);
+  EXPECT_EQ(store.generation(), generation_before + 1);
+  EXPECT_EQ(store.delta_size(), 0u);
+  EXPECT_EQ(store.view().size(), 5u);
+  EXPECT_EQ(metrics->counter("store.compactions").value(), 0u);
+}
+
+TEST(MergeScheduleTest, ZeroThresholdNeverMerges) {
+  TermPool pool;
+  IndexedStore store = IndexedStore::Build(FreshTriples(&pool, "base", 20));
+  store.set_merge_threshold(0);
+  auto metrics = std::make_shared<MetricsRegistry>();
+  store.set_metrics(metrics);
+  for (int commit = 0; commit < 50; ++commit) {
+    store.ApplyBatch(FreshTriples(&pool, "c" + std::to_string(commit) + "_", 10), {});
+  }
+  EXPECT_EQ(metrics->counter("store.compactions").value(), 0u);
+  EXPECT_EQ(store.base_size(), 20u);
+  EXPECT_EQ(store.delta_size(), 500u);
+  store.MergeDelta();  // Explicit compaction still folds everything.
+  EXPECT_EQ(store.delta_size(), 0u);
+  EXPECT_EQ(store.base_size(), 520u);
 }
 
 /// Base triples one full join of `(y0 email ?e) AND (?e domain ?d)`

@@ -140,7 +140,9 @@ TEST(ParallelDifferentialTest, ParallelMatchesSerialAndNaiveOracleUnderChurn) {
 TEST(ParallelStressTest, ParallelCursorsAgainstLiveWriterAndCompact) {
   TermPool pool;
   DatabaseOptions dopts;
-  dopts.merge_threshold = 16;  // Merge churn mid-flight.
+  // Merge churn: budget merges while loading, then the writer's
+  // Compact calls replace the base runs mid-flight.
+  dopts.merge_threshold = 16;
   Database db(&pool, dopts);
   Rng rng(0xe18a);
   for (int i = 0; i < 160; ++i) {
@@ -149,6 +151,7 @@ TEST(ParallelStressTest, ParallelCursorsAgainstLiveWriterAndCompact) {
     db.AddTriple("n" + std::to_string(rng.NextBounded(24)), "p1",
                  "n" + std::to_string(rng.NextBounded(24)));
   }
+  EXPECT_GE(db.metrics().counter("store.compactions").value(), 1u);
   Statement stmt = db.OpenSession().Prepare("((?x p0 ?y) AND (?y p1 ?z))");
   ASSERT_TRUE(stmt.ok());
   Snapshot snap = db.GetSnapshot();
