@@ -25,7 +25,7 @@
 #include "hom/homomorphism.h"
 #include "rdf/generator.h"
 #include "support/testlib.h"
-#include "util/check.h"
+#include "wdsparql/check.h"
 #include "wdsparql/wdsparql.h"
 
 namespace wdsparql {
@@ -109,8 +109,8 @@ void BM_E11_CandidateGeneration(benchmark::State& state) {
   uint64_t candidates = 0;
   for (auto _ : state) {
     if (indexed) {
-      JoinEnumerate(instance.view(), instance.path_pattern.triples(), VarAssignment{},
-                    [&](const VarAssignment&) {
+      JoinEnumerate(instance.view(), instance.path_pattern.triples(), Mapping{},
+                    [&](const Mapping&) {
                       ++candidates;
                       return true;
                     });

@@ -25,8 +25,8 @@
 #include "engine/indexed_store.h"
 #include "rdf/generator.h"
 #include "support/testlib.h"
-#include "util/check.h"
 #include "util/rng.h"
+#include "wdsparql/check.h"
 #include "wdsparql/wdsparql.h"
 
 namespace wdsparql {

@@ -23,7 +23,7 @@
 
 #include "rdf/generator.h"
 #include "rdf/ntriples.h"
-#include "util/check.h"
+#include "wdsparql/check.h"
 #include "wdsparql/wdsparql.h"
 
 namespace wdsparql {

@@ -26,7 +26,7 @@
 
 #include "engine/indexed_store.h"
 #include "rdf/generator.h"
-#include "util/check.h"
+#include "wdsparql/check.h"
 #include "wdsparql/wdsparql.h"
 
 namespace wdsparql {

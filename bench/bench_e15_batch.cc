@@ -25,7 +25,7 @@
 #include <vector>
 
 #include "rdf/generator.h"
-#include "util/check.h"
+#include "wdsparql/check.h"
 #include "wdsparql/wdsparql.h"
 
 namespace wdsparql {

@@ -22,7 +22,7 @@
 
 #include "rdf/generator.h"
 #include "support/testlib.h"
-#include "util/check.h"
+#include "wdsparql/check.h"
 #include "wdsparql/wdsparql.h"
 
 namespace wdsparql {

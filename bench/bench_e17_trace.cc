@@ -25,7 +25,7 @@
 
 #include "rdf/generator.h"
 #include "support/testlib.h"
-#include "util/check.h"
+#include "wdsparql/check.h"
 #include "wdsparql/wdsparql.h"
 
 namespace wdsparql {

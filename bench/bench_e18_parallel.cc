@@ -41,7 +41,7 @@
 #include <thread>
 
 #include "rdf/generator.h"
-#include "util/check.h"
+#include "wdsparql/check.h"
 #include "wdsparql/wdsparql.h"
 
 namespace wdsparql {

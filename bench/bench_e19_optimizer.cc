@@ -49,7 +49,7 @@
 #include <string>
 #include <vector>
 
-#include "util/check.h"
+#include "wdsparql/check.h"
 #include "wdsparql/wdsparql.h"
 
 namespace wdsparql {

@@ -5,7 +5,7 @@
 
 #include "rdf/generator.h"
 #include "rdf/graph.h"
-#include "util/check.h"
+#include "wdsparql/check.h"
 
 /// \file
 /// Shared fixtures for the experiment benches (see EXPERIMENTS.md).

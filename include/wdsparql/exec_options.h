@@ -69,9 +69,9 @@ struct ExecOptions {
   /// Worker threads enumerating this execution's candidate space in
   /// parallel over one pinned view; 0 and 1 both mean serial. Indexed
   /// backend only — the naive-hash oracle ignores it and runs serially.
-  /// The delivered solution *set* is identical to a serial run
-  /// (deduplicated once at the merge), but rows arrive in
-  /// nondeterministic order: consumers needing determinism sort, exactly
+  /// The delivered solution *set* is identical to a serial run (each
+  /// candidate is pulled, and judged, by exactly one worker), but rows
+  /// arrive in nondeterministic order: consumers needing determinism sort, exactly
   /// as they already must across backends. Deadlines, cancellation and
   /// row limits are honored promptly: every worker observes a stop
   /// within one `check_interval`.

@@ -46,9 +46,9 @@ struct ExecStats {
     std::size_t subtree = 0;  ///< Index of the subtree within its tree.
     std::string pattern;      ///< Rendered pat(T'), e.g. "(?x knows ?y)".
     uint64_t candidates = 0;  ///< Homomorphism candidates buffered.
-    uint64_t dedup_rejected = 0;    ///< Dropped: already emitted elsewhere.
+    uint64_t dedup_rejected = 0;    ///< Dropped: answers of an earlier tree.
     uint64_t non_maximal = 0;       ///< Dropped: a child pattern extends them.
-    uint64_t maximality_tests = 0;  ///< Extension certificates run.
+    uint64_t maximality_tests = 0;  ///< Extension tests run (incl. witness tests).
     uint64_t rows = 0;        ///< Answers this subpattern contributed.
 
     // Cost-based optimizer report (indexed backend with statistics;
@@ -77,9 +77,11 @@ struct ExecStats {
   // Enumeration totals.
   uint64_t rows_emitted = 0;     ///< Rows the cursor delivered (== Cursor::rows()).
   uint64_t candidates = 0;       ///< Candidates generated across subpatterns.
-  uint64_t dedup_rejected = 0;   ///< Candidates dropped as duplicates.
+  uint64_t dedup_rejected = 0;   ///< Dropped as answers of an earlier tree.
   uint64_t non_maximal = 0;      ///< Candidates dropped as extendable.
-  uint64_t maximality_tests = 0; ///< Extension certificates run.
+  /// Extension tests run: the open subtree's maximality certificates and
+  /// the earlier-tree witness tests behind `dedup_rejected`.
+  uint64_t maximality_tests = 0;
   uint64_t filtered_out = 0;     ///< Answers dropped by post-FILTERs.
   uint64_t projection_dedup_rejected = 0;  ///< Dropped by SELECT dedup.
   uint64_t empty_subpatterns = 0;  ///< Subtrees whose match set was empty.

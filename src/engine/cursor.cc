@@ -229,7 +229,8 @@ bool NextRow(CursorImpl* impl) {
       if (impl->stats != nullptr) ++impl->stats->filtered_out;
       continue;
     }
-    Mapping projected = impl->dedup ? mu.RestrictedTo(impl->columns) : mu;
+    Mapping projected =
+        impl->dedup ? mu.RestrictedTo(impl->columns) : std::move(mu);
     if (impl->dedup && !impl->emitted.insert(projected).second) {
       if (impl->stats != nullptr) ++impl->stats->projection_dedup_rejected;
       continue;

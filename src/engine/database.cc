@@ -411,7 +411,7 @@ class JoinCursorGenerator final : public CandidateGenerator {
                       Histogram* plan_ns_metric)
       : plan_(MakePlan(view.get(), patterns, optimize, plans_metric,
                        plan_ns_metric, &info_.plan_ns)),
-        cursor_(std::move(view), patterns, VarAssignment{}, stats,
+        cursor_(std::move(view), patterns, Mapping{}, stats,
                 plan_.has_value() ? &plan_->var_order : nullptr) {
     if (plan_.has_value()) {
       info_.est_rows = plan_->est_rows;
@@ -421,7 +421,7 @@ class JoinCursorGenerator final : public CandidateGenerator {
     if (claim) cursor_.SetRootClaim(claim);
   }
 
-  bool Next(VarAssignment* out) override { return cursor_.Next(out); }
+  bool Next(Mapping* out) override { return cursor_.Next(out); }
 
   const CandidatePlanInfo* plan_info() const override {
     return plan_.has_value() ? &info_ : nullptr;
@@ -462,8 +462,7 @@ Extends MakeExtends(const SessionOptions& options,
                     std::shared_ptr<const ReadView> view, ExecStats* join_stats) {
   if (options.backend == Backend::kIndexed) {
     return [view, join_stats](const TripleSet& combined, const Mapping& mu) {
-      return JoinExists(*view, combined.triples(), MappingToAssignment(mu),
-                        join_stats);
+      return JoinExists(*view, combined.triples(), mu, join_stats);
     };
   }
   if (options.pebble_promise > 0) {

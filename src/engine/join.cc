@@ -4,7 +4,7 @@
 #include <optional>
 #include <unordered_map>
 
-#include "util/check.h"
+#include "wdsparql/check.h"
 
 namespace wdsparql {
 namespace {
@@ -24,7 +24,7 @@ struct EncConjunct {
 /// and resume exactly there.
 struct JoinCursor::State {
   State(std::shared_ptr<const ReadView> owned, const ReadView& view,
-        const VarAssignment& fixed_in, ExecStats* stats_in)
+        const Mapping& fixed_in, ExecStats* stats_in)
       : keepalive(std::move(owned)), store(view), fixed(fixed_in), stats(stats_in) {}
 
   /// One descent level: the intersected candidate values of the level's
@@ -36,7 +36,7 @@ struct JoinCursor::State {
 
   std::shared_ptr<const ReadView> keepalive;  // Null for borrowed views.
   const ReadView& store;
-  VarAssignment fixed;  // By value: the cursor outlives the Execute call.
+  Mapping fixed;  // By value: the cursor outlives the Execute call.
   ExecStats* stats;
   std::function<bool()> claim;  // Null = every root value is ours.
 
@@ -63,7 +63,7 @@ struct JoinCursor::State {
   bool Setup(const std::vector<Triple>& patterns,
              const std::vector<TermId>* preferred_order) {
     for (const Triple& raw : patterns) {
-      Triple t = ApplyAssignment(fixed, raw);
+      Triple t = fixed.ApplyPartial(raw);
       EncConjunct c;
       bool ground = true;
       EncTriple enc_ground;
@@ -228,15 +228,15 @@ struct JoinCursor::State {
         level.values.end());
   }
 
-  void Emit(VarAssignment* out) {
+  void Emit(Mapping* out) {
     *out = fixed;
     for (std::size_t i = 0; i < vars.size(); ++i) {
-      (*out)[vars[i]] = store.dict().Decode(binding[i]);
+      out->Bind(vars[i], store.dict().Decode(binding[i]));
     }
     if (stats != nullptr) stats->dict_decodes += vars.size();
   }
 
-  bool Next(VarAssignment* out) {
+  bool Next(Mapping* out) {
     if (done) return false;
     if (depth < 0) {
       if (order.empty()) {
@@ -278,7 +278,7 @@ struct JoinCursor::State {
 
 JoinCursor::JoinCursor(std::shared_ptr<const ReadView> view,
                        const std::vector<Triple>& patterns,
-                       const VarAssignment& fixed, ExecStats* stats,
+                       const Mapping& fixed, ExecStats* stats,
                        const std::vector<TermId>* var_order) {
   WDSPARQL_CHECK(view != nullptr);
   const ReadView& ref = *view;
@@ -287,7 +287,7 @@ JoinCursor::JoinCursor(std::shared_ptr<const ReadView> view,
 }
 
 JoinCursor::JoinCursor(const ReadView& view, const std::vector<Triple>& patterns,
-                       const VarAssignment& fixed, ExecStats* stats,
+                       const Mapping& fixed, ExecStats* stats,
                        const std::vector<TermId>* var_order)
     : state_(std::make_unique<State>(nullptr, view, fixed, stats)) {
   if (!state_->Setup(patterns, var_order)) state_->done = true;
@@ -297,27 +297,27 @@ JoinCursor::~JoinCursor() = default;
 JoinCursor::JoinCursor(JoinCursor&&) noexcept = default;
 JoinCursor& JoinCursor::operator=(JoinCursor&&) noexcept = default;
 
-bool JoinCursor::Next(VarAssignment* out) { return state_->Next(out); }
+bool JoinCursor::Next(Mapping* out) { return state_->Next(out); }
 
 void JoinCursor::SetRootClaim(std::function<bool()> claim) {
   state_->claim = std::move(claim);
 }
 
 void JoinEnumerate(const ReadView& store, const std::vector<Triple>& patterns,
-                   const VarAssignment& fixed,
-                   const std::function<bool(const VarAssignment&)>& callback,
+                   const Mapping& fixed,
+                   const std::function<bool(const Mapping&)>& callback,
                    ExecStats* stats) {
   JoinCursor cursor(store, patterns, fixed, stats);
-  VarAssignment out;
+  Mapping out;
   while (cursor.Next(&out)) {
     if (!callback(out)) return;
   }
 }
 
 bool JoinExists(const ReadView& store, const std::vector<Triple>& patterns,
-                const VarAssignment& fixed, ExecStats* stats) {
+                const Mapping& fixed, ExecStats* stats) {
   JoinCursor cursor(store, patterns, fixed, stats);
-  VarAssignment out;
+  Mapping out;
   return cursor.Next(&out);
 }
 

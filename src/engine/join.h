@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "engine/read_view.h"
-#include "hom/homomorphism.h"
+#include "wdsparql/mapping.h"
 #include "wdsparql/stats.h"
 
 /// \file
@@ -45,10 +45,11 @@
 
 namespace wdsparql {
 
-/// Pull-based resumable join: each `Next` call produces one assignment
-/// and suspends with the whole descent state (one {values, position}
-/// frame per bound variable) intact, so a caller that stops after the
-/// first row pays for one row — not for the subtree's whole match set.
+/// Pull-based resumable join: each `Next` call produces one solution
+/// mapping and suspends with the whole descent state (one {values,
+/// position} frame per bound variable) intact, so a caller that stops
+/// after the first row pays for one row — not for the subtree's whole
+/// match set.
 ///
 /// The cursor copies `fixed` and may share ownership of the view, so it
 /// can outlive the `Execute` call that created it; `stats` (optional)
@@ -74,22 +75,22 @@ class JoinCursor {
   /// answers. Passing null preserves the historic heuristic order
   /// exactly (the `ExecOptions::optimize = false` contract).
   JoinCursor(std::shared_ptr<const ReadView> view,
-             const std::vector<Triple>& patterns, const VarAssignment& fixed,
+             const std::vector<Triple>& patterns, const Mapping& fixed,
              ExecStats* stats = nullptr,
              const std::vector<TermId>* var_order = nullptr);
   /// Borrows `view`, which must outlive the cursor (the classic
   /// callback drivers below use this form).
   JoinCursor(const ReadView& view, const std::vector<Triple>& patterns,
-             const VarAssignment& fixed, ExecStats* stats = nullptr,
+             const Mapping& fixed, ExecStats* stats = nullptr,
              const std::vector<TermId>* var_order = nullptr);
   ~JoinCursor();
   JoinCursor(JoinCursor&&) noexcept;
   JoinCursor& operator=(JoinCursor&&) noexcept;
 
-  /// Produces the next solution (including `fixed`, same convention as
-  /// EnumerateHomomorphisms). Returns false once exhausted (and from
-  /// then on).
-  bool Next(VarAssignment* out);
+  /// Produces the next solution: `fixed` extended by the join's
+  /// variables, written over `out` (whose storage is reused). Returns
+  /// false once exhausted (and from then on).
+  bool Next(Mapping* out);
 
   /// Installs a work-partitioning claim consulted once per root-level
   /// binding, in the cursor's deterministic candidate order: `claim()`
@@ -104,10 +105,9 @@ class JoinCursor {
   std::unique_ptr<State> state_;
 };
 
-/// Enumerates every assignment of vars(`patterns`) \ dom(`fixed`) such
-/// that all patterns, instantiated by the assignment plus `fixed`, are
-/// triples of `view`. The emitted assignments include `fixed` (same
-/// convention as EnumerateHomomorphisms). `callback` may return false to
+/// Enumerates every mapping mu ⊇ `fixed` with dom(mu) = vars(`patterns`)
+/// ∪ dom(`fixed`) such that every pattern, instantiated by mu, is a
+/// triple of `view`. `callback` may return false to
 /// stop. Deterministic order. Patterns may repeat variables within a
 /// triple; `fixed` values must occur in the view for a match to exist.
 ///
@@ -115,13 +115,13 @@ class JoinCursor {
 /// thread concurrently with a live writer: pin a view
 /// (`IndexedStore::PinView`) and keep it pinned for the join's duration.
 void JoinEnumerate(const ReadView& view, const std::vector<Triple>& patterns,
-                   const VarAssignment& fixed,
-                   const std::function<bool(const VarAssignment&)>& callback,
+                   const Mapping& fixed,
+                   const std::function<bool(const Mapping&)>& callback,
                    ExecStats* stats = nullptr);
 
-/// True iff at least one such assignment exists (early-exit join).
+/// True iff at least one such mapping exists (early-exit join).
 bool JoinExists(const ReadView& view, const std::vector<Triple>& patterns,
-                const VarAssignment& fixed, ExecStats* stats = nullptr);
+                const Mapping& fixed, ExecStats* stats = nullptr);
 
 }  // namespace wdsparql
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <tuple>
 
-#include "util/check.h"
+#include "wdsparql/check.h"
 
 namespace wdsparql {
 
@@ -137,10 +137,8 @@ void ParallelEnumerator::WorkerMain(std::size_t index) {
           return false;
         },
         options_.check_interval);
-    QueuedRow row;
-    while (enumerator.Next(&row.mu)) {
-      row.tree = enumerator.tree_index();
-      row.subtree = enumerator.subtree_index();
+    Mapping row;
+    while (enumerator.Next(&row)) {
       if (!Push(std::move(row))) break;
     }
     AccumulateExecStats(enumerator.stats(), &worker.stats);
@@ -156,7 +154,7 @@ void ParallelEnumerator::WorkerMain(std::size_t index) {
   not_empty_.notify_all();
 }
 
-bool ParallelEnumerator::Push(QueuedRow row) {
+bool ParallelEnumerator::Push(Mapping row) {
   std::unique_lock<std::mutex> lock(mutex_);
   not_full_.wait(lock, [this] {
     return queue_.size() < options_.queue_capacity ||
@@ -169,7 +167,7 @@ bool ParallelEnumerator::Push(QueuedRow row) {
   return true;
 }
 
-bool ParallelEnumerator::Pop(QueuedRow* out) {
+bool ParallelEnumerator::Pop(Mapping* out) {
   std::unique_lock<std::mutex> lock(mutex_);
   not_empty_.wait(lock, [this] {
     return !queue_.empty() || active_workers_ == 0 ||
@@ -190,30 +188,17 @@ bool ParallelEnumerator::Next(Mapping* out) {
   WDSPARQL_CHECK(out != nullptr);
   if (finished_) return false;
   if (!started_) Start();
-  QueuedRow row;
-  while (true) {
-    // The consumer evaluates the user probe too (once per pull): workers
-    // blocked on a full queue cannot reach their own probe sites, and a
-    // fired token must beat rows already queued — the serial engine
-    // delivers nothing after its probe fires, so neither may the merge.
-    if (probe_ && !user_interrupted_.load(std::memory_order_relaxed) &&
-        probe_()) {
-      user_interrupted_.store(true, std::memory_order_relaxed);
-      stop_.store(true, std::memory_order_relaxed);
-      not_empty_.notify_all();
-      not_full_.notify_all();
-    }
-    if (!Pop(&row)) break;
-    // The one cross-worker deduplication point: workers dedup their own
-    // subsets, the merge dedups across them, so the delivered set equals
-    // the serial `seen_` semantics exactly.
-    if (!seen_.insert(row.mu).second) {
-      ++merge_rejected_[{row.tree, row.subtree}];
-      continue;
-    }
-    *out = std::move(row.mu);
-    return true;
+  // The consumer evaluates the user probe too (once per pull): workers
+  // blocked on a full queue cannot reach their own probe sites, and a
+  // fired token must beat rows already queued — the serial engine
+  // delivers nothing after its probe fires, so neither may the merge.
+  if (probe_ && !user_interrupted_.load(std::memory_order_relaxed) && probe_()) {
+    user_interrupted_.store(true, std::memory_order_relaxed);
+    stop_.store(true, std::memory_order_relaxed);
+    not_empty_.notify_all();
+    not_full_.notify_all();
   }
+  if (Pop(out)) return true;
   Shutdown();
   return false;
 }
@@ -246,19 +231,6 @@ void ParallelEnumerator::MergeWorkerStats() {
     stats_.empty_subpatterns = subtrees_seen > stats_.subpatterns.size()
                                    ? subtrees_seen - stats_.subpatterns.size()
                                    : 0;
-  }
-  // A merge rejection turns one of its subpattern's worker-counted rows
-  // into a duplicate (a duplicate is a duplicate, wherever it was
-  // caught), so the breakdown keeps summing to the totals.
-  for (const auto& [key, count] : merge_rejected_) {
-    stats_.dedup_rejected += count;
-    for (ExecStats::Subpattern& sub : stats_.subpatterns) {
-      if (sub.tree == key.first && sub.subtree == key.second) {
-        sub.rows -= count;
-        sub.dedup_rejected += count;
-        break;
-      }
-    }
   }
   if (trace_ != nullptr) {
     // Worker and subtree spans, recorded by the workers as plain

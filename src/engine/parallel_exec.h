@@ -7,17 +7,15 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "ptree/forest.h"
-#include "sparql/mapping.h"
 #include "wd/enumerate.h"
+#include "wdsparql/mapping.h"
 #include "wdsparql/stats.h"
 #include "wdsparql/trace.h"
 
@@ -34,19 +32,21 @@
 /// claimed unit and one local compare for everyone else.
 ///
 /// Results flow through a bounded queue into the consumer thread, which
-/// deduplicates once across workers (each worker dedups only its own
-/// subset) and delivers rows in arrival order — the solution *set* is
-/// byte-identical to a serial run, the row *order* is not (callers that
-/// need determinism sort, exactly as they already must across backends).
+/// only drains it and delivers rows in arrival order. No answer is
+/// produced twice: each candidate is generated by exactly one worker,
+/// and every worker's enumerator rejects the answers of earlier trees by
+/// the stateless witness test (see wd/enumerate.h), whoever emitted
+/// them. So the solution *set* is byte-identical to a serial run, the
+/// row *order* is not (callers that need determinism sort, exactly as
+/// they already must across backends).
 ///
 /// Observability keeps the cursor-local discipline and is exactly as
 /// explainable as a serial run: every worker counts into its own
 /// `ExecStats` (the join layer's storage counters and its enumerator's
 /// record), and shutdown merges them with `AccumulateExecStats` — the
 /// same function the cursor's finish path folds a serial record with.
-/// Every queued row carries the (tree, subtree) that produced it, so a
-/// cross-worker duplicate moves one count from that subpattern's `rows`
-/// to its `dedup_rejected`: the merged breakdown sums to the totals, and
+/// Every candidate gets its one verdict inside the worker that pulled
+/// it, so the merged breakdown sums to the totals and
 /// `candidates == dedup_rejected + non_maximal + rows delivered`.
 /// Per-worker and per-subtree trace spans are recorded as plain timings
 /// by the workers and emitted from the consumer thread (the
@@ -67,7 +67,7 @@ namespace wdsparql {
 /// record, an enumeration record into the cursor's.
 void AccumulateExecStats(const ExecStats& from, ExecStats* into);
 
-/// Merged, deduplicated, pull-based parallel enumeration. Mirrors the
+/// Merged, pull-based parallel enumeration. Mirrors the
 /// slice of the `SolutionEnumerator` interface the engine's cursor
 /// drives, so `CursorImpl` can hold either interchangeably.
 class ParallelEnumerator {
@@ -109,8 +109,8 @@ class ParallelEnumerator {
     return user_interrupted_.load(std::memory_order_relaxed);
   }
 
-  /// The merged record: every worker's, plus the merge's own dedup
-  /// rejections. Final once `Next` returned false or `Shutdown` ran.
+  /// The merged record of every worker. Final once `Next` returned false
+  /// or `Shutdown` ran.
   const ExecStats& stats() const { return stats_; }
 
   /// Thread-safe interruption probe shared by every worker (the cursor
@@ -156,23 +156,15 @@ class ParallelEnumerator {
     std::thread thread;
   };
 
-  /// A delivered answer and the (tree, subtree) coordinates of the
-  /// subpattern that produced it.
-  struct QueuedRow {
-    Mapping mu;
-    std::size_t tree = 0;
-    std::size_t subtree = 0;
-  };
-
   void Start();
   void WorkerMain(std::size_t index);
   /// Claim filter for worker-local use: hands each global work ordinal
   /// to exactly one worker via `claim_counter_`.
   std::function<bool()> MakeClaim();
   /// Blocking bounded push; false when the stop flag cut it short.
-  bool Push(QueuedRow row);
+  bool Push(Mapping row);
   /// Blocking pop; false when drained or stopped.
-  bool Pop(QueuedRow* out);
+  bool Pop(Mapping* out);
   void MergeWorkerStats();
 
   const PatternForest* forest_;
@@ -186,18 +178,14 @@ class ParallelEnumerator {
   std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
-  std::deque<QueuedRow> queue_;
+  std::deque<Mapping> queue_;
   std::size_t active_workers_ = 0;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   bool started_ = false;
   bool finished_ = false;
 
-  // Consumer-thread state: cross-worker dedup, its rejections per
-  // (tree, subtree), and the merged record.
-  std::unordered_set<Mapping, MappingHash> seen_;
-  std::map<std::pair<std::size_t, std::size_t>, uint64_t> merge_rejected_;
-  ExecStats stats_;
+  ExecStats stats_;  // The merged record (consumer thread).
 
   const TermPool* pool_ = nullptr;  // Non-null: CollectStats enabled.
   TraceContext* trace_ = nullptr;

@@ -2,7 +2,7 @@
 
 #include <unordered_set>
 
-#include "util/check.h"
+#include "wdsparql/check.h"
 
 namespace wdsparql {
 namespace {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <deque>
 
-#include "util/check.h"
+#include "wdsparql/check.h"
 
 namespace wdsparql {
 namespace {

@@ -4,8 +4,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/check.h"
-#include "util/hash.h"
+#include "wdsparql/check.h"
+#include "wdsparql/hash.h"
 
 namespace wdsparql {
 namespace {

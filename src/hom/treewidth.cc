@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <queue>
 
-#include "util/check.h"
+#include "wdsparql/check.h"
 
 namespace wdsparql {
 namespace {

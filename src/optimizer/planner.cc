@@ -6,7 +6,7 @@
 #include <unordered_map>
 
 #include "optimizer/cardinality.h"
-#include "util/check.h"
+#include "wdsparql/check.h"
 
 namespace wdsparql {
 namespace optimizer {

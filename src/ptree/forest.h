@@ -5,7 +5,7 @@
 
 #include "ptree/pattern_tree.h"
 #include "sparql/ast.h"
-#include "util/status.h"
+#include "wdsparql/status.h"
 
 /// \file
 /// Well-designed pattern forests and the wdpf(·) translation.

@@ -4,7 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "util/check.h"
+#include "wdsparql/check.h"
 
 namespace wdsparql {
 namespace {

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "rdf/triple_set.h"
-#include "util/status.h"
+#include "wdsparql/status.h"
 
 /// \file
 //// Well-designed pattern trees (wdPTs; Section 2.1 of the paper).

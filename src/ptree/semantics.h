@@ -6,7 +6,7 @@
 #include "ptree/forest.h"
 #include "ptree/subtree.h"
 #include "rdf/graph.h"
-#include "sparql/mapping.h"
+#include "wdsparql/mapping.h"
 
 /// \file
 /// The Lemma 1 semantics of wdPTs.

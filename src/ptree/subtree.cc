@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/check.h"
+#include "wdsparql/check.h"
 
 namespace wdsparql {
 
@@ -36,6 +36,16 @@ std::vector<NodeId> SubtreeChildren(const Subtree& subtree) {
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::vector<TripleSet> SubtreeCertificates(const Subtree& subtree) {
+  const TripleSet pattern = SubtreePattern(subtree);
+  std::vector<TripleSet> certificates;
+  for (NodeId child : SubtreeChildren(subtree)) {
+    certificates.push_back(pattern);
+    certificates.back().InsertAll(subtree.tree->pattern(child));
+  }
+  return certificates;
 }
 
 namespace {

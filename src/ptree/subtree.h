@@ -8,7 +8,7 @@
 #include "ptree/pattern_tree.h"
 #include "rdf/scan.h"
 #include "rdf/triple_set.h"
-#include "sparql/mapping.h"
+#include "wdsparql/mapping.h"
 
 /// \file
 /// The subtree calculus of wdPTs (Sections 2.1 and 3.1).
@@ -40,6 +40,11 @@ std::vector<TermId> SubtreeVariables(const Subtree& subtree);
 
 /// The children of the subtree: nodes outside it whose parent is inside.
 std::vector<NodeId> SubtreeChildren(const Subtree& subtree);
+
+/// The maximality certificates of T': pat(T') ∪ pat(c) for each child c,
+/// in `SubtreeChildren` order. A mapping with domain vars(T') that
+/// matches pat(T') is an answer of T' iff none of them extends it.
+std::vector<TripleSet> SubtreeCertificates(const Subtree& subtree);
 
 /// Enumerates every subtree of `tree` (all parent-closed node sets
 /// containing the root), invoking `fn` for each. The count is exponential

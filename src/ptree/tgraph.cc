@@ -7,7 +7,7 @@
 #include "hom/core.h"
 #include "hom/homomorphism.h"
 #include "hom/pebble.h"
-#include "util/check.h"
+#include "wdsparql/check.h"
 
 namespace wdsparql {
 

@@ -7,8 +7,8 @@
 #include "hom/homomorphism.h"
 #include "hom/treewidth.h"
 #include "rdf/triple_set.h"
-#include "sparql/mapping.h"
 #include "util/undirected_graph.h"
+#include "wdsparql/mapping.h"
 
 /// \file
 /// Generalised t-graphs (Section 3 of the paper).

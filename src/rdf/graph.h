@@ -5,7 +5,7 @@
 #include <string_view>
 
 #include "rdf/triple_set.h"
-#include "util/status.h"
+#include "wdsparql/status.h"
 
 /// \file
 /// Ground RDF graphs.

@@ -6,7 +6,7 @@
 #include <string_view>
 
 #include "rdf/graph.h"
-#include "util/status.h"
+#include "wdsparql/status.h"
 
 /// \file
 /// A line-oriented reader/writer for ground RDF graphs.

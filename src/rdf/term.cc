@@ -1,4 +1,4 @@
-#include "rdf/term.h"
+#include "wdsparql/term.h"
 
 #include "util/strings.h"
 

@@ -6,7 +6,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "rdf/triple.h"
+#include "wdsparql/triple.h"
 
 /// \file
 /// An indexed set of triples.

@@ -5,9 +5,9 @@
 #include <string>
 #include <vector>
 
-#include "rdf/term.h"
-#include "rdf/triple.h"
 #include "sparql/filter.h"
+#include "wdsparql/term.h"
+#include "wdsparql/triple.h"
 
 /// \file
 /// The SPARQL graph-pattern algebra (Section 2 of the paper).

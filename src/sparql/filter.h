@@ -4,8 +4,8 @@
 #include <string>
 #include <vector>
 
-#include "rdf/term.h"
-#include "sparql/mapping.h"
+#include "wdsparql/mapping.h"
+#include "wdsparql/term.h"
 
 /// \file
 /// FILTER conditions (the Section 5 extension).

@@ -1,8 +1,8 @@
-#include "sparql/mapping.h"
+#include "wdsparql/mapping.h"
 
 #include <algorithm>
 
-#include "util/check.h"
+#include "wdsparql/check.h"
 
 namespace wdsparql {
 

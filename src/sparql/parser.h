@@ -4,7 +4,7 @@
 #include <string_view>
 
 #include "sparql/ast.h"
-#include "util/status.h"
+#include "wdsparql/status.h"
 
 /// \file
 /// Parser for the algebraic SPARQL fragment of the paper.

@@ -5,7 +5,7 @@
 
 #include "rdf/graph.h"
 #include "sparql/ast.h"
-#include "sparql/mapping.h"
+#include "wdsparql/mapping.h"
 
 /// \file
 /// The textbook set semantics of AND/OPT/UNION patterns (Section 2).

@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "sparql/ast.h"
-#include "util/status.h"
+#include "wdsparql/status.h"
 
 /// \file
 /// Well-designedness (Pérez, Arenas, Gutierrez; Section 2 of the paper).

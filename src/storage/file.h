@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "util/status.h"
+#include "wdsparql/status.h"
 
 /// \file
 /// File access primitives for the persistence layer.

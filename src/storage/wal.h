@@ -9,8 +9,8 @@
 #include <memory>
 
 #include "storage/format.h"
-#include "util/status.h"
 #include "wdsparql/metrics.h"
+#include "wdsparql/status.h"
 #include "wdsparql/storage.h"
 #include "wdsparql/trace.h"
 

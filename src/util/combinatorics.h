@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/check.h"
+#include "wdsparql/check.h"
 
 /// \file
 /// Subset and combination enumeration helpers.

@@ -1,4 +1,4 @@
-#include "util/status.h"
+#include "wdsparql/status.h"
 
 namespace wdsparql {
 

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <queue>
 
-#include "util/check.h"
+#include "wdsparql/check.h"
 
 namespace wdsparql {
 

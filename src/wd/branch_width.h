@@ -6,7 +6,7 @@
 #include "ptree/pattern_tree.h"
 #include "ptree/tgraph.h"
 #include "sparql/ast.h"
-#include "util/status.h"
+#include "wdsparql/status.h"
 
 /// \file
 /// Branch treewidth (Definition 3, Section 3.2).

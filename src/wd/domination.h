@@ -9,7 +9,7 @@
 #include "ptree/forest.h"
 #include "ptree/subtree.h"
 #include "ptree/tgraph.h"
-#include "util/status.h"
+#include "wdsparql/status.h"
 
 /// \file
 /// Domination width (Definitions 1 and 2, Section 3.1).

@@ -1,7 +1,6 @@
 #include "wd/enumerate.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "hom/homomorphism.h"
 #include "hom/pebble.h"
@@ -32,16 +31,16 @@ std::string RenderPattern(const TermPool& pool, const TripleSet& pattern) {
 /// one pull at a time.
 class MaterializedGenerator final : public CandidateGenerator {
  public:
-  bool Next(VarAssignment* out) override {
+  bool Next(Mapping* out) override {
     if (pos_ >= buffer_.size()) return false;
     *out = std::move(buffer_[pos_++]);
     return true;
   }
 
-  std::vector<VarAssignment>& buffer() { return buffer_; }
+  std::vector<Mapping>& buffer() { return buffer_; }
 
  private:
-  std::vector<VarAssignment> buffer_;
+  std::vector<Mapping> buffer_;
   std::size_t pos_ = 0;
 };
 
@@ -97,7 +96,11 @@ std::unique_ptr<CandidateGenerator> MaterializeHomomorphisms(
                            // huge match set still stops within one check
                            // interval of an interruption.
                            if (stop()) return false;
-                           materialized->buffer().push_back(assignment);
+                           Mapping mu;
+                           for (const auto& [var, value] : assignment) {
+                             mu.Bind(var, value);
+                           }
+                           materialized->buffer().push_back(std::move(mu));
                            return true;
                          });
   return materialized;
@@ -105,7 +108,14 @@ std::unique_ptr<CandidateGenerator> MaterializeHomomorphisms(
 
 SolutionEnumerator::SolutionEnumerator(const PatternForest& forest,
                                        EnumerationHooks hooks)
-    : forest_(&forest), hooks_(std::move(hooks)) {}
+    : forest_(&forest), hooks_(std::move(hooks)) {
+  // Enumeration without an answer set rests on NR normal form: it is
+  // what makes a mapping's subtree, and so its one derivation per tree,
+  // unique.
+  for (const PatternTree& tree : forest.trees) {
+    WDSPARQL_CHECK(tree.IsNrNormalForm());
+  }
+}
 
 SolutionEnumerator::~SolutionEnumerator() { EndSubtreeTiming(); }
 
@@ -147,10 +157,19 @@ bool SolutionEnumerator::AdvanceSubtree() {
   }
   const Subtree& subtree = subtrees_[subtree_idx_++];
   pattern_ = SubtreePattern(subtree);
-  certificates_.clear();
-  for (NodeId child : SubtreeChildren(subtree)) {
-    certificates_.push_back(pattern_);
-    certificates_.back().InsertAll(subtree.tree->pattern(child));
+  open_.certificates = SubtreeCertificates(subtree);
+  earlier_.clear();
+  const std::vector<TermId> vars = SubtreeVariables(subtree);
+  for (std::size_t j = 0; j < tree_idx_; ++j) {
+    std::optional<Subtree> witness = FindWitnessSubtree(forest_->trees[j], vars);
+    if (!witness.has_value()) continue;
+    Witness earlier;
+    const TripleSet witness_pattern = SubtreePattern(*witness);
+    for (const Triple& t : witness_pattern.triples()) {
+      if (!pattern_.Contains(t)) earlier.residual.Insert(t);
+    }
+    earlier.certificates = SubtreeCertificates(*witness);
+    earlier_.push_back(std::move(earlier));
   }
   cur_candidates_ = 0;
   sub_open_ = false;
@@ -181,7 +200,6 @@ bool SolutionEnumerator::Next(Mapping* out) {
   WDSPARQL_CHECK(out != nullptr);
   if (state_ == State::kDone) return false;
   state_ = State::kActive;
-  VarAssignment assignment;
   while (true) {
     if (CheckInterrupt()) {
       state_ = State::kDone;
@@ -195,7 +213,7 @@ bool SolutionEnumerator::Next(Mapping* out) {
       }
       continue;
     }
-    if (!generator_->Next(&assignment)) {
+    if (!generator_->Next(out)) {
       // Subtree exhausted. Empty subtrees are only tallied (no
       // breakdown entry), or a wide forest would drown the report in
       // zero rows.
@@ -225,36 +243,32 @@ bool SolutionEnumerator::Next(Mapping* out) {
       }
       ++CurSubpattern()->candidates;
     }
-    Mapping candidate;
-    for (const auto& [var, value] : assignment) {
-      WDSPARQL_CHECK(candidate.Bind(var, value));
-    }
-    const Mapping& mu = candidate;
-    if (seen_.count(mu) > 0) {
+    const Mapping& mu = *out;
+    if (std::any_of(earlier_.begin(), earlier_.end(),
+                    [&](const Witness& witness) { return Accepts(witness, mu); })) {
       ++stats_.dedup_rejected;
       if (ExecStats::Subpattern* sub = CurSubpattern()) ++sub->dedup_rejected;
       continue;
     }
-    // Maximality: no child may extend mu.
-    bool maximal = true;
-    for (const TripleSet& combined : certificates_) {
-      ++stats_.maximality_tests;
-      if (ExecStats::Subpattern* sub = CurSubpattern()) ++sub->maximality_tests;
-      if (hooks_.extends(combined, mu)) {
-        maximal = false;
-        break;
-      }
-    }
-    if (!maximal) {
+    if (!Accepts(open_, mu)) {
       ++stats_.non_maximal;
       if (ExecStats::Subpattern* sub = CurSubpattern()) ++sub->non_maximal;
       continue;
     }
-    seen_.insert(mu);
     if (ExecStats::Subpattern* sub = CurSubpattern()) ++sub->rows;
-    *out = mu;
     return true;
   }
+}
+
+bool SolutionEnumerator::Accepts(const Witness& witness, const Mapping& mu) {
+  auto extends = [&](const TripleSet& pattern) {
+    ++stats_.maximality_tests;
+    if (ExecStats::Subpattern* sub = CurSubpattern()) ++sub->maximality_tests;
+    return hooks_.extends(pattern, mu);
+  };
+  if (!witness.residual.empty() && !extends(witness.residual)) return false;
+  return std::none_of(witness.certificates.begin(), witness.certificates.end(),
+                      extends);
 }
 
 void EnumerateSolutionsNaive(const PatternForest& forest, const RdfGraph& graph,

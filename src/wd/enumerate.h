@@ -4,16 +4,14 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
-#include "hom/homomorphism.h"
 #include "ptree/forest.h"
 #include "ptree/subtree.h"
 #include "rdf/graph.h"
 #include "rdf/scan.h"
-#include "sparql/mapping.h"
 #include "wd/eval.h"
+#include "wdsparql/mapping.h"
 #include "wdsparql/stats.h"
 #include "wdsparql/trace.h"
 
@@ -39,14 +37,26 @@
 /// candidate maximality certificates, mirroring the paper's separation
 /// between candidate structure and extension tests.
 ///
+/// Enumeration keeps no answer set. The forest must be in NR normal
+/// form (checked at construction), where a mapping mu fixes its own
+/// subtree: dom(mu) = vars(T'), and a tree has at most one subtree with
+/// those variables (`FindWitnessSubtree`). So one tree never yields an
+/// answer twice, and mu was already emitted iff it is an answer of an
+/// earlier tree T_j — a stateless membership test against T_j's witness
+/// subtree, the same extension tests wdEVAL runs. A cursor's memory is
+/// therefore bounded by the open subtree's state, however many answers
+/// it streams.
+///
 /// Observability follows the same split. Every enumerator counts into
 /// one `ExecStats` record it owns: per candidate, the homomorphism of
-/// pat(T') pulled (`candidates`), then exactly one verdict — a
-/// duplicate (`dedup_rejected`), extendable by a child (`non_maximal`,
-/// after `maximality_tests` extension tests), or an answer. The record
-/// is the only counter struct of an execution: the engine's cursor and
-/// its parallel workers fold enumerator records (and the join layer's
-/// storage counters, written into the same type) into one `ExecStats`.
+/// pat(T') pulled (`candidates`), then exactly one verdict — an answer
+/// of an earlier tree (`dedup_rejected`), extendable by a child
+/// (`non_maximal`), or an answer. Every extension test, of an earlier
+/// tree's witness or of the open subtree, counts one
+/// `maximality_tests`. The record is the only counter struct of an
+/// execution: the engine's cursor and its parallel workers fold
+/// enumerator records (and the join layer's storage counters, written
+/// into the same type) into one `ExecStats`.
 /// Subtree time spans are recorded as plain `SubtreeTiming` values and
 /// turned into trace spans by `EmitSubtreeSpans` on the trace's thread.
 
@@ -72,9 +82,9 @@ class CandidateGenerator {
  public:
   virtual ~CandidateGenerator() = default;
 
-  /// Produces the next candidate homomorphism; false once exhausted
-  /// (and from then on).
-  virtual bool Next(VarAssignment* out) = 0;
+  /// Writes the next candidate homomorphism over `out` (reusing its
+  /// storage); false once exhausted (and from then on).
+  virtual bool Next(Mapping* out) = 0;
 
   /// The cost-based plan behind this generator, when one was chosen
   /// (the indexed backend with statistics available); null otherwise.
@@ -83,7 +93,7 @@ class CandidateGenerator {
 };
 
 /// Hooks customising the enumeration skeleton: per tree, per subtree,
-/// pull candidates, deduplicate across trees/subtrees, certify
+/// pull candidates, reject the answers of earlier trees, certify
 /// maximality against each child, emit. Plugging in the CSP solver, the
 /// pebble game or the engine's Generic Join yields the naive, Theorem 1
 /// and indexed enumerators respectively.
@@ -140,17 +150,20 @@ void EmitSubtreeSpans(const std::vector<SubtreeTiming>& timings,
 /// `Cursor` runs on this. The enumeration is an explicit state
 /// machine over (tree, subtree, candidate-generator) coordinates: each
 /// `Next` call resumes exactly where the previous one stopped, pulls
-/// candidates one at a time from the open subtree's generator, performs
-/// deduplication and the per-child maximality certificates for as many
-/// candidates as it takes to reach the next answer, and suspends again.
+/// candidates one at a time from the open subtree's generator, runs the
+/// earlier-tree witness tests and the per-child maximality certificates
+/// for as many candidates as it takes to reach the next answer, and
+/// suspends again.
 /// With a lazy candidate source (the indexed backend's resumable
 /// join) nothing is materialised at all: a `row_limit=1`
 /// execution generates one candidate, not the subtree's whole match
 /// set. The naive backend's source (`MaterializeHomomorphisms`) keeps
 /// the materialise-per-subtree behaviour behind the same interface.
 ///
-/// The forest must outlive the enumerator, and the hooks must stay
-/// valid (they typically close over the storage backend).
+/// The forest must be in NR normal form (every tree's
+/// `IsNrNormalForm()`, checked at construction) and outlive the
+/// enumerator, and the hooks must stay valid (they typically close over
+/// the storage backend).
 class SolutionEnumerator {
  public:
   enum class State {
@@ -162,9 +175,10 @@ class SolutionEnumerator {
   SolutionEnumerator(const PatternForest& forest, EnumerationHooks hooks);
   ~SolutionEnumerator();
 
-  /// Advances to the next distinct maximal solution. Returns false when
-  /// the solution set is exhausted (state() == kDone from then on) or
-  /// when the interruption probe fired (`interrupted()` distinguishes).
+  /// Advances to the next distinct maximal solution, written over `out`.
+  /// Returns false when the solution set is exhausted (state() == kDone
+  /// from then on) or when the interruption probe fired
+  /// (`interrupted()` distinguishes); `*out` is unspecified then.
   bool Next(Mapping* out);
 
   /// Installs a cooperative interruption probe, consulted every
@@ -205,13 +219,22 @@ class SolutionEnumerator {
   /// before the first `Next`.
   void SetSubtreeTimingSink(std::vector<SubtreeTiming>* out) { timings_ = out; }
 
-  /// The `ExecStats::Subpattern` key of the answer `Next` delivered
-  /// last: its tree's index in the forest and its subtree's index
-  /// within that tree.
-  std::size_t tree_index() const { return tree_idx_; }
-  std::size_t subtree_index() const { return subtree_idx_ - 1; }
-
  private:
+  /// A subtree whose answers a candidate is tested against: its
+  /// certificates (`SubtreeCertificates`) and the residual, the triples
+  /// of its pattern that the open subtree's pattern lacks.
+  struct Witness {
+    TripleSet residual;
+    std::vector<TripleSet> certificates;
+  };
+
+  /// True iff `witness` accepts `mu` (a homomorphism of the open
+  /// subtree's pattern with dom(mu) = its variables): `mu` satisfies the
+  /// residual and no certificate extends it — that is, mu is an answer
+  /// of the witness's tree. Each extension test counts one
+  /// `maximality_tests`.
+  bool Accepts(const Witness& witness, const Mapping& mu);
+
   /// Opens the next subtree (pattern, children, candidate generator,
   /// subtree timing). Returns false when every tree is exhausted or the
   /// interruption probe fired mid-materialisation.
@@ -258,20 +281,21 @@ class SolutionEnumerator {
   std::vector<Subtree> subtrees_;        // Subtrees of the current tree.
   std::size_t subtree_idx_ = 0;          // Next subtree to open.
   TripleSet pattern_;                    // pat(T') of the open subtree.
-  /// The maximality certificates of the open subtree: pat(T') ∪ pat(c)
-  /// for each child c, built once when the subtree opens.
-  std::vector<TripleSet> certificates_;
+  /// The open subtree itself (empty residual), built once when it opens.
+  Witness open_;
+  /// The witness subtree of every earlier tree that has one with the
+  /// open subtree's variables: a candidate one of them accepts was
+  /// already emitted there.
+  std::vector<Witness> earlier_;
   /// The open subtree's candidate source (null between subtrees): the
   /// full suspendable-join state on the indexed backend, a materialised
   /// vector on the naive one.
   std::unique_ptr<CandidateGenerator> generator_;
   uint64_t cur_candidates_ = 0;          // Candidates pulled from `generator_`.
-  std::unordered_set<Mapping, MappingHash> seen_;  // Cross-subtree dedup.
 };
 
 /// Streams every mu in JFKG, using exact homomorphism maximality tests.
-/// The callback may return false to stop. Duplicates across trees and
-/// subtrees are suppressed. A non-null `stats` receives the enumerator's
+/// The callback may return false to stop. Each answer is delivered once. A non-null `stats` receives the enumerator's
 /// record, with `rows_emitted` set to the answers the callback received.
 void EnumerateSolutionsNaive(const PatternForest& forest, const RdfGraph& graph,
                              const std::function<bool(const Mapping&)>& callback,

@@ -15,12 +15,9 @@ bool WdEvalWith(const PatternForest& forest, const TripleSource& graph,
     if (!matched.has_value()) continue;
     if (stats != nullptr) ++stats->subtrees_matched;
 
-    TripleSet base = SubtreePattern(*matched);
     bool some_child_extends = false;
-    for (NodeId child : SubtreeChildren(*matched)) {
+    for (const TripleSet& combined : SubtreeCertificates(*matched)) {
       if (stats != nullptr) ++stats->extension_tests;
-      TripleSet combined = base;
-      combined.InsertAll(tree.pattern(child));
       if (extends(combined)) {
         some_child_extends = true;
         break;

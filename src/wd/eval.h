@@ -8,8 +8,8 @@
 #include "ptree/subtree.h"
 #include "rdf/graph.h"
 #include "rdf/scan.h"
-#include "sparql/mapping.h"
-#include "util/status.h"
+#include "wdsparql/mapping.h"
+#include "wdsparql/status.h"
 
 /// \file
 /// The wdEVAL evaluation algorithms (Sections 2.2 and 3.1).

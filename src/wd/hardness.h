@@ -8,10 +8,10 @@
 #include "ptree/forest.h"
 #include "ptree/tgraph.h"
 #include "rdf/graph.h"
-#include "sparql/mapping.h"
-#include "util/status.h"
 #include "util/undirected_graph.h"
 #include "wd/domination.h"
+#include "wdsparql/mapping.h"
+#include "wdsparql/status.h"
 
 /// \file
 /// The Theorem 2 hardness machinery (Section 4 and the appendix).

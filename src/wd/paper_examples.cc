@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "util/check.h"
+#include "wdsparql/check.h"
 
 namespace wdsparql {
 namespace {

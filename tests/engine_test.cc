@@ -252,22 +252,22 @@ void ExpectJoinsMatchSolver(Rng* rng, TermPool* pool, const RdfGraph& graph,
       TermId x = random_var();
       pattern.Insert(Triple(x, random_node(), x));
     }
-    VarAssignment fixed;
-    if (rng->NextBounded(2) == 0) fixed[random_var()] = random_node();
+    Mapping fixed;
+    if (rng->NextBounded(2) == 0) fixed.Bind(random_var(), random_node());
 
-    std::vector<VarAssignment> join_results;
-    JoinEnumerate(view, pattern.triples(), fixed, [&](const VarAssignment& a) {
-      join_results.push_back(a);
+    std::vector<Mapping> join_results;
+    JoinEnumerate(view, pattern.triples(), fixed, [&](const Mapping& mu) {
+      join_results.push_back(mu);
       return true;
     });
+    std::sort(join_results.begin(), join_results.end());
     std::vector<VarAssignment> hom_results;
-    EnumerateHomomorphisms(pattern, fixed, graph.triples(),
+    EnumerateHomomorphisms(pattern, MappingToAssignment(fixed), graph.triples(),
                            [&](const VarAssignment& a) {
                              hom_results.push_back(a);
                              return true;
                            });
-    EXPECT_EQ(SortedMappings(join_results), SortedMappings(hom_results))
-        << "trial " << trial;
+    EXPECT_EQ(join_results, SortedMappings(hom_results)) << "trial " << trial;
     EXPECT_EQ(JoinExists(view, pattern.triples(), fixed), !hom_results.empty())
         << "trial " << trial;
   }
@@ -324,14 +324,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, JoinDifferentialTest, ::testing::Range<uint64_t>
 /// Answers of `(c q ?y) AND (a p ?y)`: the (c q ?y) range holds one
 /// triple and (a p ?y) two, so the join materialises ?y = b from the
 /// former and probes (a p b) into the latter.
-std::vector<VarAssignment> ProbeJoin(const IndexedStore& store, TermPool* pool) {
+std::vector<Mapping> ProbeJoin(const IndexedStore& store, TermPool* pool) {
   const TermId y = pool->InternVariable("y");
   const std::vector<Triple> patterns = {
       Triple(pool->InternIri("c"), pool->InternIri("q"), y),
       Triple(pool->InternIri("a"), pool->InternIri("p"), y)};
-  std::vector<VarAssignment> out;
-  JoinEnumerate(store.view(), patterns, {}, [&](const VarAssignment& a) {
-    out.push_back(a);
+  std::vector<Mapping> out;
+  JoinEnumerate(store.view(), patterns, {}, [&](const Mapping& mu) {
+    out.push_back(mu);
     return true;
   });
   EXPECT_EQ(JoinExists(store.view(), patterns, {}), !out.empty());
@@ -372,9 +372,9 @@ TEST(JoinProbeTest, ProbeWhoseOnlyMatchIsInTheDeltaSucceeds) {
   EncPattern probe;
   ASSERT_TRUE(store.view().EncodeScanPattern(fresh, &probe));
   EXPECT_TRUE(store.view().Exists(probe));
-  const std::vector<VarAssignment> answers = ProbeJoin(store, &pool);
+  const std::vector<Mapping> answers = ProbeJoin(store, &pool);
   ASSERT_EQ(answers.size(), 1u);
-  EXPECT_EQ(answers[0].at(pool.InternVariable("y")), pool.InternIri("b"));
+  EXPECT_EQ(answers[0].Get(pool.InternVariable("y")), pool.InternIri("b"));
 }
 
 // ---------------------------------------------------------------------
@@ -517,7 +517,7 @@ uint64_t ChainScanVolume(int n) {
              pool.InternVariable("d"))};
   ExecStats stats;
   uint64_t answers = 0;
-  JoinEnumerate(store.view(), patterns, {}, [&](const VarAssignment&) {
+  JoinEnumerate(store.view(), patterns, {}, [&](const Mapping&) {
     ++answers;
     return true;
   }, &stats);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <vector>
 
 #include "ptree/forest.h"
 #include "ptree/semantics.h"
@@ -111,10 +113,80 @@ TEST_F(EnumerateTest, EmptyGraphStreamsNothing) {
 }
 
 TEST_F(EnumerateTest, UnionArmsDeduplicate) {
-  PatternForest forest = Forest("(?x p ?y) UNION (?x p ?y)");
+  // A later tree's candidate is a duplicate iff the earlier tree's
+  // witness subtree (same variables) accepts it: its residual triples
+  // hold and none of its children extends it.
+  struct Case {
+    const char* pattern;
+    std::vector<std::array<const char*, 3>> triples;
+    uint64_t rows;
+    uint64_t dedup_rejected;
+  };
+  const Case cases[] = {
+      // Identical arms: the witness has no residual and no child.
+      {"(?x p ?y) UNION (?x p ?y)", {{"a", "p", "b"}}, 1, 1},
+      // Arms that differ in one triple (non-empty residual): (a, b)
+      // satisfies both arms, (c, d) only the second, (e, f) only the
+      // first.
+      {"((?x p ?y) AND (?y q ?x)) UNION ((?x p ?y) AND (?y r ?x))",
+       {{"a", "p", "b"}, {"b", "q", "a"}, {"b", "r", "a"},
+        {"c", "p", "d"}, {"d", "r", "c"},
+        {"e", "p", "f"}, {"f", "q", "e"}},
+       3, 1},
+      // The earlier witness's OPT child extends (a, b): the first tree
+      // emits (a, b, c) instead, so (a, b) must still come out of the
+      // second tree.
+      {"((?x p ?y) OPT (?y q ?z)) UNION (?x p ?y)",
+       {{"a", "p", "b"}, {"b", "q", "c"}}, 2, 0},
+      // The earlier witness's child does not extend (d, e): the first
+      // tree emitted it already.
+      {"((?x p ?y) OPT (?y q ?z)) UNION (?x p ?y)", {{"d", "p", "e"}}, 1, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.pattern);
+    auto pattern = ParsePattern(c.pattern, &pool_);
+    ASSERT_TRUE(pattern.ok());
+    PatternForest forest = Forest(c.pattern);
+    RdfGraph g(&pool_);
+    for (const auto& [s, p, o] : c.triples) g.Insert(s, p, o);
+
+    std::vector<Mapping> streamed;
+    ExecStats stats;
+    EnumerateSolutionsNaive(
+        forest, g,
+        [&](const Mapping& mu) {
+          streamed.push_back(mu);
+          return true;
+        },
+        &stats);
+    std::sort(streamed.begin(), streamed.end());
+    EXPECT_EQ(streamed, Evaluate(*pattern.value(), g));
+    EXPECT_EQ(streamed.size(), c.rows);
+    EXPECT_EQ(stats.dedup_rejected, c.dedup_rejected);
+    EXPECT_EQ(stats.candidates,
+              stats.dedup_rejected + stats.non_maximal + stats.rows_emitted);
+  }
+}
+
+using EnumerateDeathTest = EnumerateTest;
+
+TEST_F(EnumerateDeathTest, RejectsAForestOutsideNrNormalForm) {
+  // Without NR normal form a mapping's subtree is not unique, so an
+  // enumeration without an answer set could repeat answers: the
+  // enumerator refuses such a forest outright.
+  auto pattern = ParsePattern("(?x p0 ?y) OPT ((?x p1 ?y) OPT (?y p0 ?z))", &pool_);
+  ASSERT_TRUE(pattern.ok());
+  WdpfOptions raw_options;
+  raw_options.nr_normal_form = false;
+  auto raw = BuildPatternTree(pattern.value(), pool_, raw_options);
+  ASSERT_TRUE(raw.ok());
+  ASSERT_FALSE(raw.value().IsNrNormalForm());  // The (?x p1 ?y) gate is redundant.
+  PatternForest forest;
+  forest.trees.push_back(std::move(raw).value());
   RdfGraph g(&pool_);
-  g.Insert("a", "p", "b");
-  EXPECT_EQ(CountSolutions(forest, g), 1u);
+  g.Insert("a", "p0", "b");
+  EXPECT_DEATH(EnumerateSolutionsNaive(forest, g, [](const Mapping&) { return true; }),
+               "IsNrNormalForm");
 }
 
 TEST_F(EnumerateTest, RandomAgreementSweep) {

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "sparql/mapping.h"
+#include "wdsparql/mapping.h"
 
 namespace wdsparql {
 namespace {

@@ -365,73 +365,116 @@ TEST(ParallelModeTest, ParallelRunReportsMergedStats) {
   EXPECT_EQ(subpattern_candidates, pc.stats()->candidates);
 }
 
-TEST(ParallelModeTest, ParallelBreakdownSumsToTotalsAcrossMergeDedup) {
-  // Two overlapping trees: every (?x, ?y) row of the second tree whose
-  // ?y has no p1 edge is also an answer of the first, so duplicates are
-  // caught inside a worker or — when two workers produced them — at the
-  // cross-worker merge. Either way the record must read like a serial
-  // one: the breakdown sums to the totals, every candidate has exactly
-  // one verdict, and the registry merged exactly the record's totals.
+TEST(ParallelModeTest, UnionOverlapsMatchSerialAndBreakdownSumsToTotals) {
+  // UNIONs whose later tree re-derives answers of the earlier one. Each
+  // worker rejects such a candidate by testing it against the earlier
+  // tree's witness subtree, whichever worker emitted the original, so
+  // every parallelism delivers the serial row set with the serial
+  // `dedup_rejected`, and the record reads like a serial one: the
+  // breakdown sums to the totals, every candidate has exactly one
+  // verdict, and the registry merged exactly the record's totals.
   TermPool pool;
   Database db(&pool);
+  uint64_t p2_rows = 0, p3_rows = 0, both_rows = 0;
   for (int i = 0; i < 64; ++i) {
     for (int j = 0; j < 4; ++j) {
-      db.AddTriple("a" + std::to_string(i), "p0", "m" + std::to_string(j));
+      const std::string a = "a" + std::to_string(i), m = "m" + std::to_string(j);
+      db.AddTriple(a, "p0", m);
+      // Back edges for the cyclic arms: p2 on even i + j, p3 on i + j
+      // divisible by 3.
+      if ((i + j) % 2 == 0) {
+        db.AddTriple(m, "p2", a);
+        ++p2_rows;
+      }
+      if ((i + j) % 3 == 0) {
+        db.AddTriple(m, "p3", a);
+        ++p3_rows;
+      }
+      if ((i + j) % 6 == 0) ++both_rows;
     }
   }
   db.AddTriple("m0", "p1", "b0");
   db.AddTriple("m2", "p1", "b2");
-  Statement stmt = db.OpenSession().Prepare(
-      "((?x p0 ?y) OPT (?y p1 ?z)) UNION (?x p0 ?y)");
-  ASSERT_TRUE(stmt.ok());
 
-  ExecStats serial_stats;
-  for (uint32_t parallelism : {1u, 4u}) {
-    SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
-    MetricsRegistry& metrics = db.metrics();
-    const uint64_t candidates_before = metrics.counter("query.candidates").value();
-    const uint64_t tests_before = metrics.counter("query.maximality_tests").value();
-    ExecOptions exec;
-    exec.collect_stats = true;
-    exec.parallelism = parallelism;
-    Cursor cursor = stmt.Execute(exec);
-    uint64_t rows = 0;
-    while (cursor.Next()) ++rows;
-    ASSERT_EQ(cursor.state(), Cursor::State::kExhausted);
-    ASSERT_NE(cursor.stats(), nullptr);
-    const ExecStats& stats = *cursor.stats();
-    EXPECT_EQ(rows, 384u);  // 256 (?x, ?y) rows plus 128 extended by ?z.
-    EXPECT_EQ(stats.rows_emitted, rows);
-    EXPECT_GT(stats.dedup_rejected, 0u);
+  struct Case {
+    const char* pattern;
+    uint64_t rows;
+    uint64_t dedup_rejected;
+  };
+  const Case cases[] = {
+      // Identical arms: every row of the second tree is a duplicate.
+      {"(?x p0 ?y) UNION (?x p0 ?y)", 256, 256},
+      // The first tree's witness has an OPT child: rows whose ?y has a
+      // p1 edge (m0, m2) are extended there, so the second tree emits
+      // them; the other 128 are duplicates.
+      {"((?x p0 ?y) OPT (?y p1 ?z)) UNION (?x p0 ?y)", 384, 128},
+      // Arms that differ in one triple: the witness's residual (?y p2 ?x)
+      // decides.
+      {"((?x p0 ?y) AND (?y p2 ?x)) UNION ((?x p0 ?y) AND (?y p3 ?x))",
+       p2_rows + p3_rows - both_rows, both_rows},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.pattern);
+    Statement stmt = db.OpenSession().Prepare(c.pattern);
+    ASSERT_TRUE(stmt.ok());
+    std::vector<std::string> serial_rows;
+    ExecStats serial_stats;
+    for (uint32_t parallelism : {1u, 4u}) {
+      SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
+      MetricsRegistry& metrics = db.metrics();
+      const uint64_t candidates_before = metrics.counter("query.candidates").value();
+      const uint64_t tests_before = metrics.counter("query.maximality_tests").value();
+      ExecOptions exec;
+      exec.collect_stats = true;
+      exec.parallelism = parallelism;
+      Cursor cursor = stmt.Execute(exec);
+      std::vector<std::string> rows;
+      while (cursor.Next()) rows.push_back(cursor.Row().ToString(pool));
+      std::sort(rows.begin(), rows.end());
+      ASSERT_EQ(cursor.state(), Cursor::State::kExhausted);
+      ASSERT_NE(cursor.stats(), nullptr);
+      const ExecStats& stats = *cursor.stats();
+      EXPECT_EQ(rows.size(), c.rows);
+      EXPECT_EQ(std::adjacent_find(rows.begin(), rows.end()), rows.end());
+      EXPECT_EQ(stats.rows_emitted, rows.size());
+      EXPECT_EQ(stats.dedup_rejected, c.dedup_rejected);
 
-    uint64_t candidates = 0, dedup = 0, non_maximal = 0, tests = 0, sub_rows = 0;
-    for (const ExecStats::Subpattern& sub : stats.subpatterns) {
-      candidates += sub.candidates;
-      dedup += sub.dedup_rejected;
-      non_maximal += sub.non_maximal;
-      tests += sub.maximality_tests;
-      sub_rows += sub.rows;
-    }
-    EXPECT_EQ(candidates, stats.candidates);
-    EXPECT_EQ(dedup, stats.dedup_rejected);
-    EXPECT_EQ(non_maximal, stats.non_maximal);
-    EXPECT_EQ(tests, stats.maximality_tests);
-    EXPECT_EQ(sub_rows, stats.rows_emitted);
-    EXPECT_EQ(stats.candidates,
-              stats.dedup_rejected + stats.non_maximal + stats.rows_emitted);
+      uint64_t candidates = 0, dedup = 0, non_maximal = 0, tests = 0, sub_rows = 0;
+      for (const ExecStats::Subpattern& sub : stats.subpatterns) {
+        candidates += sub.candidates;
+        dedup += sub.dedup_rejected;
+        non_maximal += sub.non_maximal;
+        tests += sub.maximality_tests;
+        sub_rows += sub.rows;
+      }
+      EXPECT_EQ(candidates, stats.candidates);
+      EXPECT_EQ(dedup, stats.dedup_rejected);
+      EXPECT_EQ(non_maximal, stats.non_maximal);
+      EXPECT_EQ(tests, stats.maximality_tests);
+      EXPECT_EQ(sub_rows, stats.rows_emitted);
+      EXPECT_EQ(stats.candidates,
+                stats.dedup_rejected + stats.non_maximal + stats.rows_emitted);
 
-    EXPECT_EQ(metrics.counter("query.candidates").value() - candidates_before,
-              stats.candidates);
-    EXPECT_EQ(metrics.counter("query.maximality_tests").value() - tests_before,
-              stats.maximality_tests);
+      EXPECT_EQ(metrics.counter("query.candidates").value() - candidates_before,
+                stats.candidates);
+      EXPECT_EQ(metrics.counter("query.maximality_tests").value() - tests_before,
+                stats.maximality_tests);
 
-    if (parallelism == 1) {
-      serial_stats = stats;
-    } else {
-      // Root-claim partitioning: each candidate is generated by exactly
-      // one worker, so candidate work matches the serial run.
-      EXPECT_EQ(stats.candidates, serial_stats.candidates);
-      EXPECT_EQ(stats.subpatterns.size(), serial_stats.subpatterns.size());
+      if (parallelism == 1) {
+        serial_rows = rows;
+        serial_stats = stats;
+      } else {
+        EXPECT_EQ(rows, serial_rows);
+        // Root-claim partitioning: each candidate is generated by
+        // exactly one worker, and each verdict is a pure function of
+        // the candidate, so the work and the verdicts match the serial
+        // run.
+        EXPECT_EQ(stats.candidates, serial_stats.candidates);
+        EXPECT_EQ(stats.dedup_rejected, serial_stats.dedup_rejected);
+        EXPECT_EQ(stats.non_maximal, serial_stats.non_maximal);
+        EXPECT_EQ(stats.maximality_tests, serial_stats.maximality_tests);
+        EXPECT_EQ(stats.subpatterns.size(), serial_stats.subpatterns.size());
+      }
     }
   }
 }

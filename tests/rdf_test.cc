@@ -7,9 +7,9 @@
 #include "rdf/generator.h"
 #include "rdf/graph.h"
 #include "rdf/ntriples.h"
-#include "rdf/term.h"
-#include "rdf/triple.h"
 #include "rdf/triple_set.h"
+#include "wdsparql/term.h"
+#include "wdsparql/triple.h"
 
 namespace wdsparql {
 namespace {

@@ -4,7 +4,7 @@
 
 #include "rdf/generator.h"
 #include "sparql/semantics.h"
-#include "util/check.h"
+#include "wdsparql/check.h"
 
 namespace wdsparql {
 namespace testlib {

@@ -6,9 +6,9 @@
 
 #include "rdf/graph.h"
 #include "sparql/ast.h"
-#include "sparql/mapping.h"
 #include "util/rng.h"
 #include "wdsparql/database.h"
+#include "wdsparql/mapping.h"
 
 /// \file
 /// Shared helpers for the test and benchmark executables: random

@@ -4,12 +4,12 @@
 #include <set>
 
 #include "util/combinatorics.h"
-#include "util/hash.h"
 #include "util/rng.h"
-#include "util/status.h"
 #include "util/strings.h"
 #include "util/timer.h"
 #include "util/undirected_graph.h"
+#include "wdsparql/hash.h"
+#include "wdsparql/status.h"
 
 namespace wdsparql {
 namespace {
