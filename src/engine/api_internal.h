@@ -145,6 +145,9 @@ struct CursorImpl {
   std::unique_ptr<ParallelEnumerator> parallel;
   std::unordered_set<Mapping, MappingHash> emitted;
   Mapping row;
+  /// The buffer each pull writes into. Without a projection it swaps
+  /// with `row`, so rows reuse their binding storage.
+  Mapping pulled;
 
   /// The store snapshot this cursor reads (both backends). Pinned at
   /// `Open` — or copied from a user-held `Snapshot` at `Execute` when

@@ -216,7 +216,7 @@ bool NextRow(CursorImpl* impl) {
   // is live while open).
   ParallelEnumerator* parallel = impl->parallel.get();
   SolutionEnumerator* serial = impl->enumerator.get();
-  Mapping mu;
+  Mapping& mu = impl->pulled;
   while (parallel != nullptr ? parallel->Next(&mu) : serial->Next(&mu)) {
     bool filtered_out = false;
     for (const FilterCondition& filter : stmt.filters) {
@@ -229,13 +229,17 @@ bool NextRow(CursorImpl* impl) {
       if (impl->stats != nullptr) ++impl->stats->filtered_out;
       continue;
     }
-    Mapping projected =
-        impl->dedup ? mu.RestrictedTo(impl->columns) : std::move(mu);
-    if (impl->dedup && !impl->emitted.insert(projected).second) {
-      if (impl->stats != nullptr) ++impl->stats->projection_dedup_rejected;
-      continue;
+    if (!impl->dedup) {
+      // The previous row's storage becomes the next pull's buffer.
+      std::swap(impl->row, mu);
+    } else {
+      Mapping projected = mu.RestrictedTo(impl->columns);
+      if (!impl->emitted.insert(projected).second) {
+        if (impl->stats != nullptr) ++impl->stats->projection_dedup_rejected;
+        continue;
+      }
+      impl->row = std::move(projected);
     }
-    impl->row = std::move(projected);
     ++impl->rows;
     if (impl->stats != nullptr) ++impl->stats->rows_emitted;
     return true;

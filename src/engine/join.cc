@@ -27,11 +27,24 @@ struct JoinCursor::State {
         const Mapping& fixed_in, ExecStats* stats_in)
       : keepalive(std::move(owned)), store(view), fixed(fixed_in), stats(stats_in) {}
 
+  /// The sized range of one conjunct at one level and the probe that
+  /// searches it. Kept across fills while the conjunct's pattern under
+  /// the bindings above is unchanged, so a conjunct that shares no
+  /// variable with the levels above is located once per cursor.
+  struct SizedRange {
+    EncPattern pattern;
+    std::optional<MergedScan> range;  // Empty until first located.
+    SeekProbe probe;
+  };
+
   /// One descent level: the intersected candidate values of the level's
-  /// variable under the bindings above it, and the resume position.
+  /// variable under the bindings above it, the resume position, and one
+  /// sized range per conjunct containing the variable (parallel to
+  /// `conjuncts_of_var`).
   struct Level {
     std::vector<DataId> values;
     std::size_t pos = 0;
+    std::vector<SizedRange> sized;
   };
 
   std::shared_ptr<const ReadView> keepalive;  // Null for borrowed views.
@@ -130,6 +143,9 @@ struct JoinCursor::State {
     }
     binding.assign(vars.size(), kNoDataId);
     levels.resize(order.size());
+    for (std::size_t d = 0; d < order.size(); ++d) {
+      levels[d].sized.resize(conjuncts_of_var[order[d]].size());
+    }
     return true;
   }
 
@@ -194,32 +210,40 @@ struct JoinCursor::State {
 
   /// Computes level `d`'s value list under the bindings above it, the
   /// Generic Join way: size every range of a conjunct containing the
-  /// level's variable in O(log n), materialise only the smallest, and
-  /// keep a value iff an existence probe with it bound succeeds on every
-  /// other such conjunct. An empty range short-circuits to an empty
-  /// level (dead branch).
+  /// level's variable in O(log n) (or reuse it while its pattern is
+  /// unchanged), materialise only the smallest, and keep a value iff an
+  /// existence probe with it bound succeeds on every other such
+  /// conjunct. The values ascend, so each conjunct's probe seeks forward
+  /// from its previous position, inside the sized range when the probe
+  /// key extends that range's sort prefix. An empty range
+  /// short-circuits to an empty level (dead branch).
   void FillLevel(std::size_t d) {
     Level& level = levels[d];
     level.values.clear();
     level.pos = 0;
     const int v = order[d];
     const std::vector<std::size_t>& with_v = conjuncts_of_var[v];
-    std::optional<MergedScan> smallest;
-    std::size_t smallest_ci = 0;
-    for (std::size_t ci : with_v) {
-      MergedScan scan = store.Scan(PatternOf(ci, v, kNoDataId));
-      if (scan.bound_size() == 0) return;  // Dead branch.
-      if (!smallest || scan.bound_size() < smallest->bound_size()) {
-        smallest = scan;
-        smallest_ci = ci;
+    std::size_t smallest = 0;
+    for (std::size_t k = 0; k < with_v.size(); ++k) {
+      SizedRange& sized = level.sized[k];
+      const EncPattern pattern = PatternOf(with_v[k], v, kNoDataId);
+      if (!sized.range || !(sized.pattern == pattern)) {
+        sized.pattern = pattern;
+        sized.range = store.Scan(pattern);
+        // 0 stands in for v's values: the shape is which positions bind.
+        sized.probe = store.Probe(PatternOf(with_v[k], v, 0), &*sized.range);
       }
+      const std::size_t bound = sized.range->bound_size();
+      if (bound == 0) return;  // Dead branch.
+      if (bound < level.sized[smallest].range->bound_size()) smallest = k;
     }
-    CollectValues(smallest_ci, v, *smallest, &level.values);
+    CollectValues(with_v[smallest], v, *level.sized[smallest].range, &level.values);
+    for (SizedRange& sized : level.sized) sized.probe.Rewind();
     auto fails_a_probe = [&](DataId value) {
-      for (std::size_t ci : with_v) {
-        if (ci == smallest_ci) continue;
+      for (std::size_t k = 0; k < with_v.size(); ++k) {
+        if (k == smallest) continue;
         if (stats != nullptr) ++stats->values_probed;
-        if (!store.Exists(PatternOf(ci, v, value))) return true;
+        if (!level.sized[k].probe.Exists(PatternOf(with_v[k], v, value))) return true;
       }
       return false;
     };
@@ -316,6 +340,28 @@ void JoinEnumerate(const ReadView& store, const std::vector<Triple>& patterns,
 
 bool JoinExists(const ReadView& store, const std::vector<Triple>& patterns,
                 const Mapping& fixed, ExecStats* stats) {
+  const bool ground = std::all_of(patterns.begin(), patterns.end(), [&](const Triple& t) {
+    for (int pos = 0; pos < 3; ++pos) {
+      if (IsVariable(t[pos]) && !fixed.IsDefinedOn(t[pos])) return false;
+    }
+    return true;
+  });
+  if (ground) {
+    // Every pattern is a triple under `fixed`: membership tests decide,
+    // with no cursor. Encodes count as the cursor's setup counts them.
+    for (const Triple& raw : patterns) {
+      const Triple t = fixed.ApplyPartial(raw);
+      EncTriple enc{};
+      for (int pos = 0; pos < 3; ++pos) {
+        if (stats != nullptr) ++stats->dict_encodes;
+        const DataId id = store.dict().Encode(t[pos]);
+        if (id == kNoDataId) return false;
+        (pos == 0 ? enc.s : (pos == 1 ? enc.p : enc.o)) = id;
+      }
+      if (!store.Contains(enc)) return false;
+    }
+    return true;
+  }
   JoinCursor cursor(store, patterns, fixed, stats);
   Mapping out;
   return cursor.Next(&out);

@@ -22,15 +22,25 @@
 /// it sizes the permutation range of every conjunct containing the
 /// level's variable from the range bounds alone (O(log n), no
 /// iteration), materialises the values of the smallest range only, and
-/// keeps a value iff an existence probe with the value bound — one
-/// binary search per run (`ReadView::Exists`) — succeeds on every other
-/// such conjunct. A probe binds the variable at every position it
-/// occupies, so conjuncts that repeat a variable need no special path.
-/// Any one or two bound positions form a sort prefix of one of the
-/// three cyclic permutations SPO/POS/OSP, so every range and every probe
-/// is a binary search. Level values are sorted and distinct, so the
-/// enumeration order depends on the variable order alone, never on which
-/// range happened to be the smallest.
+/// keeps a value iff an existence probe with the value bound succeeds on
+/// every other such conjunct. A probe binds the variable at every
+/// position it occupies, so conjuncts that repeat a variable need no
+/// special path. Any one or two bound positions form a sort prefix of
+/// one of the three cyclic permutations SPO/POS/OSP, so every range and
+/// every probe is a binary search.
+///
+/// Level values are sorted and distinct, so the enumeration order
+/// depends on the variable order alone, never on which range happened
+/// to be the smallest — and each conjunct's probes within one fill come
+/// with ascending keys. Every probe is therefore a `SeekProbe` that
+/// searches forward from its previous position (Leapfrog Triejoin's
+/// seek, Veldhuizen, ICDT 2014), inside the range the level just sized
+/// when the probe's bound positions extend that range's sort prefix (a
+/// fully bound probe such as `(?y city c)` always does), in the full
+/// runs of its own permutation otherwise. Each level keeps its sized
+/// ranges while a conjunct's pattern under the bindings above is
+/// unchanged, so a conjunct that shares no variable with the levels
+/// above is located once per cursor.
 ///
 /// The join is exposed two ways: `JoinCursor`, a pull-based resumable
 /// iterator (the engine's suspendable enumeration and the parallel
@@ -119,7 +129,9 @@ void JoinEnumerate(const ReadView& view, const std::vector<Triple>& patterns,
                    const std::function<bool(const Mapping&)>& callback,
                    ExecStats* stats = nullptr);
 
-/// True iff at least one such mapping exists (early-exit join).
+/// True iff at least one such mapping exists (early-exit join). When
+/// `fixed` binds every variable of `patterns`, this is one
+/// `ReadView::Contains` per pattern, with no cursor.
 bool JoinExists(const ReadView& view, const std::vector<Triple>& patterns,
                 const Mapping& fixed, ExecStats* stats = nullptr);
 

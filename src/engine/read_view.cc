@@ -23,39 +23,99 @@ constexpr Permutation kPermForMask[8] = {
     Permutation::kSpo,  // SPO
 };
 
-/// Three-way comparison of `t` against the pattern's bound values on
-/// the first `prefix` positions of `order`: negative, zero or positive.
-int ComparePrefix(const EncTriple& t, const EncPattern& p, const int* order,
-                  int prefix) {
+/// Bound-position mask of a pattern: bit 0 = subject, 1 = predicate,
+/// 2 = object.
+int BoundMask(const EncPattern& pattern) {
+  return (pattern.s != kNoDataId ? 1 : 0) | (pattern.p != kNoDataId ? 2 : 0) |
+         (pattern.o != kNoDataId ? 4 : 0);
+}
+
+/// True iff the bound positions of `mask`, `prefix` of them, are the
+/// first `prefix` positions of `perm`'s order.
+bool MaskIsPrefixOf(int mask, int prefix, Permutation perm) {
+  const int* order = OrderOf(perm);
   for (int i = 0; i < prefix; ++i) {
-    int pos = order[i];
-    if (t[pos] != p[pos]) return t[pos] < p[pos] ? -1 : 1;
+    if (((mask >> order[i]) & 1) == 0) return false;
   }
-  return 0;
+  return true;
 }
 
-/// The first triple of `[begin, end)` not below the pattern's prefix.
-const EncTriple* PrefixLowerBound(const EncTriple* begin, const EncTriple* end,
-                                  const EncPattern& pattern, const int* order,
-                                  int prefix) {
-  return std::lower_bound(begin, end, pattern,
-                          [&](const EncTriple& t, const EncPattern& p) {
-                            return ComparePrefix(t, p, order, prefix) < 0;
-                          });
+/// The sort key of the first `kPrefix` positions of permutation `kPerm`,
+/// read from a triple or a pattern: the first two positions packed into
+/// one 64-bit word, the third (prefix 3 only) compared after it. The
+/// positions are compile-time constants, so a comparison is two integer
+/// compares at most, with no loop over an order array.
+template <int kPerm, int kPrefix>
+struct PrefixKey {
+  static constexpr int kPos0 = enc_order::kPermOrder[kPerm][0];
+  static constexpr int kPos1 = enc_order::kPermOrder[kPerm][1];
+  static constexpr int kPos2 = enc_order::kPermOrder[kPerm][2];
+
+  template <typename T>
+  static uint64_t Head(const T& t) {
+    if constexpr (kPrefix == 0) return 0;
+    if constexpr (kPrefix == 1) return t[kPos0];
+    return (uint64_t{t[kPos0]} << 32) | t[kPos1];
+  }
+  template <typename T>
+  static DataId Tail(const T& t) {
+    if constexpr (kPrefix == 3) return t[kPos2];
+    return 0;
+  }
+  static bool Equal(const EncTriple& t, const EncPattern& key) {
+    return Head(t) == Head(key) && Tail(t) == Tail(key);
+  }
+};
+
+/// The first triple of the sorted `[first, last)` whose prefix key is not
+/// below `key`'s (`kUpper`: is above it).
+template <int kPerm, int kPrefix, bool kUpper, typename T>
+const EncTriple* PrefixBound(const EncTriple* first, const EncTriple* last, const T& key) {
+  if constexpr (kPrefix == 0) {
+    return kUpper ? last : first;
+  } else {
+    using Key = PrefixKey<kPerm, kPrefix>;
+    const uint64_t head = Key::Head(key);
+    const DataId tail = Key::Tail(key);
+    return std::partition_point(first, last, [head, tail](const EncTriple& t) {
+      const uint64_t h = Key::Head(t);
+      if (h != head) return h < head;
+      return kUpper ? Key::Tail(t) <= tail : Key::Tail(t) < tail;
+    });
+  }
 }
 
-/// The contiguous [lo, hi) range of `[begin, end)` whose first `prefix`
-/// positions (in permutation order) equal the pattern's bound values.
-std::pair<const EncTriple*, const EncTriple*> PrefixRange(
-    const EncTriple* begin, const EncTriple* end, const EncPattern& pattern,
-    const int* order, int prefix) {
-  const EncTriple* lo = PrefixLowerBound(begin, end, pattern, order, prefix);
-  const EncTriple* hi = std::upper_bound(
-      lo, end, pattern, [&](const EncPattern& p, const EncTriple& t) {
-        return ComparePrefix(t, p, order, prefix) > 0;
-      });
-  return {lo, hi};
+/// True iff the SPO-sorted `[first, last)` holds `t`.
+bool SpoContains(const EncTriple* first, const EncTriple* last, const EncTriple& t) {
+  const EncTriple* it =
+      PrefixBound<static_cast<int>(Permutation::kSpo), 3, false>(first, last, t);
+  return it != last && *it == t;
 }
+
+/// True iff base triple `t` is tombstoned.
+bool IsDead(const MergedScan::Tombstones& dead, const EncTriple& t) {
+  return !dead.empty() && SpoContains(dead.data(), dead.data() + dead.size(), t);
+}
+
+/// The contiguous [lo, hi) range of `[first, last)` whose first
+/// `kPrefix` positions (in permutation order) equal the pattern's bound
+/// values.
+template <int kPerm, int kPrefix>
+std::pair<const EncTriple*, const EncTriple*> PrefixRange(const EncTriple* first,
+                                                          const EncTriple* last,
+                                                          const EncPattern& pattern) {
+  const EncTriple* lo = PrefixBound<kPerm, kPrefix, false>(first, last, pattern);
+  return {lo, PrefixBound<kPerm, kPrefix, true>(lo, last, pattern)};
+}
+
+using PrefixRangeFn = std::pair<const EncTriple*, const EncTriple*> (*)(
+    const EncTriple*, const EncTriple*, const EncPattern&);
+
+/// `PrefixRange` by [permutation][prefix length].
+constexpr PrefixRangeFn kPrefixRange[3][4] = {
+    {PrefixRange<0, 0>, PrefixRange<0, 1>, PrefixRange<0, 2>, PrefixRange<0, 3>},
+    {PrefixRange<1, 0>, PrefixRange<1, 1>, PrefixRange<1, 2>, PrefixRange<1, 3>},
+    {PrefixRange<2, 0>, PrefixRange<2, 1>, PrefixRange<2, 2>, PrefixRange<2, 3>}};
 
 /// Where a pattern's matches live: the permutation whose sort prefix
 /// covers its bound positions, the prefix length, and that
@@ -67,10 +127,7 @@ struct PatternRuns {
   const std::vector<EncTriple>* delta;
 };
 
-PatternRuns RunsFor(const BaseRuns& base, const DeltaRuns& delta,
-                    const EncPattern& pattern) {
-  int mask = (pattern.s != kNoDataId ? 1 : 0) | (pattern.p != kNoDataId ? 2 : 0) |
-             (pattern.o != kNoDataId ? 4 : 0);
+PatternRuns RunsFor(const BaseRuns& base, const DeltaRuns& delta, int mask) {
   PatternRuns runs;
   runs.perm = kPermForMask[mask];
   runs.prefix = (mask & 1) + ((mask >> 1) & 1) + ((mask >> 2) & 1);
@@ -121,11 +178,7 @@ MergedScan::Iterator::Iterator(const EncTriple* base, const EncTriple* base_end,
 }
 
 void MergedScan::Iterator::Settle() {
-  const PermLess spo_less{OrderOf(Permutation::kSpo)};
-  while (base_ != base_end_ && !dead_->empty() &&
-         std::binary_search(dead_->begin(), dead_->end(), *base_, spo_less)) {
-    ++base_;
-  }
+  while (base_ != base_end_ && IsDead(*dead_, *base_)) ++base_;
   if (base_ == base_end_) {
     on_delta_ = true;
     return;
@@ -186,47 +239,72 @@ bool ReadView::EncodeScanPattern(const Triple& pattern, EncPattern* out) const {
 }
 
 MergedScan ReadView::Scan(const EncPattern& pattern) const {
-  const PatternRuns runs = RunsFor(*base_, *delta_, pattern);
-  const int* order = OrderOf(runs.perm);
+  const PatternRuns runs = RunsFor(*base_, *delta_, BoundMask(pattern));
+  const PrefixRangeFn range = kPrefixRange[static_cast<int>(runs.perm)][runs.prefix];
   const EncTriple* delta_begin = runs.delta->data();
-  auto [base_lo, base_hi] =
-      PrefixRange(runs.base->begin(), runs.base->end(), pattern, order, runs.prefix);
-  auto [delta_lo, delta_hi] = PrefixRange(
-      delta_begin, delta_begin + runs.delta->size(), pattern, order, runs.prefix);
+  auto [base_lo, base_hi] = range(runs.base->begin(), runs.base->end(), pattern);
+  auto [delta_lo, delta_hi] = range(delta_begin, delta_begin + runs.delta->size(), pattern);
   return MergedScan(base_lo, base_hi, delta_lo, delta_hi, &delta_->dead, runs.perm);
 }
 
-bool ReadView::Exists(const EncPattern& pattern) const {
-  const PatternRuns runs = RunsFor(*base_, *delta_, pattern);
-  const int* order = OrderOf(runs.perm);
+template <int kPerm, int kPrefix>
+bool SeekProbe::ExistsIn(SeekProbe* probe, const EncPattern& pattern) {
+  using Key = PrefixKey<kPerm, kPrefix>;
+  // Keys ascend between rewinds, so every triple below the previous
+  // lower bound is below this key too: the search restarts there.
   // Delta triples are live by construction: one match there decides.
-  const EncTriple* delta_end = runs.delta->data() + runs.delta->size();
-  const EncTriple* d =
-      PrefixLowerBound(runs.delta->data(), delta_end, pattern, order, runs.prefix);
-  if (d != delta_end && ComparePrefix(*d, pattern, order, runs.prefix) == 0) return true;
-  const MergedScan::Tombstones& dead = delta_->dead;
-  const PermLess spo_less{OrderOf(Permutation::kSpo)};
-  for (const EncTriple* b = PrefixLowerBound(runs.base->begin(), runs.base->end(),
-                                             pattern, order, runs.prefix);
-       b != runs.base->end() && ComparePrefix(*b, pattern, order, runs.prefix) == 0;
-       ++b) {
-    if (dead.empty() || !std::binary_search(dead.begin(), dead.end(), *b, spo_less)) {
-      return true;
-    }
+  probe->delta_lo_ =
+      PrefixBound<kPerm, kPrefix, false>(probe->delta_lo_, probe->delta_end_, pattern);
+  if (probe->delta_lo_ != probe->delta_end_ && Key::Equal(*probe->delta_lo_, pattern)) {
+    return true;
+  }
+  probe->base_lo_ =
+      PrefixBound<kPerm, kPrefix, false>(probe->base_lo_, probe->base_end_, pattern);
+  for (const EncTriple* b = probe->base_lo_;
+       b != probe->base_end_ && Key::Equal(*b, pattern); ++b) {
+    if (!IsDead(*probe->dead_, *b)) return true;
   }
   return false;
 }
 
+SeekProbe ReadView::Probe(const EncPattern& shape, const MergedScan* within) const {
+  using ExistsFn = bool (*)(SeekProbe*, const EncPattern&);
+  static constexpr ExistsFn kExistsIn[3][4] = {
+      {SeekProbe::ExistsIn<0, 0>, SeekProbe::ExistsIn<0, 1>, SeekProbe::ExistsIn<0, 2>,
+       SeekProbe::ExistsIn<0, 3>},
+      {SeekProbe::ExistsIn<1, 0>, SeekProbe::ExistsIn<1, 1>, SeekProbe::ExistsIn<1, 2>,
+       SeekProbe::ExistsIn<1, 3>},
+      {SeekProbe::ExistsIn<2, 0>, SeekProbe::ExistsIn<2, 1>, SeekProbe::ExistsIn<2, 2>,
+       SeekProbe::ExistsIn<2, 3>}};
+  const int mask = BoundMask(shape);
+  PatternRuns runs = RunsFor(*base_, *delta_, mask);
+  SeekProbe probe;
+  if (within != nullptr && MaskIsPrefixOf(mask, runs.prefix, within->permutation())) {
+    // The probe key extends the range's sort prefix: search the range.
+    runs.perm = within->permutation();
+    probe.base_begin_ = within->base_begin_;
+    probe.base_end_ = within->base_end_;
+    probe.delta_begin_ = within->delta_begin_;
+    probe.delta_end_ = within->delta_end_;
+  } else {
+    probe.base_begin_ = runs.base->begin();
+    probe.base_end_ = runs.base->end();
+    probe.delta_begin_ = runs.delta->data();
+    probe.delta_end_ = runs.delta->data() + runs.delta->size();
+  }
+  probe.exists_ = kExistsIn[static_cast<int>(runs.perm)][runs.prefix];
+  probe.dead_ = &delta_->dead;
+  probe.Rewind();
+  return probe;
+}
+
 bool ReadView::InDelta(const EncTriple& t) const {
-  return std::binary_search(delta_->dspo.begin(), delta_->dspo.end(), t,
-                            PermLess{OrderOf(Permutation::kSpo)});
+  return SpoContains(delta_->dspo.data(), delta_->dspo.data() + delta_->dspo.size(), t);
 }
 
 bool ReadView::Contains(const EncTriple& t) const {
-  if (InDelta(t)) return true;
-  const PermLess spo_less{OrderOf(Permutation::kSpo)};
-  return std::binary_search(base_->spo.begin(), base_->spo.end(), t, spo_less) &&
-         !std::binary_search(delta_->dead.begin(), delta_->dead.end(), t, spo_less);
+  return InDelta(t) ||
+         (SpoContains(base_->spo.begin(), base_->spo.end(), t) && !IsDead(delta_->dead, t));
 }
 
 bool ReadView::Contains(const Triple& t) const {

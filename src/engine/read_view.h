@@ -59,6 +59,10 @@ struct EncPattern {
   DataId o = kNoDataId;
 
   DataId operator[](int pos) const { return pos == 0 ? s : (pos == 1 ? p : o); }
+
+  friend bool operator==(const EncPattern& a, const EncPattern& b) {
+    return a.s == b.s && a.p == b.p && a.o == b.o;
+  }
 };
 
 /// The three cyclic permutation orders.
@@ -153,12 +157,57 @@ class MergedScan {
   Permutation permutation() const { return perm_; }
 
  private:
+  friend class ReadView;  // Nests probes inside the scan's ranges.
+
   const EncTriple* base_begin_;
   const EncTriple* base_end_;
   const EncTriple* delta_begin_;
   const EncTriple* delta_end_;
   const Tombstones* dead_;
   Permutation perm_;
+};
+
+/// Forward-seeking existence probes over one permutation's sorted base
+/// and delta ranges: the seek of Leapfrog Triejoin (Veldhuizen, ICDT
+/// 2014), used by the join's probe step. Every probed pattern binds the
+/// same positions, which form a sort prefix of the permutation; each
+/// `Exists` call searches from where the previous one stopped, so a
+/// sequence of probes whose keys ascend (in permutation order) walks the
+/// range once instead of re-searching it from the start.
+///
+/// Obtain one from `ReadView::Probe`. The view must outlive the probe;
+/// a probe is plain data, owned by the thread that probes it.
+class SeekProbe {
+ public:
+  /// True iff some live triple of the range carries `pattern`'s values
+  /// on the probe's bound positions (tombstoned base triples do not
+  /// count). `pattern` must bind exactly the positions the probe was
+  /// made for and agree with the range's own bound positions. Between
+  /// `Rewind` calls the probed keys must not descend.
+  bool Exists(const EncPattern& pattern) { return exists_(this, pattern); }
+
+  /// Restarts the seek at the range's start, ahead of a key sequence
+  /// unrelated to the previous one.
+  void Rewind() {
+    base_lo_ = base_begin_;
+    delta_lo_ = delta_begin_;
+  }
+
+ private:
+  friend class ReadView;
+
+  /// `Exists`, specialised on the permutation and the bound prefix length.
+  template <int kPerm, int kPrefix>
+  static bool ExistsIn(SeekProbe* probe, const EncPattern& pattern);
+
+  bool (*exists_)(SeekProbe*, const EncPattern&) = nullptr;
+  const EncTriple* base_begin_ = nullptr;
+  const EncTriple* base_lo_ = nullptr;  // Seek position; below it, keys are smaller.
+  const EncTriple* base_end_ = nullptr;
+  const EncTriple* delta_begin_ = nullptr;
+  const EncTriple* delta_lo_ = nullptr;
+  const EncTriple* delta_end_ = nullptr;
+  const MergedScan::Tombstones* dead_ = nullptr;
 };
 
 /// A permutation-sorted base run: either owned storage (built or merged
@@ -294,15 +343,20 @@ class ReadView final : public TripleSource {
   bool EncodeScanPattern(const Triple& pattern, EncPattern* out) const;
 
   /// The triples matching `pattern`, in the permutation whose sort
-  /// prefix covers the bound positions. Every yielded triple matches; no
-  /// residual filtering is needed.
+  /// prefix covers the bound positions: two binary searches per run
+  /// over a packed prefix key. Every yielded triple matches; no residual
+  /// filtering is needed.
   MergedScan Scan(const EncPattern& pattern) const;
 
-  /// True iff some live triple matches `pattern`: `Scan(pattern)` is
-  /// non-empty. One lower bound per run in the permutation `Scan` would
-  /// pick, a prefix check, and a skip over tombstoned base triples — no
-  /// range is sized or merged.
-  bool Exists(const EncPattern& pattern) const;
+  /// An existence probe for patterns binding exactly the positions
+  /// `shape` binds (its values are ignored). When those positions form
+  /// a sort prefix of `within`'s permutation, the probe searches inside
+  /// `within` — a range the caller already located, whose bound values
+  /// every probed pattern shares — so it never leaves that range.
+  /// Otherwise, or with no `within`, it searches the full runs of the
+  /// permutation `Scan(shape)` would pick. Either way, probing pattern p
+  /// answers whether `Scan(p)` is non-empty.
+  SeekProbe Probe(const EncPattern& shape, const MergedScan* within = nullptr) const;
 
   /// True iff the encoded triple is present (and not tombstoned).
   bool Contains(const EncTriple& t) const;

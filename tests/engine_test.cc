@@ -172,7 +172,7 @@ TEST_P(IndexedStoreScanTest, EveryBoundMaskMatchesNaiveFilter) {
     if (store.view().EncodeScanPattern(probe, &enc)) {
       EXPECT_EQ(store.view().Scan(enc).size(), expected.size());
       EXPECT_EQ(store.view().Scan(enc).bound_size(), expected.size());
-      EXPECT_EQ(store.view().Exists(enc), !expected.empty()) << "mask=" << mask;
+      EXPECT_EQ(store.view().Probe(enc).Exists(enc), !expected.empty()) << "mask=" << mask;
     } else {
       EXPECT_TRUE(expected.empty());
     }
@@ -219,6 +219,29 @@ std::vector<Mapping> SortedMappings(const std::vector<VarAssignment>& assignment
   return out;
 }
 
+/// Checks the join of `patterns` under `fixed` (in `var_order` when
+/// given) against the CSP solver over `graph`, which must hold exactly
+/// the view's triples, and `JoinExists` against both.
+void ExpectJoinMatchesSolver(const RdfGraph& graph, const ReadView& view,
+                             const std::vector<Triple>& patterns, const Mapping& fixed,
+                             const std::vector<TermId>* var_order = nullptr) {
+  JoinCursor cursor(view, patterns, fixed, nullptr, var_order);
+  std::vector<Mapping> join_results;
+  Mapping mu;
+  while (cursor.Next(&mu)) join_results.push_back(mu);
+  std::sort(join_results.begin(), join_results.end());
+  TripleSet pattern;
+  for (const Triple& t : patterns) pattern.Insert(t);
+  std::vector<VarAssignment> hom_results;
+  EnumerateHomomorphisms(pattern, MappingToAssignment(fixed), graph.triples(),
+                         [&](const VarAssignment& a) {
+                           hom_results.push_back(a);
+                           return true;
+                         });
+  EXPECT_EQ(join_results, SortedMappings(hom_results));
+  EXPECT_EQ(JoinExists(view, patterns, fixed), !hom_results.empty());
+}
+
 /// Twenty random conjunctive patterns over `nodes` (one variable
 /// repeated inside a conjunct, `?x p ?x`-style, in a third of them),
 /// each joined over `view` and checked against the CSP solver over
@@ -254,22 +277,8 @@ void ExpectJoinsMatchSolver(Rng* rng, TermPool* pool, const RdfGraph& graph,
     }
     Mapping fixed;
     if (rng->NextBounded(2) == 0) fixed.Bind(random_var(), random_node());
-
-    std::vector<Mapping> join_results;
-    JoinEnumerate(view, pattern.triples(), fixed, [&](const Mapping& mu) {
-      join_results.push_back(mu);
-      return true;
-    });
-    std::sort(join_results.begin(), join_results.end());
-    std::vector<VarAssignment> hom_results;
-    EnumerateHomomorphisms(pattern, MappingToAssignment(fixed), graph.triples(),
-                           [&](const VarAssignment& a) {
-                             hom_results.push_back(a);
-                             return true;
-                           });
-    EXPECT_EQ(join_results, SortedMappings(hom_results)) << "trial " << trial;
-    EXPECT_EQ(JoinExists(view, pattern.triples(), fixed), !hom_results.empty())
-        << "trial " << trial;
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ExpectJoinMatchesSolver(graph, view, pattern.triples(), fixed);
   }
 }
 
@@ -354,7 +363,7 @@ TEST(JoinProbeTest, ProbeWhoseOnlyBaseMatchIsTombstonedFails) {
   ASSERT_TRUE(store.view().EncodeScanPattern(dead, &probe));
   EXPECT_GT(store.view().Scan(probe).bound_size(), 0u);  // The range still holds it.
   EXPECT_EQ(store.view().Scan(probe).size(), 0u);
-  EXPECT_FALSE(store.view().Exists(probe));
+  EXPECT_FALSE(store.view().Probe(probe).Exists(probe));
   EXPECT_TRUE(ProbeJoin(store, &pool).empty());
 }
 
@@ -371,10 +380,242 @@ TEST(JoinProbeTest, ProbeWhoseOnlyMatchIsInTheDeltaSucceeds) {
 
   EncPattern probe;
   ASSERT_TRUE(store.view().EncodeScanPattern(fresh, &probe));
-  EXPECT_TRUE(store.view().Exists(probe));
+  EXPECT_TRUE(store.view().Probe(probe).Exists(probe));
   const std::vector<Mapping> answers = ProbeJoin(store, &pool);
   ASSERT_EQ(answers.size(), 1u);
   EXPECT_EQ(answers[0].Get(pool.InternVariable("y")), pool.InternIri("b"));
+}
+
+// ---------------------------------------------------------------------
+// SeekProbe: forward-seeking existence probes against a filtered scan.
+// ---------------------------------------------------------------------
+
+void SetPosition(EncPattern* pattern, int pos, DataId value) {
+  (pos == 0 ? pattern->s : (pos == 1 ? pattern->p : pattern->o)) = value;
+}
+
+bool MatchesPattern(const EncTriple& t, const EncPattern& pattern) {
+  for (int pos = 0; pos < 3; ++pos) {
+    if (pattern[pos] != kNoDataId && t[pos] != pattern[pos]) return false;
+  }
+  return true;
+}
+
+EncTriple EncodeTriple(const ReadView& view, const Triple& t) {
+  EncPattern enc;
+  EXPECT_TRUE(view.EncodeScanPattern(t, &enc));
+  return EncTriple{enc.s, enc.p, enc.o};
+}
+
+class SeekProbeTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SeekProbeTest, AscendingProbesMatchAFilteredScan) {
+  Rng rng(GetParam() ^ 0x5eec);
+  TermPool pool;
+  RdfGraph graph(&pool);
+  testlib::SmallWorkloadGraph(&rng, 6, 40, 3, &graph);
+  IndexedStore store = IndexedStore::Build(graph.triples());
+  store.set_merge_threshold(0);  // Keep every mutation pending.
+  const std::vector<TermId> terms = graph.triples().Iris();
+  auto term = [&] { return terms[rng.NextBounded(static_cast<uint32_t>(terms.size()))]; };
+
+  // Tombstone some base triples, then add fresh ones, which stay in the
+  // delta. Neither set overlaps the other or the remaining base.
+  std::vector<Triple> erased = graph.triples().triples();
+  rng.Shuffle(erased);
+  erased.resize(8);
+  store.ApplyBatch({}, erased);
+  for (const Triple& t : erased) graph.Remove(t);
+  std::vector<Triple> added;
+  while (added.size() < 12) {
+    const Triple t(term(), term(), term());
+    if (graph.triples().Contains(t) ||
+        std::find(erased.begin(), erased.end(), t) != erased.end()) {
+      continue;
+    }
+    graph.Insert(t);
+    added.push_back(t);
+  }
+  store.ApplyBatch(added, {});
+
+  const ReadView& view = store.view();
+  std::vector<EncTriple> live;
+  for (const EncTriple& t : view.Scan(EncPattern{})) live.push_back(t);
+  ASSERT_EQ(live.size(), graph.size());
+  std::vector<EncTriple> dead;
+  std::vector<EncTriple> fresh;
+  for (const Triple& t : erased) dead.push_back(EncodeTriple(view, t));
+  for (const Triple& t : added) fresh.push_back(EncodeTriple(view, t));
+  auto any_match = [](const std::vector<EncTriple>& triples, const EncPattern& p) {
+    return std::any_of(triples.begin(), triples.end(),
+                       [&](const EncTriple& t) { return MatchesPattern(t, p); });
+  };
+
+  // One id past the dictionary: a value no triple can carry.
+  const DataId num_ids = static_cast<DataId>(view.dict().size());
+  int misses = 0, dead_only = 0, delta_only = 0;
+  for (int perm = 0; perm < 3; ++perm) {
+    const int* order = enc_order::kPermOrder[perm];
+    for (int prefix = 1; prefix <= 3; ++prefix) {
+      EncPattern shape;
+      for (int i = 0; i < prefix; ++i) SetPosition(&shape, order[i], 0);
+      SeekProbe full = view.Probe(shape);  // Rewound and reused per trial.
+      for (int trial = 0; trial < 12; ++trial) {
+        // The outer values come from a live, tombstoned or delta triple.
+        const std::vector<EncTriple>& source =
+            trial % 3 == 0 ? live : (trial % 3 == 1 ? dead : fresh);
+        const EncTriple& from = source[rng.NextBounded(static_cast<uint32_t>(source.size()))];
+        EncPattern outer;
+        for (int i = 0; i + 1 < prefix; ++i) SetPosition(&outer, order[i], from[order[i]]);
+        const MergedScan range = view.Scan(outer);
+        SeekProbe nested = view.Probe(shape, &range);
+        full.Rewind();
+        for (DataId value = 0; value <= num_ids; ++value) {
+          if (rng.NextBounded(4) == 0) continue;  // Ascending, with gaps.
+          EncPattern probe = outer;
+          SetPosition(&probe, order[prefix - 1], value);
+          const bool expected = any_match(live, probe);
+          const std::string where = "perm=" + std::to_string(perm) +
+                                    " prefix=" + std::to_string(prefix) +
+                                    " trial=" + std::to_string(trial) +
+                                    " value=" + std::to_string(value);
+          EXPECT_EQ(full.Exists(probe), expected) << where;
+          EXPECT_EQ(nested.Exists(probe), expected) << where;
+          if (!expected) {
+            ++misses;
+            if (any_match(dead, probe)) ++dead_only;
+          } else if (std::all_of(live.begin(), live.end(), [&](const EncTriple& t) {
+                       return !MatchesPattern(t, probe) ||
+                              std::find(fresh.begin(), fresh.end(), t) != fresh.end();
+                     })) {
+            ++delta_only;
+          }
+        }
+      }
+    }
+  }
+  // The sequences covered every kind of value.
+  EXPECT_GT(misses, 0);
+  EXPECT_GT(dead_only, 0);
+  EXPECT_GT(delta_only, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SeekProbeTest, ::testing::Range<uint64_t>(1, 9));
+
+// ---------------------------------------------------------------------
+// Join: probes nested in sized ranges, and the per-level range memo.
+// ---------------------------------------------------------------------
+
+TEST(JoinProbeTest, NestedFullRunAndRepeatedVariableProbesMatchTheSolver) {
+  // (?x city c) AND (?x knows ?y) AND (?y city c) AND (?x likes ?x). The
+  // city range is the smallest at the ?x level, so ?x is probed into
+  // (?x knows _), whose bound positions S,P are no prefix of the POS
+  // range it was sized in (full SPO runs), and into (?x likes ?x), fully
+  // bound and so nested in its range. At the ?y level, filled once per
+  // ?x, (?y city c) is located once and probed inside its range.
+  Rng rng(20);
+  TermPool pool;
+  RdfGraph graph(&pool);
+  auto node = [](int i) { return "n" + std::to_string(i); };
+  for (int i = 0; i < 30; ++i) {
+    graph.Insert(node(i), "city", "c" + std::to_string(i % 3));
+    if (i % 2 == 0) graph.Insert(node(i), "likes", node(i));
+  }
+  for (int i = 0; i < 70; ++i) {
+    graph.Insert(node(static_cast<int>(rng.NextBounded(30))), "knows",
+                 node(static_cast<int>(rng.NextBounded(30))));
+  }
+  for (int i = 0; i < 10; ++i) {
+    graph.Insert(node(static_cast<int>(rng.NextBounded(30))), "likes",
+                 node(static_cast<int>(rng.NextBounded(30))));
+  }
+  IndexedStore store = IndexedStore::Build(graph.triples());
+  store.set_merge_threshold(0);
+  // Tombstone some base triples and add delta ones of every predicate.
+  const std::vector<Triple> all = graph.triples().triples();
+  std::vector<Triple> erased;
+  for (std::size_t i = 0; i < all.size(); i += 9) erased.push_back(all[i]);
+  store.ApplyBatch({}, erased);
+  for (const Triple& t : erased) graph.Remove(t);
+  std::vector<Triple> added;
+  for (int i = 0; i < 12; ++i) {
+    const Triple t(pool.InternIri(node(static_cast<int>(rng.NextBounded(30)))),
+                   pool.InternIri(i % 3 == 0 ? "city" : (i % 3 == 1 ? "knows" : "likes")),
+                   pool.InternIri(i % 3 == 0 ? "c0" : node(static_cast<int>(rng.NextBounded(30)))));
+    if (graph.Insert(t)) added.push_back(t);
+  }
+  store.ApplyBatch(added, {});
+
+  const TermId x = pool.InternVariable("x");
+  const TermId y = pool.InternVariable("y");
+  std::size_t answers = 0;
+  for (const char* c : {"c0", "c1", "c2"}) {
+    const TermId city = pool.InternIri(c);
+    const std::vector<Triple> patterns = {
+        Triple(x, pool.InternIri("city"), city), Triple(x, pool.InternIri("knows"), y),
+        Triple(y, pool.InternIri("city"), city), Triple(x, pool.InternIri("likes"), x)};
+    ExpectJoinMatchesSolver(graph, store.view(), patterns, {});
+    JoinEnumerate(store.view(), patterns, {}, [&](const Mapping&) {
+      ++answers;
+      return true;
+    });
+  }
+  EXPECT_GT(answers, 0u);
+}
+
+TEST(JoinProbeTest, ChainWhoseMiddleRangeDependsOnTheRootMatchesTheSolver) {
+  // (?a p ?b) AND (?b q ?c) AND (?c r d), bound ?a, ?b, ?c in turn. The
+  // (?a p ?b) range at the ?b level changes with every ?a; (?b q ?c) and
+  // (?c r d) do not change with the levels above, so their ranges are
+  // reused across fills.
+  Rng rng(21);
+  TermPool pool;
+  RdfGraph graph(&pool);
+  auto name = [](const char* prefix, uint32_t i) { return prefix + std::to_string(i); };
+  for (int i = 0; i < 40; ++i) {
+    graph.Insert(name("a", rng.NextBounded(8)), "p", name("b", rng.NextBounded(12)));
+    graph.Insert(name("b", rng.NextBounded(12)), "q", name("c", rng.NextBounded(12)));
+  }
+  for (uint32_t i = 0; i < 12; i += 2) graph.Insert(name("c", i), "r", "d");
+  IndexedStore store = IndexedStore::Build(graph.triples());
+  const TermId a = pool.InternVariable("a");
+  const TermId b = pool.InternVariable("b");
+  const TermId c = pool.InternVariable("c");
+  const std::vector<Triple> patterns = {
+      Triple(a, pool.InternIri("p"), b), Triple(b, pool.InternIri("q"), c),
+      Triple(c, pool.InternIri("r"), pool.InternIri("d"))};
+  const std::vector<TermId> order = {a, b, c};
+  ExpectJoinMatchesSolver(graph, store.view(), patterns, {}, &order);
+  const std::vector<TermId> reverse = {c, b, a};
+  ExpectJoinMatchesSolver(graph, store.view(), patterns, {}, &reverse);
+}
+
+TEST(JoinExistsTest, GroundPatternsAreMembershipTests) {
+  TermPool pool;
+  RdfGraph graph(&pool);
+  graph.Insert("a", "p", "b");
+  graph.Insert("b", "q", "a");
+  graph.Insert("b", "q", "c");
+  IndexedStore store = IndexedStore::Build(graph.triples());
+  store.set_merge_threshold(0);
+  store.ApplyBatch({}, {Triple(pool.InternIri("b"), pool.InternIri("q"),
+                               pool.InternIri("c"))});
+  const TermId x = pool.InternVariable("x");
+  const TermId y = pool.InternVariable("y");
+  const std::vector<Triple> patterns = {Triple(x, pool.InternIri("p"), y),
+                                        Triple(y, pool.InternIri("q"), x)};
+  ExecStats stats;
+  EXPECT_TRUE(JoinExists(store.view(), patterns,
+                         testlib::MakeMapping(&pool, {{"x", "a"}, {"y", "b"}}), &stats));
+  EXPECT_EQ(stats.dict_encodes, 6u);  // Three per triple.
+  // (b q c) is tombstoned.
+  EXPECT_FALSE(JoinExists(store.view(), {Triple(y, pool.InternIri("q"), x)},
+                          testlib::MakeMapping(&pool, {{"x", "c"}, {"y", "b"}})));
+  // A term the store never saw ends the test at its encode.
+  stats = ExecStats{};
+  EXPECT_FALSE(JoinExists(store.view(), patterns,
+                          testlib::MakeMapping(&pool, {{"x", "a"}, {"y", "zz"}}), &stats));
+  EXPECT_EQ(stats.dict_encodes, 3u);
 }
 
 // ---------------------------------------------------------------------
