@@ -5,8 +5,6 @@
 
 #include "engine/api_internal.h"
 #include "engine/join.h"
-#include "hom/homomorphism.h"
-#include "hom/pebble.h"
 #include "optimizer/planner.h"
 #include "ptree/tgraph.h"
 #include "rdf/ntriples.h"
@@ -394,7 +392,9 @@ namespace {
 /// `CandidateGenerator` over a resumable `JoinCursor`: the indexed
 /// backend's suspendable candidate source. Shares ownership of the
 /// pinned view through the cursor; an optional root claim partitions
-/// the candidate space across parallel workers.
+/// the candidate space across parallel workers. Each extension test is
+/// compiled once, in its reduced form, over the cursor's row: a test
+/// reads the candidate's `DataId`s where the join left them.
 ///
 /// When `optimize` is set and the view carries cardinality statistics,
 /// the subtree's variable order comes from the cost-based planner and
@@ -405,13 +405,14 @@ namespace {
 class JoinCursorGenerator final : public CandidateGenerator {
  public:
   JoinCursorGenerator(std::shared_ptr<const ReadView> view,
-                      const std::vector<Triple>& patterns, ExecStats* stats,
+                      const std::vector<Triple>& patterns,
+                      const std::vector<ExtensionTest>& tests, ExecStats* stats,
                       const std::function<bool()>& claim, bool optimize,
                       const TermPool* pool, Counter* plans_metric,
                       Histogram* plan_ns_metric)
       : plan_(MakePlan(view.get(), patterns, optimize, plans_metric,
                        plan_ns_metric, &info_.plan_ns)),
-        cursor_(std::move(view), patterns, Mapping{}, stats,
+        cursor_(view, patterns, Mapping{}, stats,
                 plan_.has_value() ? &plan_->var_order : nullptr) {
     if (plan_.has_value()) {
       info_.est_rows = plan_->est_rows;
@@ -419,9 +420,17 @@ class JoinCursorGenerator final : public CandidateGenerator {
       info_.description = optimizer::DescribePlan(*plan_, *pool);
     }
     if (claim) cursor_.SetRootClaim(claim);
+    tests_.reserve(tests.size());
+    for (const ExtensionTest& test : tests) {
+      tests_.emplace_back(*view, test.reduced.triples(), cursor_.row_variables(), stats);
+    }
   }
 
   bool Next(Mapping* out) override { return cursor_.Next(out); }
+
+  bool Extends(std::size_t test, const Mapping&) override {
+    return tests_[test].Extends(cursor_.row());
+  }
 
   const CandidatePlanInfo* plan_info() const override {
     return plan_.has_value() ? &info_ : nullptr;
@@ -444,44 +453,13 @@ class JoinCursorGenerator final : public CandidateGenerator {
   }
 
   // Declaration order is load-bearing: `plan_` initialises (writing
-  // `info_.plan_ns`) before `cursor_`, which consumes the chosen order.
+  // `info_.plan_ns`) before `cursor_`, which consumes the chosen order;
+  // `tests_` read the view the cursor pins, so they die before it.
   CandidatePlanInfo info_;
   std::optional<optimizer::SubtreePlan> plan_;
   JoinCursor cursor_;
+  std::vector<CompiledTest> tests_;
 };
-
-/// A maximality certificate: true iff some homomorphism of `combined`
-/// extends `mu`.
-using Extends = std::function<bool(const TripleSet& combined, const Mapping& mu)>;
-
-/// The session backend's certificate over `view`: the engine's join on
-/// the indexed backend; on the naive oracle the CSP solver or — under a
-/// domination-width promise — the (k+1)-pebble game, both reading the
-/// pinned view itself.
-Extends MakeExtends(const SessionOptions& options,
-                    std::shared_ptr<const ReadView> view, ExecStats* join_stats) {
-  if (options.backend == Backend::kIndexed) {
-    return [view, join_stats](const TripleSet& combined, const Mapping& mu) {
-      return JoinExists(*view, combined.triples(), mu, join_stats);
-    };
-  }
-  if (options.pebble_promise > 0) {
-    // The game's domain is `ReadView::AllTerms`: every dictionary term,
-    // including dead ones a removal left in no triple. They cannot
-    // change the outcome at k+1 >= 2 pebbles on a non-empty view (and a
-    // certificate only runs once the candidate matched pat(T') in this
-    // view): a dead image for x survives only when every triple of x has
-    // three free variables and the game has two pebbles, and then any
-    // live term survives in its place.
-    int k = options.pebble_promise;
-    return [view, k](const TripleSet& combined, const Mapping& mu) {
-      return PebbleGameWins(combined, MappingToAssignment(mu), *view, k + 1);
-    };
-  }
-  return [view](const TripleSet& combined, const Mapping& mu) {
-    return HasHomomorphism(combined, MappingToAssignment(mu), *view);
-  };
-}
 
 }  // namespace
 
@@ -497,11 +475,20 @@ EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
   // outlives the hooks by contract, so the lambdas capture it raw.
   WDSPARQL_CHECK(view != nullptr);
   EnumerationHooks hooks;
-  hooks.extends = MakeExtends(options, view, join_stats);
   if (options.backend == Backend::kNaiveHash) {
-    hooks.open_candidates = [view](const TripleSet& pattern,
-                                   const std::function<bool()>& stop) {
-      return MaterializeHomomorphisms(pattern, *view, stop);
+    // Under a pebble promise the game runs over the pinned view. Its
+    // domain is `ReadView::AllTerms`: every dictionary term, including
+    // dead ones a removal left in no triple. They cannot change the
+    // outcome at k+1 >= 2 pebbles on a non-empty view (and a test only
+    // runs once the candidate matched pat(T') in this view): a dead
+    // image for x survives only when every triple of x has three free
+    // variables and the game has two pebbles, and then any live term
+    // survives in its place.
+    hooks.open_subtree = [view, k = options.pebble_promise](
+                             const TripleSet& pattern,
+                             const std::vector<ExtensionTest>& tests,
+                             const std::function<bool()>& stop) {
+      return MaterializeHomomorphisms(pattern, tests, *view, k, stop);
     };
     return hooks;
   }
@@ -513,12 +500,12 @@ EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
   Histogram* plan_ns_metric = &db.metrics->histogram("optimizer.plan_ns");
   // The join cursor is lazy, so it needs no stop check: the enumerator
   // checks for interruption between pulls.
-  hooks.open_candidates =
+  hooks.open_subtree =
       [view, join_stats, claim = std::move(root_claim), optimize, pool,
        plans_metric, plan_ns_metric](
-          const TripleSet& pattern,
+          const TripleSet& pattern, const std::vector<ExtensionTest>& tests,
           const std::function<bool()>&) -> std::unique_ptr<CandidateGenerator> {
-    return std::make_unique<JoinCursorGenerator>(view, pattern.triples(),
+    return std::make_unique<JoinCursorGenerator>(view, pattern.triples(), tests,
                                                  join_stats, claim, optimize,
                                                  pool, plans_metric,
                                                  plan_ns_metric);
@@ -529,10 +516,26 @@ EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
 bool EvaluateMembership(const PatternForest& forest, const SessionOptions& options,
                         const Mapping& mu, std::shared_ptr<const ReadView> view) {
   // Subtree matching and every extension test read the same pinned view.
-  Extends extends = MakeExtends(options, view, nullptr);
-  return WdEvalWith(forest, *view, mu, nullptr, [&](const TripleSet& combined) {
-    return extends(combined, mu);
-  });
+  if (options.backend == Backend::kNaiveHash) {
+    return WdEvalWith(forest, *view, mu, nullptr,
+                      [&](const TripleSet& combined, const TripleSet&) {
+                        return LiteralExtends(combined, mu, *view, options.pebble_promise);
+                      });
+  }
+  // mu, encoded once, is the row of every test. A value absent from the
+  // view fails every tree: dom(mu) must be the variables of a subtree
+  // whose pattern mu maps into the view.
+  const std::vector<TermId> row_vars = mu.Domain();
+  std::vector<DataId> row;
+  for (const auto& [var, value] : mu.bindings()) {
+    row.push_back(view->dict().Encode(value));
+    if (row.back() == kNoDataId) return false;
+  }
+  return WdEvalWith(forest, *view, mu, nullptr,
+                    [&](const TripleSet&, const TripleSet& child) {
+                      return CompiledTest(*view, child.triples(), row_vars)
+                          .Extends(row.data());
+                    });
 }
 
 }  // namespace engine_internal

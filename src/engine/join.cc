@@ -16,6 +16,47 @@ struct EncConjunct {
   int var[3];          // -1 where a constant sits.
 };
 
+/// A conjunct position that a compiled test reads from its row: every
+/// reset writes row slot `slot` over `constant[pos]` of conjunct
+/// `conjunct`.
+struct SlotRef {
+  std::size_t conjunct;
+  int pos;
+  int slot;
+};
+
+/// Encodes `t` as conjunct `ci`: constants through `view`'s dictionary
+/// (one `dict_encodes` each), variables of `slot_of` as row slots
+/// (appended to `refs`, the position left `kNoDataId`), every other
+/// variable through `local_var`. Returns false iff a constant is absent
+/// from the view.
+template <typename LocalVar>
+bool EncodeConjunct(const ReadView& view, const Triple& t,
+                    const std::unordered_map<TermId, int>& slot_of, std::size_t ci,
+                    ExecStats* stats, LocalVar local_var, EncConjunct* c,
+                    std::vector<SlotRef>* refs) {
+  bool present = true;
+  for (int pos = 0; pos < 3; ++pos) {
+    const TermId term = t[pos];
+    c->constant[pos] = kNoDataId;
+    c->var[pos] = -1;
+    if (!IsVariable(term)) {
+      if (stats != nullptr) ++stats->dict_encodes;
+      c->constant[pos] = view.dict().Encode(term);
+      if (c->constant[pos] == kNoDataId) present = false;
+    } else if (auto slot = slot_of.find(term); slot != slot_of.end()) {
+      refs->push_back({ci, pos, slot->second});
+    } else {
+      c->var[pos] = local_var(term);
+    }
+  }
+  return present;
+}
+
+bool IsGround(const EncConjunct& c) {
+  return c.var[0] < 0 && c.var[1] < 0 && c.var[2] < 0;
+}
+
 }  // namespace
 
 /// The whole resumable join state. The recursion of the old callback
@@ -54,10 +95,12 @@ struct JoinCursor::State {
   std::function<bool()> claim;  // Null = every root value is ours.
 
   std::vector<EncConjunct> conjuncts;
+  std::vector<SlotRef> slot_refs;  // Compiled tests only (see Reset).
+  /// The join's variables in binding order: level d binds `vars[d]`, and
+  /// `binding[d]` holds its value.
   std::vector<TermId> vars;
   std::unordered_map<TermId, int> var_index;
   std::vector<std::vector<std::size_t>> conjuncts_of_var;
-  std::vector<int> order;
   std::vector<DataId> binding;
   std::vector<Level> levels;
   int depth = -1;  // -1 = not started.
@@ -72,36 +115,34 @@ struct JoinCursor::State {
     return idx;
   }
 
-  /// Returns false iff setup proved the join empty.
+  /// Encodes `patterns` under `fixed`; returns false iff setup proved
+  /// the join empty. Conjuncts that `fixed` grounds are tested here and
+  /// dropped.
   bool Setup(const std::vector<Triple>& patterns,
              const std::vector<TermId>* preferred_order) {
+    static const std::unordered_map<TermId, int> kNoSlots;
     for (const Triple& raw : patterns) {
-      Triple t = fixed.ApplyPartial(raw);
       EncConjunct c;
-      bool ground = true;
-      EncTriple enc_ground;
-      for (int pos = 0; pos < 3; ++pos) {
-        TermId term = t[pos];
-        if (IsVariable(term)) {
-          c.constant[pos] = kNoDataId;
-          c.var[pos] = LocalVar(term);
-          ground = false;
-          continue;
-        }
-        if (stats != nullptr) ++stats->dict_encodes;
-        DataId id = store.dict().Encode(term);
-        if (id == kNoDataId) return false;  // Constant absent from the store.
-        c.constant[pos] = id;
-        c.var[pos] = -1;
-        (pos == 0 ? enc_ground.s : (pos == 1 ? enc_ground.p : enc_ground.o)) = id;
+      if (!EncodeConjunct(store, fixed.ApplyPartial(raw), kNoSlots, conjuncts.size(),
+                          stats, [this](TermId term) { return LocalVar(term); }, &c,
+                          &slot_refs)) {
+        return false;  // Constant absent from the store.
       }
-      if (ground) {
-        if (!store.Contains(enc_ground)) return false;
+      if (IsGround(c)) {
+        if (!store.Contains(EncTriple{c.constant[0], c.constant[1], c.constant[2]})) {
+          return false;
+        }
         continue;  // Satisfied unconditionally; drop the conjunct.
       }
       conjuncts.push_back(c);
     }
+    Plan(preferred_order);
+    return true;
+  }
 
+  /// Fixes the binding order over `conjuncts` and renumbers the
+  /// variables into it.
+  void Plan(const std::vector<TermId>* preferred_order) {
     // Bind most-constrained variables first: descending pattern count,
     // ties by TermId for determinism.
     conjuncts_of_var.assign(vars.size(), {});
@@ -113,7 +154,7 @@ struct JoinCursor::State {
         if (list.empty() || list.back() != ci) list.push_back(ci);
       }
     }
-    order.resize(vars.size());
+    std::vector<int> order(vars.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
     std::sort(order.begin(), order.end(), [this](int a, int b) {
       std::size_t ca = conjuncts_of_var[a].size();
@@ -141,12 +182,41 @@ struct JoinCursor::State {
       }
       if (ok) order = std::move(mapped);
     }
-    binding.assign(vars.size(), kNoDataId);
-    levels.resize(order.size());
-    for (std::size_t d = 0; d < order.size(); ++d) {
-      levels[d].sized.resize(conjuncts_of_var[order[d]].size());
+    // Renumber so that variable d is the one level d binds: the binding
+    // vector is then the row, in binding order, that compiled tests read.
+    std::vector<int> rank(order.size());
+    for (std::size_t d = 0; d < order.size(); ++d) rank[order[d]] = static_cast<int>(d);
+    for (EncConjunct& c : conjuncts) {
+      for (int& v : c.var) {
+        if (v >= 0) v = rank[v];
+      }
     }
-    return true;
+    std::vector<TermId> ordered_vars(order.size());
+    std::vector<std::vector<std::size_t>> ordered_conjuncts(order.size());
+    for (std::size_t d = 0; d < order.size(); ++d) {
+      ordered_vars[d] = vars[order[d]];
+      ordered_conjuncts[d] = std::move(conjuncts_of_var[order[d]]);
+    }
+    vars = std::move(ordered_vars);
+    conjuncts_of_var = std::move(ordered_conjuncts);
+    for (auto& entry : var_index) entry.second = rank[entry.second];
+    binding.assign(vars.size(), kNoDataId);
+    levels.resize(vars.size());
+    for (std::size_t d = 0; d < vars.size(); ++d) {
+      levels[d].sized.resize(conjuncts_of_var[d].size());
+    }
+  }
+
+  /// Restarts a compiled test's join on a new row: writes the row's
+  /// slot values into their conjunct positions and unbinds every level.
+  /// Sized ranges stay: each is re-located only if its pattern changed.
+  void Reset(const DataId* row) {
+    for (const SlotRef& ref : slot_refs) {
+      conjuncts[ref.conjunct].constant[ref.pos] = row[ref.slot];
+    }
+    std::fill(binding.begin(), binding.end(), kNoDataId);
+    depth = -1;
+    done = false;
   }
 
   /// Conjunct `ci` as a scan pattern under the current bindings, with
@@ -221,7 +291,7 @@ struct JoinCursor::State {
     Level& level = levels[d];
     level.values.clear();
     level.pos = 0;
-    const int v = order[d];
+    const int v = static_cast<int>(d);
     const std::vector<std::size_t>& with_v = conjuncts_of_var[v];
     std::size_t smallest = 0;
     for (std::size_t k = 0; k < with_v.size(); ++k) {
@@ -263,7 +333,7 @@ struct JoinCursor::State {
   bool Next(Mapping* out) {
     if (done) return false;
     if (depth < 0) {
-      if (order.empty()) {
+      if (vars.empty()) {
         // Zero unbound variables: the one (fixed) solution. It still
         // counts as one root-claim unit, so exactly one of a set of
         // partitioned cursors emits it.
@@ -283,15 +353,15 @@ struct JoinCursor::State {
       if (level.pos < level.values.size()) {
         DataId value = level.values[level.pos++];
         if (depth == 0 && claim && !claim()) continue;  // Another worker's.
-        binding[order[depth]] = value;
-        if (depth + 1 == static_cast<int>(order.size())) {
+        binding[depth] = value;
+        if (depth + 1 == static_cast<int>(vars.size())) {
           Emit(out);
           return true;
         }
         ++depth;
         FillLevel(depth);
       } else {
-        binding[order[depth]] = kNoDataId;
+        binding[depth] = kNoDataId;
         --depth;
       }
     }
@@ -323,8 +393,104 @@ JoinCursor& JoinCursor::operator=(JoinCursor&&) noexcept = default;
 
 bool JoinCursor::Next(Mapping* out) { return state_->Next(out); }
 
+const std::vector<TermId>& JoinCursor::row_variables() const { return state_->vars; }
+
+const DataId* JoinCursor::row() const { return state_->binding.data(); }
+
 void JoinCursor::SetRootClaim(std::function<bool()> claim) {
   state_->claim = std::move(claim);
+}
+
+/// One ground conjunct of a compiled test: a whole-triple probe whose
+/// key is the constants with the row's slot values written in.
+struct CompiledTest::GroundProbe {
+  EncTriple key;
+  int slot[3];  // -1 where a constant sits.
+  Permutation perm;
+  SeekProbe probe;
+  EncTriple last{0, 0, 0};  // The previous key; the probe starts rewound.
+
+  bool Exists(const DataId* row) {
+    if (slot[0] >= 0) key.s = row[slot[0]];
+    if (slot[1] >= 0) key.p = row[slot[1]];
+    if (slot[2] >= 0) key.o = row[slot[2]];
+    // The seek only moves forward: a key below the previous one (in the
+    // probe's permutation order) searches the runs from their start.
+    if (enc_order::PermLess{enc_order::OrderOf(perm)}(key, last)) probe.Rewind();
+    last = key;
+    return probe.Exists(EncPattern{key.s, key.p, key.o});
+  }
+};
+
+CompiledTest::CompiledTest(const ReadView& view, const std::vector<Triple>& patterns,
+                           const std::vector<TermId>& row_vars, ExecStats* stats) {
+  std::unordered_map<TermId, int> slot_of;
+  for (std::size_t i = 0; i < row_vars.size(); ++i) {
+    slot_of.emplace(row_vars[i], static_cast<int>(i));
+  }
+  auto join = std::make_unique<JoinCursor::State>(nullptr, view, Mapping{}, stats);
+  auto local_var = [&join](TermId term) { return join->LocalVar(term); };
+  std::vector<SlotRef> refs;
+  for (const Triple& t : patterns) {
+    EncConjunct c;
+    refs.clear();
+    if (!EncodeConjunct(view, t, slot_of, join->conjuncts.size(), stats, local_var, &c,
+                        &refs)) {
+      absent_ = true;
+    }
+    if (!IsGround(c)) {
+      join->conjuncts.push_back(c);
+      join->slot_refs.insert(join->slot_refs.end(), refs.begin(), refs.end());
+      continue;
+    }
+    GroundProbe ground{{c.constant[0], c.constant[1], c.constant[2]}, {-1, -1, -1},
+                       Permutation::kSpo, SeekProbe{}};
+    for (const SlotRef& ref : refs) ground.slot[ref.pos] = ref.slot;
+    // Probe in the permutation that reads the most slots in row order
+    // (constants never change, so they do not count). Rows arrive
+    // ascending, so where the slots are a prefix of the row read in
+    // order, successive keys ascend and the probe only seeks forward;
+    // elsewhere a descending key rewinds it.
+    int best_run = -1;
+    for (int perm = 0; perm < 3; ++perm) {
+      int run = 0;
+      int prev = -1;
+      for (int pos : enc_order::kPermOrder[perm]) {
+        if (ground.slot[pos] < 0) continue;
+        if (ground.slot[pos] < prev) break;
+        prev = ground.slot[pos];
+        ++run;
+      }
+      if (run > best_run) {
+        best_run = run;
+        ground.perm = static_cast<Permutation>(perm);
+      }
+    }
+    ground.probe = view.TripleProbe(ground.perm);
+    ground_.push_back(ground);
+  }
+  if (absent_) {
+    ground_.clear();  // An absent constant decides the test: no triple matches.
+    return;
+  }
+  if (!join->conjuncts.empty()) {
+    join->Plan(nullptr);
+    join_ = std::move(join);
+  }
+}
+
+CompiledTest::~CompiledTest() = default;
+CompiledTest::CompiledTest(CompiledTest&&) noexcept = default;
+CompiledTest& CompiledTest::operator=(CompiledTest&&) noexcept = default;
+
+bool CompiledTest::Extends(const DataId* row) {
+  if (absent_) return false;
+  for (GroundProbe& ground : ground_) {
+    if (!ground.Exists(row)) return false;
+  }
+  if (join_ == nullptr) return true;
+  join_->Reset(row);
+  return join_->Next(&solution_);
 }
 
 void JoinEnumerate(const ReadView& store, const std::vector<Triple>& patterns,

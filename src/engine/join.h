@@ -42,10 +42,14 @@
 /// unchanged, so a conjunct that shares no variable with the levels
 /// above is located once per cursor.
 ///
-/// The join is exposed two ways: `JoinCursor`, a pull-based resumable
+/// The join is exposed three ways: `JoinCursor`, a pull-based resumable
 /// iterator (the engine's suspendable enumeration and the parallel
-/// execution mode both build on it), and the callback-shaped
-/// `JoinEnumerate`/`JoinExists`, which are thin drivers over a cursor.
+/// execution mode both build on it); `CompiledTest`, an extension test
+/// compiled once and run on many rows of `DataId`s — the paper's
+/// maximality certificates and witness tests, run on each candidate
+/// the cursor emits, where the cursor left its values; and the
+/// callback-shaped `JoinEnumerate`/`JoinExists`, thin drivers over a
+/// cursor.
 ///
 /// Every entry point takes an optional `ExecStats*`: when non-null the
 /// join counts its storage work into it (`ranges_scanned`,
@@ -102,6 +106,16 @@ class JoinCursor {
   /// false once exhausted (and from then on).
   bool Next(Mapping* out);
 
+  /// The join's variables in binding order: the first-bound first.
+  /// Solutions arrive in ascending order of their values read in this
+  /// order (as `DataId`s).
+  const std::vector<TermId>& row_variables() const;
+
+  /// The last solution's values, parallel to `row_variables()`: the row
+  /// a `CompiledTest` reads. Valid after `Next` returned true, until the
+  /// next `Next`.
+  const DataId* row() const;
+
   /// Installs a work-partitioning claim consulted once per root-level
   /// binding, in the cursor's deterministic candidate order: `claim()`
   /// returning false skips that root value (and its whole sub-descent).
@@ -111,8 +125,49 @@ class JoinCursor {
   void SetRootClaim(std::function<bool()> claim);
 
  private:
+  friend class CompiledTest;  // Resets one join state per call.
   struct State;
   std::unique_ptr<State> state_;
+};
+
+/// An extension test compiled once against a view: does some
+/// homomorphism of `patterns` extend a row of `DataId`s? The row binds
+/// `row_vars` (slot i holds the value of `row_vars[i]`); the patterns'
+/// other variables are the test's own.
+///
+/// Compiling encodes every constant once (`dict_encodes`), so running
+/// the test never touches the dictionary. A constant absent from the
+/// view decides the test at once: it fails for every row. Each pattern
+/// the row grounds becomes a whole-triple `SeekProbe` in the cyclic
+/// permutation that best follows `row_vars`' order: rows that ascend in
+/// it (a `JoinCursor`'s do, over `row_variables()`) seek forward, and a
+/// key below the previous one rewinds the probe. The other patterns
+/// form one Generic Join state with the row's values as constants,
+/// reset on every call and run to its first solution, with the heuristic
+/// variable order. A call allocates nothing once warm.
+///
+/// The view must outlive the test; `stats` (optional) receives the
+/// join's counters, as `JoinExists` would count them. One thread at a
+/// time.
+class CompiledTest {
+ public:
+  CompiledTest(const ReadView& view, const std::vector<Triple>& patterns,
+               const std::vector<TermId>& row_vars, ExecStats* stats = nullptr);
+  ~CompiledTest();
+  CompiledTest(CompiledTest&&) noexcept;
+  CompiledTest& operator=(CompiledTest&&) noexcept;
+
+  /// True iff some homomorphism of the patterns extends `row`'s
+  /// bindings, which must cover the patterns' row variables.
+  bool Extends(const DataId* row);
+
+ private:
+  struct GroundProbe;
+
+  bool absent_ = false;  // A constant is absent from the view.
+  std::vector<GroundProbe> ground_;
+  std::unique_ptr<JoinCursor::State> join_;  // Null: every pattern is ground.
+  Mapping solution_;  // The join's first solution, discarded.
 };
 
 /// Enumerates every mapping mu ⊇ `fixed` with dom(mu) = vars(`patterns`)

@@ -127,16 +127,22 @@ struct PatternRuns {
   const std::vector<EncTriple>* delta;
 };
 
-PatternRuns RunsFor(const BaseRuns& base, const DeltaRuns& delta, int mask) {
+PatternRuns RunsOf(const BaseRuns& base, const DeltaRuns& delta, Permutation perm,
+                   int prefix) {
   PatternRuns runs;
-  runs.perm = kPermForMask[mask];
-  runs.prefix = (mask & 1) + ((mask >> 1) & 1) + ((mask >> 2) & 1);
-  switch (runs.perm) {
+  runs.perm = perm;
+  runs.prefix = prefix;
+  switch (perm) {
     case Permutation::kSpo: runs.base = &base.spo; runs.delta = &delta.dspo; break;
     case Permutation::kPos: runs.base = &base.pos; runs.delta = &delta.dpos; break;
     default: runs.base = &base.osp; runs.delta = &delta.dosp; break;
   }
   return runs;
+}
+
+PatternRuns RunsFor(const BaseRuns& base, const DeltaRuns& delta, int mask) {
+  return RunsOf(base, delta, kPermForMask[mask],
+                (mask & 1) + ((mask >> 1) & 1) + ((mask >> 2) & 1));
 }
 
 const std::shared_ptr<const BaseRuns>& EmptyBaseRuns() {
@@ -296,6 +302,16 @@ SeekProbe ReadView::Probe(const EncPattern& shape, const MergedScan* within) con
   probe.dead_ = &delta_->dead;
   probe.Rewind();
   return probe;
+}
+
+SeekProbe ReadView::TripleProbe(Permutation perm) const {
+  // A whole triple is a sort prefix of every permutation: probe inside
+  // `perm`'s full runs.
+  const PatternRuns runs = RunsOf(*base_, *delta_, perm, 0);
+  const EncTriple* delta_begin = runs.delta->data();
+  const MergedScan all(runs.base->begin(), runs.base->end(), delta_begin,
+                       delta_begin + runs.delta->size(), &delta_->dead, perm);
+  return Probe(EncPattern{0, 0, 0}, &all);
 }
 
 bool ReadView::InDelta(const EncTriple& t) const {

@@ -358,6 +358,11 @@ class ReadView final : public TripleSource {
   /// answers whether `Scan(p)` is non-empty.
   SeekProbe Probe(const EncPattern& shape, const MergedScan* within = nullptr) const;
 
+  /// An existence probe for whole triples over the full runs of
+  /// `perm`: probing triple t answers `Contains(t)`, and a sequence of
+  /// triples ascending in `perm`'s order walks the runs once.
+  SeekProbe TripleProbe(Permutation perm) const;
+
   /// True iff the encoded triple is present (and not tombstoned).
   bool Contains(const EncTriple& t) const;
 

@@ -28,18 +28,32 @@ std::string RenderPattern(const TermPool& pool, const TripleSet& pattern) {
 }
 
 /// The CSP solver's candidate set, materialised up front and drained
-/// one pull at a time.
+/// one pull at a time, with the literal extension tests.
 class MaterializedGenerator final : public CandidateGenerator {
  public:
+  MaterializedGenerator(const std::vector<ExtensionTest>& tests, const TripleSource& source,
+                        int pebble_promise)
+      : source_(source), pebble_promise_(pebble_promise) {
+    literal_.reserve(tests.size());
+    for (const ExtensionTest& test : tests) literal_.push_back(test.literal);
+  }
+
   bool Next(Mapping* out) override {
     if (pos_ >= buffer_.size()) return false;
     *out = std::move(buffer_[pos_++]);
     return true;
   }
 
+  bool Extends(std::size_t test, const Mapping& mu) override {
+    return LiteralExtends(literal_[test], mu, source_, pebble_promise_);
+  }
+
   std::vector<Mapping>& buffer() { return buffer_; }
 
  private:
+  std::vector<TripleSet> literal_;
+  const TripleSource& source_;
+  int pebble_promise_;
   std::vector<Mapping> buffer_;
   std::size_t pos_ = 0;
 };
@@ -86,10 +100,18 @@ void EmitSubtreeSpans(const std::vector<SubtreeTiming>& timings,
   }
 }
 
+bool LiteralExtends(const TripleSet& test, const Mapping& mu, const TripleSource& source,
+                    int pebble_promise) {
+  if (pebble_promise > 0) {
+    return PebbleGameWins(test, MappingToAssignment(mu), source, pebble_promise + 1);
+  }
+  return HasHomomorphism(test, MappingToAssignment(mu), source);
+}
+
 std::unique_ptr<CandidateGenerator> MaterializeHomomorphisms(
-    const TripleSet& pattern, const TripleSource& source,
-    const std::function<bool()>& stop) {
-  auto materialized = std::make_unique<MaterializedGenerator>();
+    const TripleSet& pattern, const std::vector<ExtensionTest>& tests,
+    const TripleSource& source, int pebble_promise, const std::function<bool()>& stop) {
+  auto materialized = std::make_unique<MaterializedGenerator>(tests, source, pebble_promise);
   EnumerateHomomorphisms(pattern, VarAssignment{}, source,
                          [&](const VarAssignment& assignment) {
                            // Returning false stops the scan mid-range, so a
@@ -157,19 +179,19 @@ bool SolutionEnumerator::AdvanceSubtree() {
   }
   const Subtree& subtree = subtrees_[subtree_idx_++];
   pattern_ = SubtreePattern(subtree);
-  open_.certificates = SubtreeCertificates(subtree);
+  tests_.clear();
+  open_ = AddWitness(subtree, TripleSet{});
   earlier_.clear();
   const std::vector<TermId> vars = SubtreeVariables(subtree);
   for (std::size_t j = 0; j < tree_idx_; ++j) {
     std::optional<Subtree> witness = FindWitnessSubtree(forest_->trees[j], vars);
     if (!witness.has_value()) continue;
-    Witness earlier;
     const TripleSet witness_pattern = SubtreePattern(*witness);
+    TripleSet residual;
     for (const Triple& t : witness_pattern.triples()) {
-      if (!pattern_.Contains(t)) earlier.residual.Insert(t);
+      if (!pattern_.Contains(t)) residual.Insert(t);
     }
-    earlier.certificates = SubtreeCertificates(*witness);
-    earlier_.push_back(std::move(earlier));
+    earlier_.push_back(AddWitness(*witness, std::move(residual)));
   }
   cur_candidates_ = 0;
   sub_open_ = false;
@@ -185,7 +207,8 @@ bool SolutionEnumerator::AdvanceSubtree() {
     timings_->push_back(timing);
     timing_open_ = true;
   }
-  generator_ = hooks_.open_candidates(pattern_, [this] { return CheckInterrupt(); });
+  generator_ =
+      hooks_.open_subtree(pattern_, tests_, [this] { return CheckInterrupt(); });
   if (interrupted_) {
     // A materialising source stopped part-way: the partial batch is
     // never delivered.
@@ -260,15 +283,35 @@ bool SolutionEnumerator::Next(Mapping* out) {
   }
 }
 
+SolutionEnumerator::Witness SolutionEnumerator::AddWitness(const Subtree& subtree,
+                                                          TripleSet residual) {
+  Witness witness;
+  witness.begin = tests_.size();
+  if (!residual.empty()) {
+    witness.has_residual = true;
+    tests_.push_back({residual, std::move(residual)});
+  }
+  std::vector<TripleSet> certificates = SubtreeCertificates(subtree);
+  const std::vector<NodeId> children = SubtreeChildren(subtree);  // Same order.
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    tests_.push_back({std::move(certificates[i]), subtree.tree->pattern(children[i])});
+  }
+  witness.end = tests_.size();
+  return witness;
+}
+
 bool SolutionEnumerator::Accepts(const Witness& witness, const Mapping& mu) {
-  auto extends = [&](const TripleSet& pattern) {
+  auto extends = [&](std::size_t test) {
     ++stats_.maximality_tests;
     if (ExecStats::Subpattern* sub = CurSubpattern()) ++sub->maximality_tests;
-    return hooks_.extends(pattern, mu);
+    return generator_->Extends(test, mu);
   };
-  if (!witness.residual.empty() && !extends(witness.residual)) return false;
-  return std::none_of(witness.certificates.begin(), witness.certificates.end(),
-                      extends);
+  std::size_t test = witness.begin;
+  if (witness.has_residual && !extends(test++)) return false;
+  for (; test < witness.end; ++test) {
+    if (extends(test)) return false;
+  }
+  return true;
 }
 
 void EnumerateSolutionsNaive(const PatternForest& forest, const RdfGraph& graph,
@@ -282,12 +325,10 @@ void EnumerateSolutionsNaive(const PatternForest& forest, const TripleSource& gr
                              const std::function<bool(const Mapping&)>& callback,
                              ExecStats* stats) {
   EnumerationHooks hooks;
-  hooks.open_candidates = [&graph](const TripleSet& pattern,
-                                   const std::function<bool()>& stop) {
-    return MaterializeHomomorphisms(pattern, graph, stop);
-  };
-  hooks.extends = [&graph](const TripleSet& combined, const Mapping& mu) {
-    return HasHomomorphism(combined, MappingToAssignment(mu), graph);
+  hooks.open_subtree = [&graph](const TripleSet& pattern,
+                                const std::vector<ExtensionTest>& tests,
+                                const std::function<bool()>& stop) {
+    return MaterializeHomomorphisms(pattern, tests, graph, 0, stop);
   };
   Drain(forest, std::move(hooks), callback, stats);
 }
@@ -298,12 +339,10 @@ void EnumerateSolutionsPebble(const PatternForest& forest, const RdfGraph& graph
   WDSPARQL_CHECK(k >= 1);
   HashTripleSource scan(graph.triples());
   EnumerationHooks hooks;
-  hooks.open_candidates = [&scan](const TripleSet& pattern,
+  hooks.open_subtree = [&scan, k](const TripleSet& pattern,
+                                  const std::vector<ExtensionTest>& tests,
                                   const std::function<bool()>& stop) {
-    return MaterializeHomomorphisms(pattern, scan, stop);
-  };
-  hooks.extends = [&graph, k](const TripleSet& combined, const Mapping& mu) {
-    return PebbleGameWins(combined, MappingToAssignment(mu), graph.triples(), k + 1);
+    return MaterializeHomomorphisms(pattern, tests, scan, k, stop);
   };
   Drain(forest, std::move(hooks), callback, stats);
 }

@@ -47,6 +47,12 @@
 /// therefore bounded by the open subtree's state, however many answers
 /// it streams.
 ///
+/// The extension tests of a subtree are fixed when it opens: its
+/// children's certificates and, per earlier witness, the residual and
+/// the witness's certificates (`ExtensionTest`). The backend compiles
+/// them once, with the candidate source (`EnumerationHooks`), and runs
+/// them on every candidate.
+///
 /// Observability follows the same split. Every enumerator counts into
 /// one `ExecStats` record it owns: per candidate, the homomorphism of
 /// pat(T') pulled (`candidates`), then exactly one verdict — an answer
@@ -72,12 +78,27 @@ struct CandidatePlanInfo {
   std::string description;   ///< e.g. "order=[?y ?x]".
 };
 
-/// A suspendable candidate source: one subtree pattern's homomorphisms,
-/// delivered one `Next` call at a time. Generators carry their whole
-/// search state between calls, so a consumer that stops early (row
-/// limits, cancellation, a partitioned parallel worker) pays only for
-/// the candidates it actually pulled — never for the subtree's whole
-/// match set.
+/// One extension test a candidate of the open subtree T' faces, in two
+/// forms. Each is an existence question: does some homomorphism of the
+/// pattern extend the candidate mu?
+struct ExtensionTest {
+  /// The paper's test: pat(T) ∪ pat(c) for a child c of T, where T is
+  /// T' or an earlier tree's witness subtree W; or W's residual.
+  TripleSet literal;
+  /// What mu has not satisfied yet when the test runs: pat(c), or the
+  /// residual itself. mu is a homomorphism of pat(T'), and of pat(W)
+  /// once W's residual holds; both bind only dom(mu) = vars(T') = vars(W),
+  /// so the two forms give the same verdict.
+  TripleSet reduced;
+};
+
+/// One open subtree's suspendable candidate source and its compiled
+/// extension tests: the subtree pattern's homomorphisms, delivered one
+/// `Next` call at a time, and the tests run on each. Generators carry
+/// their whole search state between calls, so a consumer that stops
+/// early (row limits, cancellation, a partitioned parallel worker) pays
+/// only for the candidates it actually pulled — never for the subtree's
+/// whole match set.
 class CandidateGenerator {
  public:
   virtual ~CandidateGenerator() = default;
@@ -86,40 +107,55 @@ class CandidateGenerator {
   /// storage); false once exhausted (and from then on).
   virtual bool Next(Mapping* out) = 0;
 
+  /// Runs extension test `test` (an index into the tests the generator
+  /// was opened with) on `mu`, the candidate the last `Next` wrote:
+  /// true iff some homomorphism of the test's pattern extends mu.
+  virtual bool Extends(std::size_t test, const Mapping& mu) = 0;
+
   /// The cost-based plan behind this generator, when one was chosen
   /// (the indexed backend with statistics available); null otherwise.
   /// Valid as long as the generator lives.
   virtual const CandidatePlanInfo* plan_info() const { return nullptr; }
 };
 
-/// Hooks customising the enumeration skeleton: per tree, per subtree,
-/// pull candidates, reject the answers of earlier trees, certify
-/// maximality against each child, emit. Plugging in the CSP solver, the
-/// pebble game or the engine's Generic Join yields the naive, Theorem 1
-/// and indexed enumerators respectively.
+/// The hook customising the enumeration skeleton: per tree, per
+/// subtree, pull candidates, reject the answers of earlier trees,
+/// certify maximality against each child, emit. Plugging in the CSP
+/// solver, the pebble game or the engine's Generic Join yields the
+/// naive, Theorem 1 and indexed enumerators respectively.
 struct EnumerationHooks {
-  /// Candidate source for one subtree pattern. `stop` is the
-  /// enumerator's interruption check: a source that does work up front
-  /// (materialising a match set) consults it per candidate and returns
-  /// early once it fires; a lazy source may ignore it, because the
-  /// enumerator checks between pulls. The engine's indexed backend wires
-  /// a resumable `JoinCursor` through here, which is what makes the
-  /// whole enumeration suspendable candidate-by-candidate.
+  /// Opens one subtree: the candidate source for its pattern, with
+  /// `tests` compiled once for all its candidates (the backend picks
+  /// either form of each). `stop` is the enumerator's interruption
+  /// check: a source that does work up front (materialising a match
+  /// set) consults it per candidate and returns early once it fires; a
+  /// lazy source may ignore it, because the enumerator checks between
+  /// pulls. The engine's indexed backend wires a resumable `JoinCursor`
+  /// through here, which is what makes the whole enumeration suspendable
+  /// candidate-by-candidate, and runs the reduced tests on the cursor's
+  /// rows.
   std::function<std::unique_ptr<CandidateGenerator>(
-      const TripleSet& pattern, const std::function<bool()>& stop)>
-      open_candidates;
-  /// Maximality certificate: true iff some homomorphism of `combined`
-  /// (the subtree pattern plus one child pattern) extends `mu`.
-  std::function<bool(const TripleSet& combined, const Mapping& mu)> extends;
+      const TripleSet& pattern, const std::vector<ExtensionTest>& tests,
+      const std::function<bool()>& stop)>
+      open_subtree;
 };
 
-/// A candidate source for the paper's CSP solver: the homomorphisms of
+/// The paper's literal extension test: true iff some homomorphism of
+/// `test` into `source` extends `mu` — decided by the CSP solver, or for
+/// `pebble_promise` k >= 1 by the (k+1)-pebble game (exact under
+/// dw <= k, and never rejecting a true extension).
+bool LiteralExtends(const TripleSet& test, const Mapping& mu, const TripleSource& source,
+                    int pebble_promise);
+
+/// A subtree source for the paper's CSP solver: the homomorphisms of
 /// `pattern` into `source`, materialised up front and drained one pull
-/// at a time. Stops materialising as soon as `stop` returns true (the
-/// partial batch is never delivered: the enumerator is interrupted).
+/// at a time, with each of `tests` run literally (`LiteralExtends` on
+/// its `literal` form). Stops materialising as soon as `stop` returns
+/// true (the partial batch is never delivered: the enumerator is
+/// interrupted).
 std::unique_ptr<CandidateGenerator> MaterializeHomomorphisms(
-    const TripleSet& pattern, const TripleSource& source,
-    const std::function<bool()>& stop);
+    const TripleSet& pattern, const std::vector<ExtensionTest>& tests,
+    const TripleSource& source, int pebble_promise, const std::function<bool()>& stop);
 
 /// One wdpf subtree's time span, recorded as plain values: the
 /// enumerator never touches a `TraceContext` (single-threaded by
@@ -220,20 +256,25 @@ class SolutionEnumerator {
   void SetSubtreeTimingSink(std::vector<SubtreeTiming>* out) { timings_ = out; }
 
  private:
-  /// A subtree whose answers a candidate is tested against: its
-  /// certificates (`SubtreeCertificates`) and the residual, the triples
-  /// of its pattern that the open subtree's pattern lacks.
+  /// A subtree whose answers a candidate is tested against, as a range
+  /// of the open subtree's tests: first its residual (the triples of its
+  /// pattern that the open subtree's pattern lacks), when it has one,
+  /// then one certificate per child.
   struct Witness {
-    TripleSet residual;
-    std::vector<TripleSet> certificates;
+    bool has_residual = false;
+    std::size_t begin = 0;  // Into `tests_`.
+    std::size_t end = 0;
   };
 
   /// True iff `witness` accepts `mu` (a homomorphism of the open
   /// subtree's pattern with dom(mu) = its variables): `mu` satisfies the
-  /// residual and no certificate extends it — that is, mu is an answer
-  /// of the witness's tree. Each extension test counts one
-  /// `maximality_tests`.
+  /// residual and no child extends it — that is, mu is an answer of the
+  /// witness's tree. Each extension test counts one `maximality_tests`.
   bool Accepts(const Witness& witness, const Mapping& mu);
+
+  /// Appends `subtree`'s certificates to `tests_` and returns the
+  /// witness over them; `residual`, when non-empty, goes first.
+  Witness AddWitness(const Subtree& subtree, TripleSet residual);
 
   /// Opens the next subtree (pattern, children, candidate generator,
   /// subtree timing). Returns false when every tree is exhausted or the
@@ -281,15 +322,17 @@ class SolutionEnumerator {
   std::vector<Subtree> subtrees_;        // Subtrees of the current tree.
   std::size_t subtree_idx_ = 0;          // Next subtree to open.
   TripleSet pattern_;                    // pat(T') of the open subtree.
+  /// Every extension test of the open subtree, compiled by its generator.
+  std::vector<ExtensionTest> tests_;
   /// The open subtree itself (empty residual), built once when it opens.
   Witness open_;
   /// The witness subtree of every earlier tree that has one with the
   /// open subtree's variables: a candidate one of them accepts was
   /// already emitted there.
   std::vector<Witness> earlier_;
-  /// The open subtree's candidate source (null between subtrees): the
-  /// full suspendable-join state on the indexed backend, a materialised
-  /// vector on the naive one.
+  /// The open subtree's candidate source and compiled tests (null
+  /// between subtrees): the full suspendable-join state on the indexed
+  /// backend, a materialised vector on the naive one.
   std::unique_ptr<CandidateGenerator> generator_;
   uint64_t cur_candidates_ = 0;          // Candidates pulled from `generator_`.
 };

@@ -62,12 +62,15 @@ bool NaiveWdEval(const PatternForest& forest, const TripleSource& graph,
 /// The shared wdEVAL skeleton every variant instantiates: per tree,
 /// find the matched subtree T^mu against `graph`, and accept iff some
 /// tree has no child for which `extends` certifies an extension of mu.
-/// `extends` receives pat(T^mu) ∪ pat(child); plugging in exact
-/// homomorphism, pebble-game or Generic Join existence tests yields the
-/// naive, Theorem 1 and engine evaluators respectively.
+/// `extends` receives the certificate pat(T^mu) ∪ pat(child) and
+/// pat(child) alone, which decides the same question because mu maps
+/// pat(T^mu) into `graph`; plugging in exact homomorphism, pebble-game
+/// or compiled Generic Join tests yields the naive, Theorem 1 and
+/// engine evaluators respectively.
 bool WdEvalWith(const PatternForest& forest, const TripleSource& graph,
                 const Mapping& mu, EvalStats* stats,
-                const std::function<bool(const TripleSet&)>& extends);
+                const std::function<bool(const TripleSet& certificate,
+                                         const TripleSet& child)>& extends);
 
 /// The Theorem 1 algorithm with domination-width promise `k` (uses the
 /// existential (k+1)-pebble game).

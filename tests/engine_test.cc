@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <string>
 #include <vector>
 
 #include "engine/dictionary.h"
@@ -10,6 +12,7 @@
 #include "rdf/generator.h"
 #include "rdf/graph.h"
 #include "rdf/scan.h"
+#include "sparql/parser.h"
 #include "sparql/semantics.h"
 #include "support/testlib.h"
 #include "util/rng.h"
@@ -904,6 +907,215 @@ TEST_P(SessionBackendDifferentialTest, PebblePromiseOnThePinnedViewMatchesIndexe
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SessionBackendDifferentialTest,
                          ::testing::Range<uint64_t>(1, 13));
+
+// ---------------------------------------------------------------------
+// Compiled extension tests: the indexed backend runs each subtree's
+// reduced tests on the candidate join's rows, the naive oracle the
+// paper's literal ones.
+// ---------------------------------------------------------------------
+
+/// One execution: its rows, sorted with duplicates kept (a missed dedup
+/// shows as a repeated row), and its record.
+struct Execution {
+  std::vector<Mapping> rows;
+  ExecStats stats;
+};
+
+Execution ExecuteAll(const Statement& stmt, uint32_t parallelism, bool optimize) {
+  ExecOptions exec;
+  exec.collect_stats = true;
+  exec.parallelism = parallelism;
+  exec.optimize = optimize;
+  Cursor cursor = stmt.Execute(exec);
+  Execution run;
+  while (cursor.Next()) run.rows.push_back(cursor.Row());
+  EXPECT_EQ(cursor.state(), Cursor::State::kExhausted);
+  run.stats = *cursor.stats();
+  std::sort(run.rows.begin(), run.rows.end());
+  return run;
+}
+
+/// Runs `pattern` on the naive oracle and on the indexed backend, serial
+/// and with two workers. Every run must deliver the set semantics over
+/// `model`, each answer once, and reach the oracle's verdicts. Returns
+/// the oracle's record.
+ExecStats ExpectBackendsAgree(const Database& db, const PatternPtr& pattern,
+                              const RdfGraph& model, bool optimize = true) {
+  SessionOptions naive_options;
+  naive_options.backend = Backend::kNaiveHash;
+  Statement oracle = db.OpenSession(naive_options).PrepareParsed(pattern);
+  Statement indexed = db.OpenSession().PrepareParsed(pattern);
+  EXPECT_TRUE(oracle.ok());
+  EXPECT_TRUE(indexed.ok());
+  if (!oracle.ok() || !indexed.ok()) return {};
+  const std::vector<Mapping> expected = Evaluate(*pattern, model);
+  const Execution reference = ExecuteAll(oracle, 0, optimize);
+  EXPECT_EQ(reference.rows, expected);
+  for (uint32_t parallelism : {0u, 2u}) {
+    SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
+    const Execution run = ExecuteAll(indexed, parallelism, optimize);
+    EXPECT_EQ(run.rows, expected);
+    EXPECT_EQ(run.stats.candidates, reference.stats.candidates);
+    EXPECT_EQ(run.stats.dedup_rejected, reference.stats.dedup_rejected);
+    EXPECT_EQ(run.stats.non_maximal, reference.stats.non_maximal);
+    EXPECT_EQ(run.stats.maximality_tests, reference.stats.maximality_tests);
+  }
+  return reference.stats;
+}
+
+/// Loads `triples` into `db` and a model graph, in one batch.
+void LoadBoth(const std::vector<std::array<const char*, 3>>& triples, Database* db,
+              RdfGraph* model) {
+  for (const auto& [s, p, o] : triples) model->Insert(s, p, o);
+  testlib::LoadGraph(*model, db);
+}
+
+TEST(CompiledTestDifferentialTest, SharedRootUnionsOnDeltaInsertsAndTombstones) {
+  // 2- and 3-arm UNIONs whose arms share their root variables: every
+  // later arm tests its candidates against the earlier arms' witnesses,
+  // with residuals of 1-3 triples and the witnesses' OPT children.
+  ExecStats total;
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed * 0x9e3779b97f4a7c15ULL + 21);
+    TermPool pool;
+    PatternPtr pattern = testlib::RandomSharedRootUnion(
+        &rng, &pool, 2 + static_cast<int>(rng.NextBounded(2)));
+    RdfGraph base(&pool);
+    testlib::SmallWorkloadGraph(&rng, 4, 16, 3, &base);
+    RdfGraph inserts(&pool);
+    testlib::SmallWorkloadGraph(&rng, 4, 6, 3, &inserts);
+    Database db(&pool);
+    testlib::LoadGraph(base, &db);
+    // Tombstone about a fifth of the base, then insert into the delta;
+    // the merge threshold keeps both un-merged.
+    RdfGraph model(&pool);
+    for (const Triple& t : base.triples()) {
+      if (rng.NextBernoulli(0.2)) {
+        ASSERT_TRUE(db.RemoveTriple(t));
+      } else {
+        model.Insert(t);
+      }
+    }
+    for (const Triple& t : inserts.triples()) {
+      db.AddTriple(t);
+      model.Insert(t);
+    }
+    ASSERT_GT(db.pending_delta(), 0u);
+    const ExecStats stats = ExpectBackendsAgree(db, pattern, model);
+    total.dedup_rejected += stats.dedup_rejected;
+    total.non_maximal += stats.non_maximal;
+    total.rows_emitted += stats.rows_emitted;
+  }
+  // The sweep reaches every verdict.
+  EXPECT_GT(total.dedup_rejected, 0u);
+  EXPECT_GT(total.non_maximal, 0u);
+  EXPECT_GT(total.rows_emitted, 0u);
+}
+
+TEST(CompiledTestTest, ResidualOutsideEveryCyclicOrderRewindsItsProbe) {
+  // The second arm binds x, z, y (x sits in three conjuncts, z in two),
+  // so its rows ascend by (x, z, y). The first arm's residual (?x ?y ?z)
+  // reads its slots in no cyclic order: the probe takes SPO, whose keys
+  // (x, y, z) descend each time z advances. The residual's triples
+  // (a p1 c2) and (a p2 c1) sit on both sides of that descent, whatever
+  // order the ids take, so a probe that kept seeking forward would miss
+  // one and emit a duplicate.
+  TermPool pool;
+  Database db(&pool);
+  RdfGraph model(&pool);
+  LoadBoth({{"a", "p", "c1"}, {"c1", "q", "a"}, {"a", "p", "c2"}, {"c2", "q", "a"},
+            {"a", "r", "p1"}, {"a", "r", "p2"}, {"a", "p1", "c2"}, {"a", "p2", "c1"}},
+           &db, &model);
+  auto pattern = ParsePattern(
+      "((?x ?y ?z) AND (?x r ?y)) UNION ((?x p ?z) AND (?z q ?x) AND (?x r ?y))", &pool);
+  ASSERT_TRUE(pattern.ok());
+  ExpectBackendsAgree(db, pattern.value(), model, /*optimize=*/false);
+  Statement stmt = db.OpenSession().PrepareParsed(pattern.value());
+  const Execution run = ExecuteAll(stmt, 0, /*optimize=*/false);
+  EXPECT_EQ(run.rows.size(), 4u);
+  EXPECT_EQ(run.stats.dedup_rejected, 2u);
+}
+
+TEST(CompiledTestTest, ChildConstantAbsentFromTheStoreNeverExtends) {
+  // `absent` is in no triple, so neither child can extend a candidate:
+  // neither the open subtree's nor the earlier witness's. Read as a
+  // wildcard, (?y absent ?z) would match b's outgoing triples.
+  TermPool pool;
+  Database db(&pool);
+  RdfGraph model(&pool);
+  LoadBoth({{"a", "p", "b"}, {"b", "q", "a"}, {"b", "p", "c"}, {"c", "r", "d"}},
+           &db, &model);
+  auto pattern = ParsePattern(
+      "((?x p ?y) OPT (?y absent ?z)) UNION (((?x p ?y) AND (?y q ?x)) OPT (?x absent ?w))",
+      &pool);
+  ASSERT_TRUE(pattern.ok());
+  ExpectBackendsAgree(db, pattern.value(), model);
+  Statement stmt = db.OpenSession().PrepareParsed(pattern.value());
+  const Execution run = ExecuteAll(stmt, 0, true);
+  EXPECT_EQ(run.rows.size(), 2u);  // (a, b) and (b, c), each once.
+  EXPECT_EQ(run.stats.non_maximal, 0u);
+  EXPECT_EQ(run.stats.dedup_rejected, 1u);
+}
+
+TEST(CompiledTestTest, ChildTripleTheCandidateGroundsIsStillTested) {
+  // The child's (?x r ?y) is ground under a candidate, but unlike
+  // pat(T') the candidate has not matched it: (a, b) has (b q c) and no
+  // (a r b), so it is maximal; (c, d) extends to e.
+  TermPool pool;
+  Database db(&pool);
+  RdfGraph model(&pool);
+  LoadBoth({{"a", "p", "b"}, {"b", "q", "c"}, {"b", "s", "a"},
+            {"c", "p", "d"}, {"d", "q", "e"}, {"c", "r", "d"}, {"d", "s", "c"}},
+           &db, &model);
+  for (const char* text :
+       {"(?x p ?y) OPT ((?y q ?z) AND (?x r ?y))",
+        "((?x p ?y) OPT ((?y q ?z) AND (?x r ?y))) UNION ((?x p ?y) AND (?y s ?x))"}) {
+    SCOPED_TRACE(text);
+    auto pattern = ParsePattern(text, &pool);
+    ASSERT_TRUE(pattern.ok());
+    ExpectBackendsAgree(db, pattern.value(), model);
+  }
+}
+
+/// `dict_encodes` of one execution of the two-arm query below over a
+/// city of `persons` persons: each knows the next, follows the next when
+/// even, and has an email when even.
+ExecStats EncodesOverCity(int persons) {
+  TermPool pool;
+  Database db(&pool);
+  WriteBatch batch;
+  for (int i = 0; i < persons; ++i) {
+    const std::string person = "p" + std::to_string(i);
+    const std::string next = "p" + std::to_string((i + 1) % persons);
+    batch.Add(person, "city", "c");
+    batch.Add(person, "knows", next);
+    if (i % 2 == 0) {
+      batch.Add(person, "follows", next);
+      batch.Add(person, "email", "e" + std::to_string(i));
+    }
+  }
+  EXPECT_TRUE(db.Apply(std::move(batch)).ok());
+  db.Compact();
+  Statement stmt = db.OpenSession().Prepare(
+      "(((?x city c) AND (?x knows ?y) AND (?y city c)) OPT (?y email ?e)) UNION "
+      "((?x city c) AND (?x follows ?y) AND (?y city c))");
+  EXPECT_TRUE(stmt.ok());
+  return ExecuteAll(stmt, 0, true).stats;
+}
+
+TEST(CompiledTestTest, DictEncodesCountEachCompiledConstantOnce) {
+  // Constant occurrences, each encoded once per compiled pattern:
+  //  - the first arm's root: join 5, its child (?y email ?e) 1;
+  //  - the first arm's root with its child: join 6;
+  //  - the second arm: join 5, and the first arm's root as its witness,
+  //    with residual (?x knows ?y) 1 and certificate (?y email ?e) 1.
+  const ExecStats small = EncodesOverCity(8);
+  const ExecStats large = EncodesOverCity(32);
+  EXPECT_EQ(large.candidates, 4 * small.candidates);
+  EXPECT_EQ(small.dict_encodes, 19u);
+  EXPECT_EQ(large.dict_encodes, 19u);
+}
 
 }  // namespace
 }  // namespace wdsparql

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "ptree/forest.h"
 #include "ptree/semantics.h"
+#include "rdf/scan.h"
 #include "sparql/parser.h"
 #include "sparql/semantics.h"
 #include "support/testlib.h"
@@ -187,6 +191,126 @@ TEST_F(EnumerateDeathTest, RejectsAForestOutsideNrNormalForm) {
   g.Insert("a", "p0", "b");
   EXPECT_DEATH(EnumerateSolutionsNaive(forest, g, [](const Mapping&) { return true; }),
                "IsNrNormalForm");
+}
+
+/// The CSP solver's candidates, with every extension test run on its
+/// reduced form instead of the literal one.
+class ReducedTestGenerator final : public CandidateGenerator {
+ public:
+  ReducedTestGenerator(const TripleSet& pattern, const std::vector<ExtensionTest>& tests,
+                       const TripleSource& source, const std::function<bool()>& stop)
+      : candidates_(MaterializeHomomorphisms(pattern, {}, source, 0, stop)), source_(source) {
+    for (const ExtensionTest& test : tests) reduced_.push_back(test.reduced);
+  }
+
+  bool Next(Mapping* out) override { return candidates_->Next(out); }
+
+  bool Extends(std::size_t test, const Mapping& mu) override {
+    return LiteralExtends(reduced_[test], mu, source_, 0);
+  }
+
+ private:
+  std::unique_ptr<CandidateGenerator> candidates_;
+  const TripleSource& source_;
+  std::vector<TripleSet> reduced_;
+};
+
+TripleSet Triples(TermPool* pool, const std::vector<std::array<const char*, 3>>& spelled) {
+  TripleSet out;
+  for (const auto& [s, p, o] : spelled) {
+    auto term = [pool](const char* t) {
+      return t[0] == '?' ? pool->InternVariable(t + 1) : pool->InternIri(t);
+    };
+    out.Insert(Triple(term(s), term(p), term(o)));
+  }
+  return out;
+}
+
+TEST_F(EnumerateTest, SubtreesOpenWithLiteralAndReducedTests) {
+  // The second arm's root has the first arm's root as its witness: the
+  // residual (?y q ?x) first, then the witness's child, whose literal
+  // certificate carries pat(W) and whose reduced form is pat(c) alone.
+  PatternForest forest = Forest(
+      "(((?x p ?y) AND (?y q ?x)) OPT (?y s ?z)) UNION ((?x p ?y) AND (?y r ?x))");
+  RdfGraph g(&pool_);
+  HashTripleSource scan(g.triples());
+  std::vector<std::pair<TripleSet, std::vector<ExtensionTest>>> opened;
+  EnumerationHooks hooks;
+  hooks.open_subtree = [&](const TripleSet& pattern, const std::vector<ExtensionTest>& tests,
+                           const std::function<bool()>& stop) {
+    opened.emplace_back(pattern, tests);
+    return MaterializeHomomorphisms(pattern, tests, scan, 0, stop);
+  };
+  SolutionEnumerator enumerator(forest, std::move(hooks));
+  Mapping mu;
+  EXPECT_FALSE(enumerator.Next(&mu));
+  ASSERT_EQ(opened.size(), 3u);  // {root}, {root, child}; the second arm's root.
+
+  const TripleSet root0 = Triples(&pool_, {{"?x", "p", "?y"}, {"?y", "q", "?x"}});
+  const TripleSet child = Triples(&pool_, {{"?y", "s", "?z"}});
+  TripleSet certificate = root0;
+  certificate.InsertAll(child);
+  for (const auto& [pattern, tests] : opened) {
+    if (pattern == root0) {
+      ASSERT_EQ(tests.size(), 1u);
+      EXPECT_EQ(tests[0].literal, certificate);
+      EXPECT_EQ(tests[0].reduced, child);
+    } else if (pattern.size() == 3) {
+      EXPECT_TRUE(tests.empty());  // The whole first tree: no child left.
+    } else {
+      EXPECT_EQ(pattern, Triples(&pool_, {{"?x", "p", "?y"}, {"?y", "r", "?x"}}));
+      ASSERT_EQ(tests.size(), 2u);
+      const TripleSet residual = Triples(&pool_, {{"?y", "q", "?x"}});
+      EXPECT_EQ(tests[0].literal, residual);
+      EXPECT_EQ(tests[0].reduced, residual);
+      EXPECT_EQ(tests[1].literal, certificate);
+      EXPECT_EQ(tests[1].reduced, child);
+    }
+  }
+}
+
+TEST_F(EnumerateTest, ReducedTestsDecideLikeTheLiteralOnes) {
+  // Over UNIONs whose arms share their roots (witnesses with residuals
+  // and children), running every test on its reduced form streams the
+  // same answers with the same verdicts as the paper's literal tests.
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    PatternPtr p = testlib::RandomSharedRootUnion(
+        &rng, &pool_, 2 + static_cast<int>(rng.NextBounded(2)));
+    auto forest = BuildPatternForest(p, pool_);
+    ASSERT_TRUE(forest.ok());
+    RdfGraph g(&pool_);
+    testlib::SmallWorkloadGraph(&rng, 4, 14, 3, &g);
+    HashTripleSource scan(g.triples());
+
+    std::vector<Mapping> literal;
+    ExecStats literal_stats;
+    EnumerateSolutionsNaive(
+        forest.value(), g,
+        [&](const Mapping& mu) {
+          literal.push_back(mu);
+          return true;
+        },
+        &literal_stats);
+    EnumerationHooks hooks;
+    hooks.open_subtree = [&scan](const TripleSet& pattern,
+                                 const std::vector<ExtensionTest>& tests,
+                                 const std::function<bool()>& stop) {
+      return std::make_unique<ReducedTestGenerator>(pattern, tests, scan, stop);
+    };
+    SolutionEnumerator enumerator(forest.value(), std::move(hooks));
+    std::vector<Mapping> reduced;
+    Mapping mu;
+    while (enumerator.Next(&mu)) reduced.push_back(mu);
+
+    EXPECT_EQ(reduced, literal);  // Same candidate order, same verdicts.
+    EXPECT_EQ(enumerator.stats().dedup_rejected, literal_stats.dedup_rejected);
+    EXPECT_EQ(enumerator.stats().non_maximal, literal_stats.non_maximal);
+    EXPECT_EQ(enumerator.stats().maximality_tests, literal_stats.maximality_tests);
+    std::sort(literal.begin(), literal.end());
+    EXPECT_EQ(literal, Evaluate(*p, g));
+  }
 }
 
 TEST_F(EnumerateTest, RandomAgreementSweep) {

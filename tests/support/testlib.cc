@@ -86,6 +86,39 @@ PatternPtr RandomWellDesignedUnion(Rng* rng, TermPool* pool, int arms,
   return GraphPattern::MakeUnionAll(operands);
 }
 
+PatternPtr RandomSharedRootUnion(Rng* rng, TermPool* pool, int arms,
+                                 int num_predicates) {
+  WDSPARQL_CHECK(arms >= 1);
+  const TermId x0 = pool->InternVariable("x0");
+  const TermId x1 = pool->InternVariable("x1");
+  auto predicate = [&] {
+    return pool->InternIri("p" + std::to_string(rng->NextBounded(num_predicates)));
+  };
+  auto root_var = [&] { return rng->NextBernoulli(0.5) ? x0 : x1; };
+  auto triple = [](TermId s, TermId p, TermId o) {
+    return GraphPattern::MakeTriple(Triple(s, p, o));
+  };
+  std::vector<PatternPtr> operands;
+  int fresh = 0;
+  for (int a = 0; a < arms; ++a) {
+    std::vector<PatternPtr> root = {triple(x0, predicate(), x1)};
+    const int extra = static_cast<int>(rng->NextBounded(3));
+    for (int i = 0; i < extra; ++i) root.push_back(triple(root_var(), predicate(), root_var()));
+    PatternPtr arm = GraphPattern::MakeAndAll(root);
+    const int children = static_cast<int>(rng->NextBounded(3));
+    for (int c = 0; c < children; ++c) {
+      const TermId f = pool->InternVariable("g" + std::to_string(fresh++));
+      const TermId p = rng->NextBernoulli(0.15) ? pool->InternIri("absent") : predicate();
+      std::vector<PatternPtr> child = {rng->NextBernoulli(0.5) ? triple(root_var(), p, f)
+                                                                : triple(f, p, root_var())};
+      if (rng->NextBernoulli(0.4)) child.push_back(triple(root_var(), predicate(), root_var()));
+      arm = GraphPattern::MakeOpt(arm, GraphPattern::MakeAndAll(child));
+    }
+    operands.push_back(arm);
+  }
+  return GraphPattern::MakeUnionAll(operands);
+}
+
 void SmallWorkloadGraph(Rng* rng, int num_nodes, int num_triples, int num_predicates,
                         RdfGraph* graph) {
   RandomGraphOptions options;

@@ -38,6 +38,15 @@ PatternPtr RandomWellDesignedPattern(Rng* rng, TermPool* pool,
 PatternPtr RandomWellDesignedUnion(Rng* rng, TermPool* pool, int arms,
                                    const RandomPatternOptions& options = {});
 
+/// A UNION of `arms` well-designed arms whose roots all bind exactly
+/// ?x0 and ?x1, so each later arm's root subtree has every earlier arm's
+/// root as its witness, with the root triples they do not share as the
+/// residual. Each arm may carry OPT children with a fresh variable; a
+/// child may add a triple over ?x0/?x1 only (ground under a candidate)
+/// or use the predicate "absent" (which no graph here holds).
+PatternPtr RandomSharedRootUnion(Rng* rng, TermPool* pool, int arms,
+                                 int num_predicates = 3);
+
 /// A small dense random graph suited to the random patterns above (same
 /// predicate pool "p0..").
 void SmallWorkloadGraph(Rng* rng, int num_nodes, int num_triples, int num_predicates,
