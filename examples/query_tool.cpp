@@ -7,7 +7,6 @@
 ///              [--backend naive|indexed] [--select ?x,?y] [--table]
 ///              [--save <snapshot>] [--batch-size N] [--stats] [--metrics]
 ///              [--limit N] [--deadline-ms N] [--cancel-after-ms N]
-///              [--parallelism N]
 ///   query_tool --db <snapshot> '<pattern>' [same flags] [--wal]
 ///
 ///   <graph.nt>   N-Triples-like file (see rdf/ntriples.h)
@@ -59,10 +58,6 @@
 ///                fire the execution's CancelToken from a second thread
 ///                after N milliseconds — a command-line demonstration of
 ///                cooperative cross-thread cancellation
-///   --parallelism N
-///                enumerate with N worker threads over one pinned view
-///                (ExecOptions::parallelism; indexed backend only). The
-///                answer set matches a serial run; row order does not.
 ///
 /// Top-level FILTER conditions are peeled by Session::Prepare and
 /// post-applied over the enumerated bindings, so FILTER queries honour
@@ -101,7 +96,7 @@ int Usage() {
                "[--promise K] [--backend naive|indexed] [--select ?x,?y] "
                "[--table] [--save <snapshot>] [--batch-size N] [--stats] "
                "[--explain-plan] [--no-optimize] [--metrics] [--limit N] "
-               "[--deadline-ms N] [--cancel-after-ms N] [--parallelism N]\n"
+               "[--deadline-ms N] [--cancel-after-ms N]\n"
                "       query_tool --db <snapshot> '<pattern>' [same flags] "
                "[--wal]\n");
   return 1;
@@ -173,7 +168,6 @@ int main(int argc, char** argv) {
   long limit = 0;
   long deadline_ms = 0;
   long cancel_after_ms = 0;
-  long parallelism = 0;
   std::size_t batch_size = 0;  // 0 = one atomic batch.
   const char* db_path = nullptr;
   const char* save_path = nullptr;
@@ -219,9 +213,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--cancel-after-ms") == 0 && i + 1 < argc) {
       cancel_after_ms = std::atol(argv[++i]);
       if (cancel_after_ms < 1) return Usage();
-    } else if (std::strcmp(argv[i], "--parallelism") == 0 && i + 1 < argc) {
-      parallelism = std::atol(argv[++i]);
-      if (parallelism < 1) return Usage();
     } else if (std::strcmp(argv[i], "--select") == 0 && i + 1 < argc) {
       projection = SplitSelect(argv[++i]);
       if (projection.empty()) return Usage();
@@ -288,7 +279,6 @@ int main(int argc, char** argv) {
   exec.collect_stats = show_stats || explain_plan;
   exec.optimize = !no_optimize;
   if (limit > 0) exec.row_limit = static_cast<uint64_t>(limit);
-  if (parallelism > 0) exec.parallelism = static_cast<uint32_t>(parallelism);
   if (deadline_ms > 0) exec.WithTimeout(std::chrono::milliseconds(deadline_ms));
   if (cancel_after_ms > 0) {
     // Cross-thread cancellation, demonstrated for real: the token is

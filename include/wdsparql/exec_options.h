@@ -66,17 +66,6 @@ struct ExecOptions {
   /// clock reads; 0 is treated as 1.
   uint32_t check_interval = 64;
 
-  /// Worker threads enumerating this execution's candidate space in
-  /// parallel over one pinned view; 0 and 1 both mean serial. Indexed
-  /// backend only — the naive-hash oracle ignores it and runs serially.
-  /// The delivered solution *set* is identical to a serial run (each
-  /// candidate is pulled, and judged, by exactly one worker), but rows
-  /// arrive in nondeterministic order: consumers needing determinism sort, exactly
-  /// as they already must across backends. Deadlines, cancellation and
-  /// row limits are honored promptly: every worker observes a stop
-  /// within one `check_interval`.
-  uint32_t parallelism = 0;
-
   /// Cost-based variable-order optimization (indexed backend only):
   /// when true and the store carries cardinality statistics, each wdpf
   /// subtree's join binding order is chosen by the bottom-up planner

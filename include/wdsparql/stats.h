@@ -21,8 +21,7 @@
 /// returns null.
 ///
 /// The counters are *cursor-local*: plain (non-atomic) integers owned by
-/// the one thread driving the cursor (or by one parallel worker, merged
-/// at shutdown), so collection adds increments, not
+/// the one thread driving the cursor, so collection adds increments, not
 /// cache-line contention, to the hot path. Engine-wide aggregation
 /// happens once, at cursor finish, into the database's
 /// `MetricsRegistry` (see wdsparql/metrics.h).

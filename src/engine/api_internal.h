@@ -1,14 +1,12 @@
 #ifndef WDSPARQL_ENGINE_API_INTERNAL_H_
 #define WDSPARQL_ENGINE_API_INTERNAL_H_
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_set>
 #include <vector>
 
 #include "engine/indexed_store.h"
-#include "engine/parallel_exec.h"
 #include "engine/read_view.h"
 #include "ptree/forest.h"
 #include "sparql/ast.h"
@@ -138,11 +136,8 @@ struct CursorImpl {
   std::vector<std::string> column_names;
   bool dedup = false;  // Proper-subset projection: eliminate duplicates.
 
-  // Live enumeration machinery (created at Open). Exactly one of
-  // `enumerator` (serial) and `parallel` (ExecOptions::parallelism > 1
-  // on the indexed backend) is non-null while the cursor is open.
+  // Live enumeration machinery (created at Open).
   std::unique_ptr<SolutionEnumerator> enumerator;
-  std::unique_ptr<ParallelEnumerator> parallel;
   std::unordered_set<Mapping, MappingHash> emitted;
   Mapping row;
   /// The buffer each pull writes into. Without a projection it swaps
@@ -166,22 +161,23 @@ struct CursorImpl {
 
   /// Execution statistics, allocated only when
   /// `ExecOptions::collect_stats` is set (the disabled path allocates
-  /// nothing — `Cursor::stats()` is null). The join layer of a serial
-  /// cursor counts straight into it; the enumeration record folds in at
-  /// finish.
+  /// nothing — `Cursor::stats()` is null). The join layer counts
+  /// straight into it; the enumeration record folds in at finish.
   std::unique_ptr<ExecStats> stats;
   /// The "enumerate" span opened at `Open` in `exec.trace` (0 when not
   /// tracing); ended with rows/outcome annotations when the cursor
-  /// finalizes. The TraceContext in `exec` must outlive the cursor.
+  /// finalizes; the enumerator adds its `subtree` spans under it. The
+  /// TraceContext in `exec` must outlive the cursor.
   uint32_t enumerate_span = 0;
-  /// The serial enumerator's subtree timings (recorded only while
-  /// `enumerate_span` is set), emitted as `subtree` spans at finish.
-  std::vector<SubtreeTiming> subtree_timings;
   /// One-shot finish latch: the record fold, the registry merge and the
   /// release run exactly once, whichever of exhaustion/Close/destruction
   /// comes first.
   bool finalized = false;
 };
+
+/// Folds an enumeration record into a cursor's record: adds every
+/// counter and appends the per-subpattern breakdown.
+void AccumulateExecStats(const ExecStats& from, ExecStats* into);
 
 namespace engine_internal {
 
@@ -192,10 +188,7 @@ namespace engine_internal {
 /// per subtree; the naive backend materialises each subtree's
 /// homomorphisms with the CSP solver. A non-null `join_stats` (indexed
 /// backend only) receives the join layer's scan and dictionary counters;
-/// it must outlive the hooks. A non-null `root_claim` (indexed backend
-/// only) is installed into every candidate generator the hooks open —
-/// the parallel workers' space-partitioning filter (see
-/// JoinCursor::SetRootClaim). `optimize` (indexed backend only) enables
+/// it must outlive the hooks. `optimize` (indexed backend only) enables
 /// the cost-based variable-order planner for each opened generator when
 /// the view carries cardinality statistics; false preserves the
 /// historic heuristic order exactly.
@@ -203,7 +196,6 @@ EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
                                       const SessionOptions& options,
                                       std::shared_ptr<const ReadView> view,
                                       ExecStats* join_stats = nullptr,
-                                      std::function<bool()> root_claim = nullptr,
                                       bool optimize = true);
 
 /// wdEVAL membership on the session's backend (no filter application):

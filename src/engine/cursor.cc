@@ -7,33 +7,27 @@ namespace wdsparql {
 namespace {
 
 /// The once-per-execution finish step, whichever of exhaustion /
-/// `Close` / destruction ends the execution first. It ends the
-/// enumeration (a parallel pool is shut down, which merges its workers'
-/// records), folds the enumeration record into the cursor's `ExecStats`
-/// with the same `AccumulateExecStats` the workers merge through, merges
-/// the execution's totals into the database's `MetricsRegistry`, emits
-/// the serial subtree spans, and releases the machinery and the pinned
-/// view. This is the "per-worker accumulation, merge at close" half of
-/// the observability contract — the enumeration hot path touched only
-/// plain cursor-local integers; the shared atomics are touched here,
-/// once.
+/// `Close` / destruction ends the execution first. It folds the
+/// enumeration record into the cursor's `ExecStats`, merges the
+/// execution's totals into the database's `MetricsRegistry`, ends the
+/// enumeration (and with it the open subtree span), and releases the
+/// machinery and the pinned view. This is the "cursor-local
+/// accumulation, merge at close" half of the observability contract —
+/// the enumeration hot path touched only plain cursor-local integers;
+/// the shared atomics are touched here, once.
 void FinalizeCursorStats(CursorImpl* impl) {
   if (impl->finalized || impl->stmt == nullptr || impl->stmt->db == nullptr ||
       impl->open_generation == 0) {
     return;  // Never opened (or already merged): nothing to account.
   }
   impl->finalized = true;
-  if (impl->parallel != nullptr) impl->parallel->Shutdown();
-  const ExecStats& record = impl->parallel != nullptr
-                                ? impl->parallel->stats()
-                                : impl->enumerator->stats();
+  const ExecStats& record = impl->enumerator->stats();
   const uint64_t candidates = record.candidates;
   if (impl->stats != nullptr) {
     ExecStats& stats = *impl->stats;
     AccumulateExecStats(record, &stats);
     // Optimizer totals, folded up from the per-subtree breakdown (the
-    // planner runs once per opened generator; parallel merges keep one
-    // representative entry per subtree).
+    // planner runs once per opened generator).
     for (const ExecStats::Subpattern& sub : stats.subpatterns) {
       stats.optimize_ns += sub.plan_ns;
       if (sub.est_rows >= 0) stats.est_cost += sub.est_cost;
@@ -43,9 +37,8 @@ void FinalizeCursorStats(CursorImpl* impl) {
   metrics.counter("query.rows_emitted").Add(impl->rows);
   metrics.counter("query.candidates").Add(candidates);
   metrics.counter("query.maximality_tests").Add(record.maximality_tests);
-  // Releasing the serial enumerator completes its open subtree timing.
+  // Releasing the enumerator ends its open subtree span.
   impl->enumerator.reset();
-  impl->parallel.reset();
   impl->view.reset();  // Drop the pin: the store may free superseded runs.
   // Outcome counters: how executions ended, not just what they did. A
   // serving layer watches these to tell healthy truncation (limits) from
@@ -75,7 +68,6 @@ void FinalizeCursorStats(CursorImpl* impl) {
   }
   if (impl->enumerate_span != 0) {
     TraceContext& trace = *impl->exec.trace;
-    EmitSubtreeSpans(impl->subtree_timings, &trace, impl->enumerate_span);
     trace.Annotate(impl->enumerate_span, "rows", impl->rows);
     trace.Annotate(impl->enumerate_span, "candidates", candidates);
     trace.Annotate(impl->enumerate_span, "outcome",
@@ -122,9 +114,7 @@ bool Cursor::Open() {
   if (impl_->exec.trace != nullptr && impl_->exec.trace->enabled()) {
     // One span covering the whole enumeration (ended with rows/outcome
     // annotations at finish), with one child span per wdpf subtree —
-    // never per row — emitted at finish from the enumerator's recorded
-    // timings. In the parallel mode the children are per-worker spans,
-    // each with its worker's subtree spans.
+    // never per row — added by the enumerator as it opens them.
     impl_->enumerate_span =
         impl_->exec.trace->StartSpan("enumerate", impl_->exec.trace_parent);
   }
@@ -145,50 +135,17 @@ bool Cursor::Open() {
              std::chrono::steady_clock::now() >= *deadline;
     };
   }
-  if (impl_->exec.parallelism > 1 && stmt.options.backend == Backend::kIndexed) {
-    // Parallel mode: fan the candidate space across a worker pool, every
-    // worker enumerating the same pinned view. Each worker gets its own
-    // hooks (own ExecStats record, own claim filter) built on its own
-    // thread; the factory captures the shared immutable ingredients by
-    // value so it outlives this frame.
-    ParallelEnumerator::Options popts;
-    popts.workers = impl_->exec.parallelism;
-    popts.check_interval = impl_->exec.check_interval;
-    const DatabaseImpl* db = stmt.db;
-    SessionOptions sopts = stmt.options;
-    std::shared_ptr<const ReadView> view = impl_->view;
-    const bool optimize = impl_->exec.optimize;
-    popts.hooks_factory = [db, sopts, view, optimize](
-                              ExecStats* stats, std::function<bool()> claim) {
-      return engine_internal::MakeEnumerationHooks(*db, sopts, view, stats,
-                                                   std::move(claim), optimize);
-    };
-    impl_->parallel =
-        std::make_unique<ParallelEnumerator>(stmt.forest, std::move(popts));
-    if (impl_->stats != nullptr) impl_->parallel->CollectStats(stmt.db->pool);
-    if (impl_->enumerate_span != 0) {
-      impl_->parallel->SetTraceSink(impl_->exec.trace, impl_->enumerate_span);
-    }
-    if (probe) {
-      impl_->parallel->SetInterruptProbe(std::move(probe),
-                                         impl_->exec.check_interval);
-    }
-  } else {
-    // The join layer counts straight into the cursor's record; the
-    // enumerator's own record folds in at finish.
-    EnumerationHooks hooks = engine_internal::MakeEnumerationHooks(
-        *stmt.db, stmt.options, impl_->view, impl_->stats.get(),
-        /*root_claim=*/nullptr, impl_->exec.optimize);
-    impl_->enumerator =
-        std::make_unique<SolutionEnumerator>(stmt.forest, std::move(hooks));
-    if (impl_->stats != nullptr) impl_->enumerator->CollectStats(stmt.db->pool);
-    if (impl_->enumerate_span != 0) {
-      impl_->enumerator->SetSubtreeTimingSink(&impl_->subtree_timings);
-    }
-    if (probe) {
-      impl_->enumerator->SetInterruptProbe(std::move(probe),
-                                           impl_->exec.check_interval);
-    }
+  // The join layer counts straight into the cursor's record; the
+  // enumerator's own record folds in at finish.
+  EnumerationHooks hooks = engine_internal::MakeEnumerationHooks(
+      *stmt.db, stmt.options, impl_->view, impl_->stats.get(), impl_->exec.optimize);
+  impl_->enumerator = std::make_unique<SolutionEnumerator>(stmt.forest, std::move(hooks));
+  if (impl_->stats != nullptr) impl_->enumerator->CollectStats(stmt.db->pool);
+  if (impl_->enumerate_span != 0) {
+    impl_->enumerator->SetTraceSink(impl_->exec.trace, impl_->enumerate_span);
+  }
+  if (probe) {
+    impl_->enumerator->SetInterruptProbe(std::move(probe), impl_->exec.check_interval);
   }
   stmt.db->metrics->counter("query.cursors_opened").Add(1);
   impl_->state = State::kOpen;
@@ -212,12 +169,9 @@ bool NextRow(CursorImpl* impl) {
     return false;
   }
   const StatementImpl& stmt = *impl->stmt;
-  // Pull from whichever enumeration engine this cursor runs (exactly one
-  // is live while open).
-  ParallelEnumerator* parallel = impl->parallel.get();
-  SolutionEnumerator* serial = impl->enumerator.get();
+  SolutionEnumerator& enumerator = *impl->enumerator;
   Mapping& mu = impl->pulled;
-  while (parallel != nullptr ? parallel->Next(&mu) : serial->Next(&mu)) {
+  while (enumerator.Next(&mu)) {
     bool filtered_out = false;
     for (const FilterCondition& filter : stmt.filters) {
       if (!filter.Satisfied(mu)) {
@@ -244,7 +198,7 @@ bool NextRow(CursorImpl* impl) {
     if (impl->stats != nullptr) ++impl->stats->rows_emitted;
     return true;
   }
-  if (parallel != nullptr ? parallel->interrupted() : serial->interrupted()) {
+  if (enumerator.interrupted()) {
     // Stopped mid-subtree by the ExecOptions probe. The token is
     // checked first so a cancel that races the deadline reports as a
     // cancellation (the caller's explicit action wins the tie).

@@ -391,24 +391,19 @@ namespace {
 
 /// `CandidateGenerator` over a resumable `JoinCursor`: the indexed
 /// backend's suspendable candidate source. Shares ownership of the
-/// pinned view through the cursor; an optional root claim partitions
-/// the candidate space across parallel workers. Each extension test is
-/// compiled once, in its reduced form, over the cursor's row: a test
-/// reads the candidate's `DataId`s where the join left them.
+/// pinned view through the cursor. Each extension test is compiled
+/// once, in its reduced form, over the cursor's row: a test reads the
+/// candidate's `DataId`s where the join left them.
 ///
 /// When `optimize` is set and the view carries cardinality statistics,
 /// the subtree's variable order comes from the cost-based planner and
-/// the chosen plan is surfaced through `plan_info()`. Planning is a pure
-/// function of (view, patterns), so parallel workers — each constructing
-/// their own generator over the same pinned view — compute identical
-/// orders, which is what keeps root-claim partitioning exact.
+/// the chosen plan is surfaced through `plan_info()`.
 class JoinCursorGenerator final : public CandidateGenerator {
  public:
   JoinCursorGenerator(std::shared_ptr<const ReadView> view,
                       const std::vector<Triple>& patterns,
                       const std::vector<ExtensionTest>& tests, ExecStats* stats,
-                      const std::function<bool()>& claim, bool optimize,
-                      const TermPool* pool, Counter* plans_metric,
+                      bool optimize, const TermPool* pool, Counter* plans_metric,
                       Histogram* plan_ns_metric)
       : plan_(MakePlan(view.get(), patterns, optimize, plans_metric,
                        plan_ns_metric, &info_.plan_ns)),
@@ -419,7 +414,6 @@ class JoinCursorGenerator final : public CandidateGenerator {
       info_.est_cost = plan_->est_cost;
       info_.description = optimizer::DescribePlan(*plan_, *pool);
     }
-    if (claim) cursor_.SetRootClaim(claim);
     tests_.reserve(tests.size());
     for (const ExtensionTest& test : tests) {
       tests_.emplace_back(*view, test.reduced.triples(), cursor_.row_variables(), stats);
@@ -467,7 +461,6 @@ EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
                                       const SessionOptions& options,
                                       std::shared_ptr<const ReadView> view,
                                       ExecStats* join_stats,
-                                      std::function<bool()> root_claim,
                                       bool optimize) {
   // The hooks share ownership of the pinned view: the enumeration stays
   // valid however long the cursor lives and whatever the writer does
@@ -501,14 +494,12 @@ EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
   // The join cursor is lazy, so it needs no stop check: the enumerator
   // checks for interruption between pulls.
   hooks.open_subtree =
-      [view, join_stats, claim = std::move(root_claim), optimize, pool,
-       plans_metric, plan_ns_metric](
+      [view, join_stats, optimize, pool, plans_metric, plan_ns_metric](
           const TripleSet& pattern, const std::vector<ExtensionTest>& tests,
           const std::function<bool()>&) -> std::unique_ptr<CandidateGenerator> {
     return std::make_unique<JoinCursorGenerator>(view, pattern.triples(), tests,
-                                                 join_stats, claim, optimize,
-                                                 pool, plans_metric,
-                                                 plan_ns_metric);
+                                                 join_stats, optimize, pool,
+                                                 plans_metric, plan_ns_metric);
   };
   return hooks;
 }

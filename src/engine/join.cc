@@ -92,7 +92,6 @@ struct JoinCursor::State {
   const ReadView& store;
   Mapping fixed;  // By value: the cursor outlives the Execute call.
   ExecStats* stats;
-  std::function<bool()> claim;  // Null = every root value is ours.
 
   std::vector<EncConjunct> conjuncts;
   std::vector<SlotRef> slot_refs;  // Compiled tests only (see Reset).
@@ -334,11 +333,8 @@ struct JoinCursor::State {
     if (done) return false;
     if (depth < 0) {
       if (vars.empty()) {
-        // Zero unbound variables: the one (fixed) solution. It still
-        // counts as one root-claim unit, so exactly one of a set of
-        // partitioned cursors emits it.
+        // Zero unbound variables: the one (fixed) solution.
         done = true;
-        if (claim && !claim()) return false;
         Emit(out);
         return true;
       }
@@ -352,7 +348,6 @@ struct JoinCursor::State {
       Level& level = levels[depth];
       if (level.pos < level.values.size()) {
         DataId value = level.values[level.pos++];
-        if (depth == 0 && claim && !claim()) continue;  // Another worker's.
         binding[depth] = value;
         if (depth + 1 == static_cast<int>(vars.size())) {
           Emit(out);
@@ -396,10 +391,6 @@ bool JoinCursor::Next(Mapping* out) { return state_->Next(out); }
 const std::vector<TermId>& JoinCursor::row_variables() const { return state_->vars; }
 
 const DataId* JoinCursor::row() const { return state_->binding.data(); }
-
-void JoinCursor::SetRootClaim(std::function<bool()> claim) {
-  state_->claim = std::move(claim);
-}
 
 /// One ground conjunct of a compiled test: a whole-triple probe whose
 /// key is the constants with the row's slot values written in.

@@ -43,8 +43,8 @@
 /// above is located once per cursor.
 ///
 /// The join is exposed three ways: `JoinCursor`, a pull-based resumable
-/// iterator (the engine's suspendable enumeration and the parallel
-/// execution mode both build on it); `CompiledTest`, an extension test
+/// iterator (the engine's suspendable enumeration builds on it);
+/// `CompiledTest`, an extension test
 /// compiled once and run on many rows of `DataId`s — the paper's
 /// maximality certificates and witness tests, run on each candidate
 /// the cursor emits, where the cursor left its values; and the
@@ -68,12 +68,6 @@ namespace wdsparql {
 /// The cursor copies `fixed` and may share ownership of the view, so it
 /// can outlive the `Execute` call that created it; `stats` (optional)
 /// must outlive the cursor and is written from the pulling thread only.
-///
-/// Determinism: over a fixed view, every cursor for the same (patterns,
-/// fixed) walks the identical variable order and value lists — the
-/// parallel execution mode relies on this to stride one candidate space
-/// across workers without coordination beyond a shared counter (see
-/// `SetRootClaim`).
 class JoinCursor {
  public:
   /// Shares ownership of `view` (the safe form for long-lived cursors).
@@ -115,14 +109,6 @@ class JoinCursor {
   /// a `CompiledTest` reads. Valid after `Next` returned true, until the
   /// next `Next`.
   const DataId* row() const;
-
-  /// Installs a work-partitioning claim consulted once per root-level
-  /// binding, in the cursor's deterministic candidate order: `claim()`
-  /// returning false skips that root value (and its whole sub-descent).
-  /// A set of cursors over the same view and inputs whose claims
-  /// partition the call sequence partitions the solution space exactly.
-  /// Install before the first `Next`.
-  void SetRootClaim(std::function<bool()> claim);
 
  private:
   friend class CompiledTest;  // Resets one join state per call.

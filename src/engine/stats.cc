@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "engine/api_internal.h"
 #include "util/json.h"
 
 namespace wdsparql {
@@ -117,6 +118,32 @@ std::string ExecStats::ToJson() const {
   json.EndArray();
   json.EndObject();
   return std::move(json).str();
+}
+
+void AccumulateExecStats(const ExecStats& from, ExecStats* into) {
+  into->parse_ns += from.parse_ns;
+  into->check_ns += from.check_ns;
+  into->plan_ns += from.plan_ns;
+  into->optimize_ns += from.optimize_ns;
+  into->enumerate_ns += from.enumerate_ns;
+  into->est_cost += from.est_cost;
+  into->rows_emitted += from.rows_emitted;
+  into->candidates += from.candidates;
+  into->dedup_rejected += from.dedup_rejected;
+  into->non_maximal += from.non_maximal;
+  into->maximality_tests += from.maximality_tests;
+  into->filtered_out += from.filtered_out;
+  into->projection_dedup_rejected += from.projection_dedup_rejected;
+  into->empty_subpatterns += from.empty_subpatterns;
+  into->interrupt_checks += from.interrupt_checks;
+  into->ranges_scanned += from.ranges_scanned;
+  into->values_probed += from.values_probed;
+  into->base_triples_scanned += from.base_triples_scanned;
+  into->delta_triples_scanned += from.delta_triples_scanned;
+  into->dict_encodes += from.dict_encodes;
+  into->dict_decodes += from.dict_decodes;
+  into->subpatterns.insert(into->subpatterns.end(), from.subpatterns.begin(),
+                           from.subpatterns.end());
 }
 
 }  // namespace wdsparql

@@ -32,11 +32,9 @@
 /// level, the smallest range walked plus one binary search per range
 /// located and per existence probe.
 ///
-/// Determinism matters beyond reproducibility: parallel workers each
-/// plan their own cursor over the same pinned view and partition work
-/// by position in the cursor's candidate sequence — identical plans are
-/// what keeps the partition exact. `PlanSubtree` is a pure function of
-/// (view stats, patterns) with deterministic tie-breaking.
+/// `PlanSubtree` is a pure function of (view stats, patterns) with
+/// deterministic tie-breaking, so a view and a subtree always give the
+/// same plan.
 
 namespace wdsparql {
 namespace optimizer {

@@ -441,36 +441,12 @@ void Server::HandleQuery(int fd, const HttpRequest& request,
   Timer query_timer;
   uint64_t limit = 0;
   uint64_t deadline_ms = 0;
-  uint64_t parallelism = 0;
   if (!UintParam(request, "limit", 0, &limit) ||
       !UintParam(request, "deadline_ms", options_.default_deadline_ms,
-                 &deadline_ms) ||
-      !UintParam(request, "parallelism", 0, &parallelism)) {
+                 &deadline_ms)) {
     WriteError(fd, &ctx, 400, "InvalidParameter",
-               "limit, deadline_ms and parallelism must be non-negative "
-               "integers");
+               "limit and deadline_ms must be non-negative integers");
     return;
-  }
-  // Default parallelism policy: a request that names no `?parallelism=`
-  // gets a server-chosen degree — the machine's core count divided by
-  // the requests currently in flight (this one included), so a lone
-  // query fans wide while a busy pool degrades towards serial instead of
-  // oversubscribing every core `max_parallelism`-fold. An explicit
-  // `parallelism=0` still means "serial, please" — the policy only fills
-  // silence, it never overrides a choice.
-  if (request.params.find("parallelism") == request.params.end()) {
-    uint32_t hw = std::thread::hardware_concurrency();
-    if (hw == 0) hw = 1;
-    int64_t inflight = inflight_->value();
-    if (inflight < 1) inflight = 1;
-    parallelism = hw / static_cast<uint64_t>(inflight);
-    if (parallelism < 1) parallelism = 1;
-  }
-  // Parallelism is clamped to the server ceiling, not refused: unlike a
-  // loosened deadline it cannot change the answer set, only how many
-  // threads one request may occupy.
-  if (parallelism > options_.max_parallelism) {
-    parallelism = options_.max_parallelism;
   }
   // The server default is a *hard* ceiling: a request may tighten its
   // deadline, never escape it (unless the server runs unbounded).
@@ -503,7 +479,6 @@ void Server::HandleQuery(int fd, const HttpRequest& request,
   ExecOptions exec;
   exec.row_limit = limit;
   exec.optimize = optimize;
-  exec.parallelism = static_cast<uint32_t>(parallelism);
   exec.cancel = MakeCancelToken();
   exec.collect_stats = want_stats || slow_log;
   if (ctx.trace.enabled()) {

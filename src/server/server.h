@@ -109,17 +109,6 @@ struct ServerOptions {
   /// Never enable in production builds of the tool.
   bool enable_test_endpoints = false;
 
-  /// Ceiling on `?parallelism=` requests (`ExecOptions::parallelism`
-  /// worker threads per query, fanned over the request's pinned
-  /// snapshot). Requests above the ceiling are clamped, not refused —
-  /// parallelism is a hint, unlike the deadline it never changes the
-  /// answer set. 0 disables parallel execution entirely.
-  ///
-  /// A request that sends no `?parallelism=` gets a server-chosen
-  /// degree: hardware cores divided by in-flight requests, clamped to
-  /// [1, this ceiling]. An explicit `parallelism=0` stays serial.
-  uint32_t max_parallelism = 8;
-
   /// Slow-query log threshold: a /query taking at least this many
   /// milliseconds end-to-end writes one JSON line (request id, pattern,
   /// outcome, duration, rows, and the EXPLAIN tree — `collect_stats` is

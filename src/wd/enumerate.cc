@@ -78,28 +78,6 @@ void Drain(const PatternForest& forest, EnumerationHooks hooks,
 
 }  // namespace
 
-uint64_t TraceTimeOf(const TraceContext& trace,
-                     std::chrono::steady_clock::time_point tp) {
-  const uint64_t now_ns = trace.NowNs();
-  const uint64_t ago = static_cast<uint64_t>(std::max<int64_t>(
-      0, std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - tp)
-             .count()));
-  return ago < now_ns ? now_ns - ago : 0;
-}
-
-void EmitSubtreeSpans(const std::vector<SubtreeTiming>& timings,
-                      TraceContext* trace, uint32_t parent) {
-  for (const SubtreeTiming& timing : timings) {
-    uint32_t span = trace->AddCompleteSpan("subtree", parent,
-                                           TraceTimeOf(*trace, timing.start),
-                                           timing.duration_ns);
-    trace->Annotate(span, "tree", timing.tree);
-    trace->Annotate(span, "subtree", timing.subtree);
-    trace->Annotate(span, "candidates", timing.candidates);
-  }
-}
-
 bool LiteralExtends(const TripleSet& test, const Mapping& mu, const TripleSource& source,
                     int pebble_promise) {
   if (pebble_promise > 0) {
@@ -139,17 +117,13 @@ SolutionEnumerator::SolutionEnumerator(const PatternForest& forest,
   }
 }
 
-SolutionEnumerator::~SolutionEnumerator() { EndSubtreeTiming(); }
+SolutionEnumerator::~SolutionEnumerator() { EndSubtreeSpan(); }
 
-void SolutionEnumerator::EndSubtreeTiming() {
-  if (timing_open_) {
-    SubtreeTiming& timing = timings_->back();
-    timing.duration_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - timing.start)
-            .count());
-    timing.candidates = cur_candidates_;
-    timing_open_ = false;
+void SolutionEnumerator::EndSubtreeSpan() {
+  if (subtree_span_ != 0) {
+    trace_->Annotate(subtree_span_, "candidates", cur_candidates_);
+    trace_->EndSpan(subtree_span_);
+    subtree_span_ = 0;
   }
 }
 
@@ -163,7 +137,7 @@ bool SolutionEnumerator::CheckInterrupt() {
 }
 
 bool SolutionEnumerator::AdvanceSubtree() {
-  EndSubtreeTiming();
+  EndSubtreeSpan();
   while (subtree_idx_ >= subtrees_.size()) {
     // Drained the loaded tree (or nothing loaded yet, which the kNoTree
     // sentinel turns into "load tree 0"): materialise the next tree's
@@ -195,17 +169,15 @@ bool SolutionEnumerator::AdvanceSubtree() {
   }
   cur_candidates_ = 0;
   sub_open_ = false;
-  // One timing per wdpf subtree, covering its whole candidate pull and
+  // One span per wdpf subtree, covering its whole candidate pull and
   // the maximality work until the next boundary — this is the subtree-
   // granular "where did the time go" answer; per-candidate cost stays
   // out of the trace entirely.
-  if (timings_ != nullptr) {
-    SubtreeTiming timing;
-    timing.tree = tree_idx_;
-    timing.subtree = subtree_idx_ - 1;
-    timing.start = std::chrono::steady_clock::now();
-    timings_->push_back(timing);
-    timing_open_ = true;
+  if (trace_ != nullptr) {
+    subtree_span_ = trace_->StartSpan("subtree", trace_parent_);
+    trace_->Annotate(subtree_span_, "tree", static_cast<uint64_t>(tree_idx_));
+    trace_->Annotate(subtree_span_, "subtree",
+                     static_cast<uint64_t>(subtree_idx_ - 1));
   }
   generator_ =
       hooks_.open_subtree(pattern_, tests_, [this] { return CheckInterrupt(); });
@@ -213,7 +185,7 @@ bool SolutionEnumerator::AdvanceSubtree() {
     // A materialising source stopped part-way: the partial batch is
     // never delivered.
     generator_.reset();
-    EndSubtreeTiming();
+    EndSubtreeSpan();
     return false;
   }
   return true;
@@ -226,7 +198,7 @@ bool SolutionEnumerator::Next(Mapping* out) {
   while (true) {
     if (CheckInterrupt()) {
       state_ = State::kDone;
-      EndSubtreeTiming();
+      EndSubtreeSpan();
       return false;
     }
     if (generator_ == nullptr) {

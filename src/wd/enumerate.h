@@ -1,7 +1,6 @@
 #ifndef WDSPARQL_WD_ENUMERATE_H_
 #define WDSPARQL_WD_ENUMERATE_H_
 
-#include <chrono>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -60,11 +59,10 @@
 /// (`non_maximal`), or an answer. Every extension test, of an earlier
 /// tree's witness or of the open subtree, counts one
 /// `maximality_tests`. The record is the only counter struct of an
-/// execution: the engine's cursor and its parallel workers fold
-/// enumerator records (and the join layer's storage counters, written
-/// into the same type) into one `ExecStats`.
-/// Subtree time spans are recorded as plain `SubtreeTiming` values and
-/// turned into trace spans by `EmitSubtreeSpans` on the trace's thread.
+/// execution: the engine's cursor folds the enumerator's record (and
+/// the join layer's storage counters, written into the same type) into
+/// one `ExecStats`. With a trace sink set, the enumerator also adds one
+/// `subtree` span per wdpf subtree it opens.
 
 namespace wdsparql {
 
@@ -96,9 +94,8 @@ struct ExtensionTest {
 /// extension tests: the subtree pattern's homomorphisms, delivered one
 /// `Next` call at a time, and the tests run on each. Generators carry
 /// their whole search state between calls, so a consumer that stops
-/// early (row limits, cancellation, a partitioned parallel worker) pays
-/// only for the candidates it actually pulled — never for the subtree's
-/// whole match set.
+/// early (row limits, cancellation) pays only for the candidates it
+/// actually pulled — never for the subtree's whole match set.
 class CandidateGenerator {
  public:
   virtual ~CandidateGenerator() = default;
@@ -156,31 +153,6 @@ bool LiteralExtends(const TripleSet& test, const Mapping& mu, const TripleSource
 std::unique_ptr<CandidateGenerator> MaterializeHomomorphisms(
     const TripleSet& pattern, const std::vector<ExtensionTest>& tests,
     const TripleSource& source, int pebble_promise, const std::function<bool()>& stop);
-
-/// One wdpf subtree's time span, recorded as plain values: the
-/// enumerator never touches a `TraceContext` (single-threaded by
-/// contract), so serial cursors and parallel workers record the same
-/// way and the trace owner emits the spans (`EmitSubtreeSpans`).
-struct SubtreeTiming {
-  uint64_t tree = 0;
-  uint64_t subtree = 0;
-  std::chrono::steady_clock::time_point start;
-  uint64_t duration_ns = 0;
-  uint64_t candidates = 0;
-};
-
-/// A steady-clock instant as a timestamp of `trace` (its recorder's
-/// clock is the steady clock too, offset by the recorder's epoch).
-uint64_t TraceTimeOf(const TraceContext& trace,
-                     std::chrono::steady_clock::time_point tp);
-
-/// Emits one `subtree` span per timing under `parent`, annotated with
-/// `tree`, `subtree` and `candidates` — the one producer of subtree
-/// spans: a serial cursor parents them under its `enumerate` span, a
-/// parallel execution under each `worker` span. Call on the trace
-/// context's thread.
-void EmitSubtreeSpans(const std::vector<SubtreeTiming>& timings,
-                      TraceContext* trace, uint32_t parent);
 
 /// The enumeration skeleton, pull-based and suspendable — the engine's
 /// `Cursor` runs on this. The enumeration is an explicit state
@@ -249,11 +221,16 @@ class SolutionEnumerator {
   /// renders and allocates nothing. Call before the first `Next`.
   void CollectStats(const TermPool* pool) { pool_ = pool; }
 
-  /// Appends one `SubtreeTiming` per wdpf subtree opened to `out`, which
-  /// must outlive the enumerator; the open subtree's timing is completed
-  /// at its boundary, at exhaustion, interruption or destruction. Call
-  /// before the first `Next`.
-  void SetSubtreeTimingSink(std::vector<SubtreeTiming>* out) { timings_ = out; }
+  /// Adds one `subtree` span per wdpf subtree opened to `trace`, under
+  /// `parent`, annotated with `tree`, `subtree` and `candidates`. The
+  /// open subtree's span ends at its boundary, at exhaustion,
+  /// interruption or destruction. `trace` must outlive the enumerator
+  /// and is written from the thread pulling it. Call before the first
+  /// `Next`.
+  void SetTraceSink(TraceContext* trace, uint32_t parent) {
+    trace_ = trace;
+    trace_parent_ = parent;
+  }
 
  private:
   /// A subtree whose answers a candidate is tested against, as a range
@@ -277,7 +254,7 @@ class SolutionEnumerator {
   Witness AddWitness(const Subtree& subtree, TripleSet residual);
 
   /// Opens the next subtree (pattern, children, candidate generator,
-  /// subtree timing). Returns false when every tree is exhausted or the
+  /// subtree span). Returns false when every tree is exhausted or the
   /// interruption probe fired mid-materialisation.
   bool AdvanceSubtree();
 
@@ -292,11 +269,11 @@ class SolutionEnumerator {
     return sub_open_ ? &stats_.subpatterns.back() : nullptr;
   }
 
-  /// Completes the open subtree's timing, if any (subtree boundary,
+  /// Ends the open subtree's span, if any (subtree boundary,
   /// exhaustion, interruption, destruction — whichever comes first),
-  /// recording the candidates pulled so far — a lazy generator only
+  /// annotated with the candidates pulled so far — a lazy generator only
   /// knows its candidate count at the boundary, not up front.
-  void EndSubtreeTiming();
+  void EndSubtreeSpan();
 
   const PatternForest* forest_;
   EnumerationHooks hooks_;
@@ -306,8 +283,9 @@ class SolutionEnumerator {
   const TermPool* pool_ = nullptr;  // Non-null: breakdown on (CollectStats).
   bool sub_open_ = false;  // Does subpatterns.back() describe the open subtree?
 
-  std::vector<SubtreeTiming>* timings_ = nullptr;  // See SetSubtreeTimingSink.
-  bool timing_open_ = false;  // Does timings_->back() describe the open subtree?
+  TraceContext* trace_ = nullptr;  // See SetTraceSink.
+  uint32_t trace_parent_ = 0;
+  uint32_t subtree_span_ = 0;  // The open subtree's span; 0 = none.
 
   // Cooperative interruption (see SetInterruptProbe).
   std::function<bool()> probe_;

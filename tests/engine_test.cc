@@ -921,10 +921,9 @@ struct Execution {
   ExecStats stats;
 };
 
-Execution ExecuteAll(const Statement& stmt, uint32_t parallelism, bool optimize) {
+Execution ExecuteAll(const Statement& stmt, bool optimize) {
   ExecOptions exec;
   exec.collect_stats = true;
-  exec.parallelism = parallelism;
   exec.optimize = optimize;
   Cursor cursor = stmt.Execute(exec);
   Execution run;
@@ -935,10 +934,10 @@ Execution ExecuteAll(const Statement& stmt, uint32_t parallelism, bool optimize)
   return run;
 }
 
-/// Runs `pattern` on the naive oracle and on the indexed backend, serial
-/// and with two workers. Every run must deliver the set semantics over
-/// `model`, each answer once, and reach the oracle's verdicts. Returns
-/// the oracle's record.
+/// Runs `pattern` on the naive oracle and on the indexed backend. Both
+/// runs must deliver the set semantics over `model`, each answer once,
+/// and the indexed run must reach the oracle's verdicts. Returns the
+/// oracle's record.
 ExecStats ExpectBackendsAgree(const Database& db, const PatternPtr& pattern,
                               const RdfGraph& model, bool optimize = true) {
   SessionOptions naive_options;
@@ -949,17 +948,14 @@ ExecStats ExpectBackendsAgree(const Database& db, const PatternPtr& pattern,
   EXPECT_TRUE(indexed.ok());
   if (!oracle.ok() || !indexed.ok()) return {};
   const std::vector<Mapping> expected = Evaluate(*pattern, model);
-  const Execution reference = ExecuteAll(oracle, 0, optimize);
+  const Execution reference = ExecuteAll(oracle, optimize);
   EXPECT_EQ(reference.rows, expected);
-  for (uint32_t parallelism : {0u, 2u}) {
-    SCOPED_TRACE("parallelism=" + std::to_string(parallelism));
-    const Execution run = ExecuteAll(indexed, parallelism, optimize);
-    EXPECT_EQ(run.rows, expected);
-    EXPECT_EQ(run.stats.candidates, reference.stats.candidates);
-    EXPECT_EQ(run.stats.dedup_rejected, reference.stats.dedup_rejected);
-    EXPECT_EQ(run.stats.non_maximal, reference.stats.non_maximal);
-    EXPECT_EQ(run.stats.maximality_tests, reference.stats.maximality_tests);
-  }
+  const Execution run = ExecuteAll(indexed, optimize);
+  EXPECT_EQ(run.rows, expected);
+  EXPECT_EQ(run.stats.candidates, reference.stats.candidates);
+  EXPECT_EQ(run.stats.dedup_rejected, reference.stats.dedup_rejected);
+  EXPECT_EQ(run.stats.non_maximal, reference.stats.non_maximal);
+  EXPECT_EQ(run.stats.maximality_tests, reference.stats.maximality_tests);
   return reference.stats;
 }
 
@@ -1032,7 +1028,7 @@ TEST(CompiledTestTest, ResidualOutsideEveryCyclicOrderRewindsItsProbe) {
   ASSERT_TRUE(pattern.ok());
   ExpectBackendsAgree(db, pattern.value(), model, /*optimize=*/false);
   Statement stmt = db.OpenSession().PrepareParsed(pattern.value());
-  const Execution run = ExecuteAll(stmt, 0, /*optimize=*/false);
+  const Execution run = ExecuteAll(stmt, /*optimize=*/false);
   EXPECT_EQ(run.rows.size(), 4u);
   EXPECT_EQ(run.stats.dedup_rejected, 2u);
 }
@@ -1052,7 +1048,7 @@ TEST(CompiledTestTest, ChildConstantAbsentFromTheStoreNeverExtends) {
   ASSERT_TRUE(pattern.ok());
   ExpectBackendsAgree(db, pattern.value(), model);
   Statement stmt = db.OpenSession().PrepareParsed(pattern.value());
-  const Execution run = ExecuteAll(stmt, 0, true);
+  const Execution run = ExecuteAll(stmt, true);
   EXPECT_EQ(run.rows.size(), 2u);  // (a, b) and (b, c), each once.
   EXPECT_EQ(run.stats.non_maximal, 0u);
   EXPECT_EQ(run.stats.dedup_rejected, 1u);
@@ -1101,7 +1097,7 @@ ExecStats EncodesOverCity(int persons) {
       "(((?x city c) AND (?x knows ?y) AND (?y city c)) OPT (?y email ?e)) UNION "
       "((?x city c) AND (?x follows ?y) AND (?y city c))");
   EXPECT_TRUE(stmt.ok());
-  return ExecuteAll(stmt, 0, true).stats;
+  return ExecuteAll(stmt, true).stats;
 }
 
 TEST(CompiledTestTest, DictEncodesCountEachCompiledConstantOnce) {

@@ -548,7 +548,7 @@ TEST(ServeTraceTest, DebugTraceRoundTripByRequestId) {
   server->Stop();
 }
 
-TEST(ServeTraceTest, ParallelTraceNestsSubtreesUnderWorkers) {
+TEST(ServeTraceTest, DefaultTraceNestsSubtreesUnderEnumerate) {
   Database db;
   Populate(&db);
   auto server = StartServer(&db, [] {
@@ -559,7 +559,7 @@ TEST(ServeTraceTest, ParallelTraceNestsSubtreesUnderWorkers) {
   HttpClient client = ClientFor(*server);
 
   HttpResponse response;
-  ASSERT_TRUE(client.Fetch("POST", "/query?parallelism=4", "(?s <http://t/p1> ?o)",
+  ASSERT_TRUE(client.Fetch("POST", "/query", "(?s <http://t/p1> ?o)",
                            &response, {{"X-Request-Id", "cafe5678"}})
                   .ok());
   ASSERT_EQ(response.status, 200);
@@ -587,24 +587,24 @@ TEST(ServeTraceTest, ParallelTraceNestsSubtreesUnderWorkers) {
   };
   auto parent_of = [&spans](uint64_t id) { return spans.at(id).first; };
 
-  // request -> ... -> enumerate -> worker -> subtree, like a serial
-  // trace with the worker level in between.
-  int workers = 0;
+  // request -> ... -> enumerate -> subtree, whatever the host's core
+  // count: one cursor enumerates, on the request's thread.
+  int enumerates = 0;
   int subtrees = 0;
   for (const auto& [id, span] : spans) {
-    if (span.second == "worker") {
-      ++workers;
-      EXPECT_EQ(name_of(span.first), "enumerate");
+    EXPECT_NE(span.second, "worker") << "span " << id;
+    if (span.second == "enumerate") {
+      ++enumerates;
       uint64_t up = span.first;
       while (up != 0 && name_of(up) != "request") up = parent_of(up);
       EXPECT_NE(up, 0u) << "enumerate is not under the request span";
     } else if (span.second == "subtree") {
       ++subtrees;
-      EXPECT_EQ(name_of(span.first), "worker") << "subtree span " << id;
+      EXPECT_EQ(name_of(span.first), "enumerate") << "subtree span " << id;
     }
   }
-  EXPECT_EQ(workers, 4);
-  EXPECT_EQ(subtrees, 4);  // One tree, one subtree, walked by every worker.
+  EXPECT_EQ(enumerates, 1);
+  EXPECT_EQ(subtrees, 1);  // One tree, one subtree.
   server->Stop();
 }
 

@@ -266,6 +266,39 @@ TEST(TraceEndToEndTest, QuerySpansFormTreeRootedAtRequest) {
   EXPECT_TRUE(saw_outcome);
 }
 
+TEST(TraceEndToEndTest, EarlyCloseEndsTheOpenSubtreeSpan) {
+  Database db = MakeSmallDatabase();
+  TraceContext ctx(db.trace_recorder());
+  uint32_t root = ctx.StartSpan("request");
+  ExecOptions exec;
+  exec.trace = &ctx;
+  exec.trace_parent = root;
+  Statement stmt = db.OpenSession().Prepare("(?x knows ?y) OPT (?y email ?e)");
+  ASSERT_TRUE(stmt.ok());
+  Cursor cursor = stmt.Execute(exec);
+  ASSERT_TRUE(cursor.Next());
+  cursor.Close();
+
+  // Before any flush: closing mid-subtree ended every span the cursor
+  // opened, and the open subtree's span got its candidate count.
+  int subtrees = 0;
+  for (const TraceSpan& span : ctx.spans()) {
+    if (span.span_id == root) continue;
+    EXPECT_NE(span.duration_ns, TraceSpan::kOpenDuration) << span.name;
+    if (std::string(span.name) != "subtree") continue;
+    ++subtrees;
+    ASSERT_EQ(span.annotation_count, 3u);
+    EXPECT_STREQ(span.annotations[0].key, "tree");
+    EXPECT_STREQ(span.annotations[1].key, "subtree");
+    EXPECT_STREQ(span.annotations[2].key, "candidates");
+  }
+  EXPECT_GE(subtrees, 1);
+  const TraceSpan* enumerate = FindSpan(ctx.spans(), "enumerate");
+  ASSERT_NE(enumerate, nullptr);
+  ASSERT_EQ(enumerate->annotation_count, 3u);
+  EXPECT_STREQ(enumerate->annotations[2].value, "closed");
+}
+
 TEST(TraceEndToEndTest, CommitPublishesSelfRootedTrace) {
   Database db = MakeSmallDatabase();
   WriteBatch batch;

@@ -3,8 +3,7 @@
 ///
 ///   wdsparql_serve [--db <path.snap>] [--wal] [--host H] [--port N]
 ///                  [--workers N] [--queue N] [--deadline-ms N]
-///                  [--max-parallelism N] [--slow-query-ms N]
-///                  [--trace-capacity N] [--quiet]
+///                  [--slow-query-ms N] [--trace-capacity N] [--quiet]
 ///
 /// Serves the endpoints documented in docs/SERVING.md (POST /query with
 /// chunked row streaming, POST /contains, POST /write, GET /metrics,
@@ -50,9 +49,8 @@ int Usage() {
                "[--port N]\n"
                "                      [--workers N] [--queue N] "
                "[--deadline-ms N]\n"
-               "                      [--max-parallelism N] [--slow-query-ms N] "
-               "[--trace-capacity N]\n"
-               "                      [--quiet]\n"
+               "                      [--slow-query-ms N] [--trace-capacity N] "
+               "[--quiet]\n"
                "\n"
                "  --db <path.snap>  open this snapshot (with --wal: create if "
                "missing,\n"
@@ -61,9 +59,6 @@ int Usage() {
                "  --port N          TCP port, 0 = ephemeral (default 8080)\n"
                "  --workers N       worker threads (default 4)\n"
                "  --queue N         admission queue capacity (default 64)\n"
-               "  --max-parallelism N  ceiling on per-query ?parallelism= "
-               "worker\n"
-               "                    threads (default 8, 0 disables)\n"
                "  --deadline-ms N   hard per-query deadline ceiling, 0 = "
                "unbounded\n"
                "                    (default 10000)\n"
@@ -152,13 +147,6 @@ int main(int argc, char** argv) {
         return Usage();
       }
       options.default_deadline_ms = parsed;
-    } else if (std::strcmp(argv[i], "--max-parallelism") == 0) {
-      const char* text = value("--max-parallelism");
-      if (text == nullptr || !ParseUint(text, &parsed)) {
-        std::fprintf(stderr, "error: bad --max-parallelism value\n");
-        return Usage();
-      }
-      options.max_parallelism = static_cast<uint32_t>(parsed);
     } else if (std::strcmp(argv[i], "--slow-query-ms") == 0) {
       const char* text = value("--slow-query-ms");
       if (text == nullptr || !ParseUint(text, &parsed)) {
