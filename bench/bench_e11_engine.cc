@@ -20,7 +20,7 @@
 #include <memory>
 #include <string>
 
-#include "engine/indexed_store.h"
+#include "engine/api_internal.h"
 #include "engine/join.h"
 #include "hom/homomorphism.h"
 #include "rdf/generator.h"
@@ -35,13 +35,14 @@ constexpr int kBackendHash = 0;
 constexpr int kBackendIndexed = 1;
 
 /// One benchmark workload: a random graph staged as a hash-indexed
-/// TripleSet and loaded into a Database (the permutation store), and a
-/// conjunctive path pattern with a pendant OPT.
+/// TripleSet and loaded into a Database (the permutation store, read
+/// through a pinned view), and a conjunctive path pattern.
 struct E11Instance {
   TermPool pool;
   RdfGraph staged{&pool};
   HashTripleSource hash_source{staged.triples()};
   Database db{&pool};
+  std::shared_ptr<const ReadView> pinned;  // The loaded state.
   TripleSet path_pattern;  // (?x p0 ?y) (?y p1 ?z)
 
   explicit E11Instance(int num_triples) {
@@ -52,6 +53,7 @@ struct E11Instance {
     options.seed = 11;
     GenerateRandomGraph(options, &staged);
     testlib::LoadGraph(staged, &db);
+    pinned = DatabaseImpl::Get(db).store.PinView();
 
     TermId x = pool.InternVariable("x");
     TermId y = pool.InternVariable("y");
@@ -60,7 +62,7 @@ struct E11Instance {
     path_pattern.Insert(Triple(y, pool.InternIri("p1"), z));
   }
 
-  const ReadView& view() const { return db.store().view(); }
+  const ReadView& view() const { return *pinned; }
   const HashTripleSource& hash() const { return hash_source; }
 
   const TripleSource& source(int backend) const {
@@ -109,11 +111,9 @@ void BM_E11_CandidateGeneration(benchmark::State& state) {
   uint64_t candidates = 0;
   for (auto _ : state) {
     if (indexed) {
-      JoinEnumerate(instance.view(), instance.path_pattern.triples(), Mapping{},
-                    [&](const Mapping&) {
-                      ++candidates;
-                      return true;
-                    });
+      JoinCursor cursor(instance.pinned, instance.path_pattern.triples());
+      Mapping mu;
+      while (cursor.Next(&mu)) ++candidates;
     } else {
       EnumerateHomomorphisms(instance.path_pattern, VarAssignment{}, instance.hash(),
                              [&](const VarAssignment&) {

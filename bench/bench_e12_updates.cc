@@ -1,28 +1,19 @@
 /// \file
-/// Experiment E12: incremental index maintenance. The PR's Database
-/// keeps its SPO/POS/OSP permutation runs maintained under mutation with
-/// a sorted-run delta plus periodic linear merges instead of rebuilding
-/// from scratch. This benchmark quantifies that trade across scales:
+/// Experiment E12: incremental index maintenance. The Database keeps
+/// its SPO/POS/OSP permutation runs maintained under mutation with a
+/// sorted-run delta plus periodic linear merges. This benchmark measures
+/// that maintenance across scales:
 ///
-///  * insert throughput — incremental `AddTriple` into a warm database
-///    versus rebuilding the whole permutation store per batch (what the
-///    engine did before this PR whenever data changed);
-///  * removal throughput — tombstoned `RemoveTriple` versus rebuild;
+///  * insert throughput — incremental `AddTriple` into a warm database;
+///  * removal throughput — tombstoned `RemoveTriple`;
 ///  * query latency during interleaved updates — alternate small update
-///    batches with a conjunctive query, incremental versus
-///    rebuild-per-batch, i.e. the latency a reader actually observes in
-///    an update-heavy workload.
-///
-/// Expected shape: per-batch rebuild costs O(n log n) regardless of
-/// batch size, so incremental maintenance wins by orders of magnitude at
-/// small batch/large store ratios and converges towards parity as the
-/// batch approaches the store size.
+///    batches with a conjunctive query, i.e. the latency a reader
+///    actually observes in an update-heavy workload.
 
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
-#include "engine/indexed_store.h"
 #include "rdf/generator.h"
 #include "support/testlib.h"
 #include "util/rng.h"
@@ -80,28 +71,7 @@ void BM_E12_InsertIncremental(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(inserted));
 }
 
-/// The pre-PR alternative: rebuild the permutation store per batch.
-void BM_E12_InsertRebuild(benchmark::State& state) {
-  int num_triples = static_cast<int>(state.range(0));
-  int batch = static_cast<int>(state.range(1));
-  uint64_t inserted = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    E12Instance instance(num_triples, batch);
-    RdfGraph graph = instance.staged;
-    state.ResumeTiming();
-    for (const Triple& t : instance.updates) {
-      inserted += graph.Insert(t) ? 1 : 0;
-    }
-    IndexedStore rebuilt = IndexedStore::Build(graph.triples());
-    benchmark::DoNotOptimize(rebuilt.view().size());
-  }
-  state.counters["store"] = static_cast<double>(num_triples);
-  state.SetItemsProcessed(static_cast<int64_t>(inserted));
-}
-
-/// Tombstoned removals versus rebuild is implicit in the interleaved
-/// benchmark; here: incremental removal throughput on a warm store.
+/// Incremental removal throughput on a warm store.
 void BM_E12_RemoveIncremental(benchmark::State& state) {
   int num_triples = static_cast<int>(state.range(0));
   int batch = static_cast<int>(state.range(1));
@@ -122,12 +92,10 @@ void BM_E12_RemoveIncremental(benchmark::State& state) {
 }
 
 /// Query latency during interleaved updates: per iteration, apply one
-/// small update batch, then drain one query cursor. range(2) selects
-/// incremental (1) vs rebuild-per-batch (0) maintenance.
+/// small update batch, then drain one query cursor.
 void BM_E12_InterleavedQueryLatency(benchmark::State& state) {
   int num_triples = static_cast<int>(state.range(0));
   int batch = static_cast<int>(state.range(1));
-  bool incremental = state.range(2) == 1;
 
   E12Instance instance(num_triples, 1 << 16);
   Session session = instance.db.OpenSession();
@@ -141,13 +109,6 @@ void BM_E12_InterleavedQueryLatency(benchmark::State& state) {
       const Triple& t = instance.updates[next_update];
       next_update = (next_update + 1) % instance.updates.size();
       instance.db.AddTriple(t);
-      if (!incremental) instance.staged.Insert(t);
-    }
-    if (!incremental) {
-      // Rebuild-from-scratch maintenance: what every reader waited for
-      // before incremental deltas existed.
-      IndexedStore rebuilt = IndexedStore::Build(instance.staged.triples());
-      benchmark::DoNotOptimize(rebuilt.view().size());
     }
     Cursor cursor = query.Execute();
     while (cursor.Next()) ++answers;
@@ -166,15 +127,12 @@ void UpdateSweep(benchmark::internal::Benchmark* bench) {
 }
 
 void InterleavedSweep(benchmark::internal::Benchmark* bench) {
-  for (int mode : {0, 1}) {
-    for (int triples : {1 << 12, 1 << 15}) {
-      bench->Args({triples, /*batch=*/64, mode});
-    }
+  for (int triples : {1 << 12, 1 << 15}) {
+    bench->Args({triples, /*batch=*/64});
   }
 }
 
 BENCHMARK(BM_E12_InsertIncremental)->Apply(UpdateSweep)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_E12_InsertRebuild)->Apply(UpdateSweep)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_E12_RemoveIncremental)->Apply(UpdateSweep)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_E12_InterleavedQueryLatency)
     ->Apply(InterleavedSweep)

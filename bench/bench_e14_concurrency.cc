@@ -24,7 +24,6 @@
 #include <string>
 #include <thread>
 
-#include "engine/indexed_store.h"
 #include "rdf/generator.h"
 #include "wdsparql/check.h"
 #include "wdsparql/wdsparql.h"
@@ -162,12 +161,13 @@ BENCHMARK(BM_E14_ReadScaling_NoWriter)
     ->Unit(benchmark::kMillisecond);
 
 /// The entire per-execution synchronisation cost a reader ever pays:
-/// one atomic shared-ptr load + refcount round trip.
+/// one atomic shared-ptr load + refcount round trip, here through the
+/// public `GetSnapshot`.
 void BM_E14_PinView(benchmark::State& state) {
   E14World world(/*with_writer=*/false);
-  const IndexedStore& store = world.db().store();
+  const Database& db = world.db();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.PinView());
+    benchmark::DoNotOptimize(db.GetSnapshot());
   }
 }
 BENCHMARK(BM_E14_PinView);

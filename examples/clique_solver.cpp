@@ -8,15 +8,10 @@
 /// direction of the reduction: evaluating well-designed queries of
 /// unbounded domination width is at least as hard as p-CLIQUE.
 ///
-/// The gadget instance is loaded into a `Database`, so the membership
-/// question runs over the engine's permutation-indexed storage (the
-/// paper's algorithm, the production store underneath).
-///
 /// Build & run:  ./build/clique_solver
 
 #include <cstdio>
 
-#include "engine/indexed_store.h"
 #include "rdf/generator.h"
 #include "wd/eval.h"
 #include "wd/hardness.h"
@@ -34,11 +29,9 @@ void Solve(const char* name, const UndirectedGraph& h, int k) {
                 instance.status().ToString().c_str());
     return;
   }
-  // Freeze the gadget into the database; the wdEVAL membership question
-  // then probes the store's read view through the TripleSource seam.
-  Database db(&pool);
-  for (const Triple& t : instance.value().graph.triples()) db.AddTriple(t);
-  bool member = NaiveWdEval(instance.value().forest, db.store().view(), instance.value().mu);
+  // The wdEVAL membership question over the frozen gadget itself.
+  bool member = NaiveWdEval(instance.value().forest, instance.value().graph,
+                            instance.value().mu);
   bool via_reduction = !member;  // Clique iff mu is NOT an answer.
   bool via_brute_force = HasCliqueBruteForce(h, k);
   std::printf(

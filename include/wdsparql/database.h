@@ -36,8 +36,6 @@
 /// mutation publishes a fresh immutable read view; cursors pin the
 /// current view when they open and keep it — readers never block the
 /// writer and never observe a half-applied mutation. The exceptions are
-/// `store()`, which exposes live writer-side state and therefore
-/// requires that no concurrent mutation happens, and
 /// `Save`/`Checkpoint`/`Compact`, which are writer-side calls. The
 /// database must outlive every session, statement and cursor derived
 /// from it.
@@ -56,7 +54,6 @@
 
 namespace wdsparql {
 
-class IndexedStore;  // Internal storage; see engine/indexed_store.h.
 struct DatabaseImpl;
 
 /// Construction-time tuning.
@@ -251,11 +248,6 @@ class Database {
   /// wdsparql/snapshot.h for the lifetime rules). One atomic load plus
   /// a refcount — callable from any thread, concurrent with the writer.
   Snapshot GetSnapshot() const;
-
-  /// \internal Storage accessor for in-tree tooling (benchmarks, tests).
-  /// Not part of the stable surface, and NOT safe concurrently with a
-  /// writer: it exposes live writer-side state rather than a pinned view.
-  const IndexedStore& store() const;
 
  private:
   friend struct DatabaseImpl;

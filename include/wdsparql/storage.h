@@ -63,11 +63,6 @@ struct OpenOptions {
   /// opening a missing snapshot is `kNotFound`.
   bool create_if_missing = false;
 
-  /// Verify the CRC32 of every snapshot section at open. This is a
-  /// linear memory-speed pass (still orders of magnitude cheaper than
-  /// re-parsing N-Triples); disabling it trusts the file blindly.
-  bool verify_checksums = true;
-
   /// Memory-map the snapshot (the fast path). When false — or when
   /// mapping fails — the file is read into an anonymous buffer instead,
   /// which behaves identically but pays the copy up front.

@@ -375,8 +375,6 @@ std::string Database::DumpMetrics(MetricsFormat format) const {
   return impl_->metrics->Dump(format);
 }
 
-const IndexedStore& Database::store() const { return impl_->store; }
-
 const char* BackendToString(Backend backend) {
   switch (backend) {
     case Backend::kNaiveHash: return "naive-hash";
@@ -407,7 +405,7 @@ class JoinCursorGenerator final : public CandidateGenerator {
                       Histogram* plan_ns_metric)
       : plan_(MakePlan(view.get(), patterns, optimize, plans_metric,
                        plan_ns_metric, &info_.plan_ns)),
-        cursor_(view, patterns, Mapping{}, stats,
+        cursor_(view, patterns, stats,
                 plan_.has_value() ? &plan_->var_order : nullptr) {
     if (plan_.has_value()) {
       info_.est_rows = plan_->est_rows;

@@ -77,41 +77,11 @@ Dictionary& Dictionary::operator=(Dictionary&& other) noexcept {
   return *this;
 }
 
-void Dictionary::InitBuffers(std::vector<TermId> sorted_terms) {
-  WDSPARQL_CHECK(sorted_terms.size() < kNoDataId);
-  size_ = sorted_terms.size();
-  terms_ = std::make_shared<std::vector<TermId>>(std::move(sorted_terms));
-}
-
-Dictionary Dictionary::Build(const TripleSet& set) {
-  Dictionary dict;
-  std::vector<TermId> terms = set.AllTerms();
-  std::sort(terms.begin(), terms.end());
-  dict.InitBuffers(std::move(terms));
-  dict.sorted_limit_ = dict.size_;
-  return dict;
-}
-
-Dictionary Dictionary::Build(const std::vector<Triple>& triples) {
-  Dictionary dict;
-  std::vector<TermId> terms;
-  terms.reserve(3 * triples.size());
-  for (const Triple& t : triples) {
-    terms.push_back(t.subject);
-    terms.push_back(t.predicate);
-    terms.push_back(t.object);
-  }
-  std::sort(terms.begin(), terms.end());
-  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
-  dict.InitBuffers(std::move(terms));
-  dict.sorted_limit_ = dict.size_;
-  return dict;
-}
-
 Dictionary Dictionary::FromParts(std::vector<TermId> terms, std::size_t sorted_limit) {
   Dictionary dict;
   WDSPARQL_CHECK(sorted_limit <= terms.size() && terms.size() < kNoDataId);
-  dict.InitBuffers(std::move(terms));
+  dict.size_ = terms.size();
+  dict.terms_ = std::make_shared<std::vector<TermId>>(std::move(terms));
   dict.sorted_limit_ = sorted_limit;
   if (dict.size_ > sorted_limit) {
     auto folded = std::make_shared<std::vector<AppendedEntry>>();

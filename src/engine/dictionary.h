@@ -7,7 +7,8 @@
 #include <utility>
 #include <vector>
 
-#include "rdf/triple_set.h"
+#include "wdsparql/check.h"
+#include "wdsparql/term.h"
 
 /// \file
 /// Dictionary encoding of interned terms.
@@ -17,12 +18,10 @@
 /// machine ids so permutation indexes stay compact and comparisons are
 /// integer compares. This library already interns spellings to `TermId`s
 /// in the `TermPool`; the engine adds a second, per-store dictionary that
-/// maps the terms *actually occurring in one triple set* to a dense
-/// `DataId` range `[0, size)`, assigned in ascending `TermId` order. The
-/// density is what makes the permutation vectors of `IndexedStore`
-/// sortable and binary-searchable, and the order preservation means
-/// `DataId` order coincides with `TermId` order — handy for emitting
-/// sorted candidate values during joins.
+/// maps the terms *actually occurring in the stored triples* to a dense
+/// `DataId` range `[0, size)`, assigned as the terms arrive. The density
+/// is what makes the permutation vectors of `IndexedStore` sortable and
+/// binary-searchable.
 ///
 /// Concurrency: the dictionary is append-only, and its storage is laid
 /// out so that a published *prefix* of it can be read lock-free while a
@@ -88,17 +87,17 @@ class DictView {
   std::size_t tail_size_ = 0;
 };
 
-/// Map between the distinct `TermId`s of one triple set and the dense
-/// range `[0, size)`.
+/// Map between the distinct `TermId`s of one store and the dense range
+/// `[0, size)`.
 ///
-/// `Build` assigns ids in ascending `TermId` order (the bulk-load fast
-/// path: lookups in that prefix are binary searches). Incremental stores
-/// extend the dictionary through `GetOrAdd`, which *appends* — new terms
-/// take the next free `DataId`, so existing encoded triples never need
-/// re-encoding when the store mutates. The price is that the global
-/// DataId-order/TermId-order coincidence only holds for the built prefix;
-/// all engine algorithms require only a fixed total order on `DataId`s,
-/// which appending preserves.
+/// The dictionary grows by appending: `GetOrAdd` and `EnsureTerms` give
+/// each new term the next free `DataId` (one batch's newcomers in
+/// ascending `TermId` order), so existing encoded triples never need
+/// re-encoding when the store mutates. All engine algorithms require
+/// only a fixed total order on `DataId`s, which appending preserves. A
+/// dictionary reopened from an older snapshot may also start with a
+/// `TermId`-sorted prefix (see `FromParts`), whose lookups are binary
+/// searches over the term array itself.
 ///
 /// Thread-safety: not itself thread-safe — one writer (or external
 /// serialisation) mutates it. Concurrent readers go through `view()`
@@ -113,13 +112,6 @@ class Dictionary {
   Dictionary& operator=(const Dictionary& other);
   Dictionary(Dictionary&& other) noexcept { *this = std::move(other); }
   Dictionary& operator=(Dictionary&& other) noexcept;
-
-  /// Builds the dictionary of the distinct terms of `set`.
-  static Dictionary Build(const TripleSet& set);
-
-  /// Builds the dictionary of the distinct terms of `triples` (the bulk
-  /// loader's path: no TripleSet hash indexes required).
-  static Dictionary Build(const std::vector<Triple>& triples);
 
   /// \internal Reconstitutes a dictionary from its persisted parts: the
   /// DataId-indexed term array and the length of its TermId-sorted
@@ -175,7 +167,6 @@ class Dictionary {
   DictView view() const;
 
  private:
-  void InitBuffers(std::vector<TermId> sorted_terms);
   void AppendTerm(TermId t, DataId id);
   /// Folds `entries` (appended terms not yet indexed) and the tail into
   /// a fresh sorted run, leaving the tail empty.

@@ -12,50 +12,10 @@ namespace wdsparql {
 using enc_order::OrderOf;
 using enc_order::PermLess;
 
-namespace {
-
-/// Encodes `triples` against `dict` and installs the three sorted base
-/// runs. With `dedup`, equal encoded triples collapse (plain-vector
-/// inputs carry no set guarantee).
-IndexedStore BuildEncoded(Dictionary dict, const std::vector<Triple>& triples,
-                          bool dedup) {
-  IndexedStore store;
-  std::vector<EncTriple> spo;
-  spo.reserve(triples.size());
-  for (const Triple& t : triples) {
-    EncTriple enc;
-    enc.s = dict.Encode(t.subject);
-    enc.p = dict.Encode(t.predicate);
-    enc.o = dict.Encode(t.object);
-    WDSPARQL_DCHECK(enc.s != kNoDataId && enc.p != kNoDataId && enc.o != kNoDataId);
-    spo.push_back(enc);
-  }
-  std::sort(spo.begin(), spo.end(), PermLess{OrderOf(Permutation::kSpo)});
-  if (dedup) {
-    spo.erase(std::unique(spo.begin(), spo.end()), spo.end());
-  }
-  std::vector<EncTriple> pos = spo;
-  std::vector<EncTriple> osp = spo;
-  std::sort(pos.begin(), pos.end(), PermLess{OrderOf(Permutation::kPos)});
-  std::sort(osp.begin(), osp.end(), PermLess{OrderOf(Permutation::kOsp)});
-  store.SetBuilt(std::move(dict), std::move(spo), std::move(pos), std::move(osp));
-  return store;
-}
-
-}  // namespace
-
 IndexedStore::IndexedStore()
     : base_(std::make_shared<const BaseRuns>()),
       delta_(std::make_shared<const DeltaRuns>()) {
   Publish();
-}
-
-IndexedStore IndexedStore::Build(const TripleSet& set) {
-  return BuildEncoded(Dictionary::Build(set), set.triples(), /*dedup=*/false);
-}
-
-IndexedStore IndexedStore::Build(const std::vector<Triple>& triples) {
-  return BuildEncoded(Dictionary::Build(triples), triples, /*dedup=*/true);
 }
 
 IndexedStore IndexedStore::FromSnapshot(Dictionary dict, const EncTriple* spo,
@@ -74,21 +34,6 @@ IndexedStore IndexedStore::FromSnapshot(Dictionary dict, const EncTriple* spo,
   store.base_ = std::move(base);
   store.Publish();
   return store;
-}
-
-void IndexedStore::SetBuilt(Dictionary dict, std::vector<EncTriple> spo,
-                            std::vector<EncTriple> pos, std::vector<EncTriple> osp) {
-  dict_ = std::move(dict);
-  auto base = std::make_shared<BaseRuns>();
-  base->spo.Assign(std::move(spo));
-  base->pos.Assign(std::move(pos));
-  base->osp.Assign(std::move(osp));
-  base->stats = CardinalityStats::Build(base->spo.data(), base->pos.data(),
-                                        base->osp.data(), base->spo.size());
-  base_ = std::move(base);
-  delta_ = std::make_shared<const DeltaRuns>();
-  copied_since_merge_ = 0;
-  Publish();
 }
 
 void IndexedStore::set_metrics(std::shared_ptr<MetricsRegistry> metrics) {

@@ -71,16 +71,9 @@ class IndexedStore final {
   /// Over an empty or small base it alone paces the merges.
   static constexpr std::size_t kDefaultMergeThreshold = 4096;
 
+  /// An empty store. Content arrives through `ApplyBatch` (every load
+  /// is a commit) or wholesale from a snapshot (`FromSnapshot`).
   IndexedStore();
-
-  /// Builds the store (dictionary + three sorted base runs) from the
-  /// triples of `set` in one sort pass — the bulk-load fast path.
-  static IndexedStore Build(const TripleSet& set);
-
-  /// Builds the store from a plain triple vector (duplicates collapse).
-  /// The bulk loader's path: no TripleSet/RdfGraph hash structures are
-  /// ever materialised.
-  static IndexedStore Build(const std::vector<Triple>& triples);
 
   /// \internal Reconstitutes a store over a snapshot's sections, borrowed
   /// in place: `spo`/`pos`/`osp` are `count`-long sorted runs whose
@@ -195,12 +188,6 @@ class IndexedStore final {
   bool borrows_snapshot() const {
     return base_->spo.borrowed() || base_->pos.borrowed() || base_->osp.borrowed();
   }
-
-  /// \internal Installs a freshly built dictionary and three sorted,
-  /// owned base runs (the Build helpers funnel through here), then
-  /// publishes.
-  void SetBuilt(Dictionary dict, std::vector<EncTriple> spo,
-                std::vector<EncTriple> pos, std::vector<EncTriple> osp);
 
  private:
   /// Builds and atomically publishes the view of the current state.

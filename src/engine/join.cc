@@ -57,6 +57,10 @@ bool IsGround(const EncConjunct& c) {
   return c.var[0] < 0 && c.var[1] < 0 && c.var[2] < 0;
 }
 
+// Copy-assigning it clears a solution but keeps the solution's binding
+// storage, which assigning a temporary would free.
+const Mapping kNoBindings;
+
 }  // namespace
 
 /// The whole resumable join state. The recursion of the old callback
@@ -65,8 +69,8 @@ bool IsGround(const EncConjunct& c) {
 /// and resume exactly there.
 struct JoinCursor::State {
   State(std::shared_ptr<const ReadView> owned, const ReadView& view,
-        const Mapping& fixed_in, ExecStats* stats_in)
-      : keepalive(std::move(owned)), store(view), fixed(fixed_in), stats(stats_in) {}
+        ExecStats* stats_in)
+      : keepalive(std::move(owned)), store(view), stats(stats_in) {}
 
   /// The sized range of one conjunct at one level and the probe that
   /// searches it. Kept across fills while the conjunct's pattern under
@@ -88,9 +92,8 @@ struct JoinCursor::State {
     std::vector<SizedRange> sized;
   };
 
-  std::shared_ptr<const ReadView> keepalive;  // Null for borrowed views.
+  std::shared_ptr<const ReadView> keepalive;  // Null in compiled tests.
   const ReadView& store;
-  Mapping fixed;  // By value: the cursor outlives the Execute call.
   ExecStats* stats;
 
   std::vector<EncConjunct> conjuncts;
@@ -114,16 +117,15 @@ struct JoinCursor::State {
     return idx;
   }
 
-  /// Encodes `patterns` under `fixed`; returns false iff setup proved
-  /// the join empty. Conjuncts that `fixed` grounds are tested here and
-  /// dropped.
+  /// Encodes `patterns`; returns false iff setup proved the join empty.
+  /// Ground conjuncts are tested here and dropped.
   bool Setup(const std::vector<Triple>& patterns,
              const std::vector<TermId>* preferred_order) {
     static const std::unordered_map<TermId, int> kNoSlots;
     for (const Triple& raw : patterns) {
       EncConjunct c;
-      if (!EncodeConjunct(store, fixed.ApplyPartial(raw), kNoSlots, conjuncts.size(),
-                          stats, [this](TermId term) { return LocalVar(term); }, &c,
+      if (!EncodeConjunct(store, raw, kNoSlots, conjuncts.size(), stats,
+                          [this](TermId term) { return LocalVar(term); }, &c,
                           &slot_refs)) {
         return false;  // Constant absent from the store.
       }
@@ -322,7 +324,7 @@ struct JoinCursor::State {
   }
 
   void Emit(Mapping* out) {
-    *out = fixed;
+    *out = kNoBindings;
     for (std::size_t i = 0; i < vars.size(); ++i) {
       out->Bind(vars[i], store.dict().Decode(binding[i]));
     }
@@ -333,7 +335,7 @@ struct JoinCursor::State {
     if (done) return false;
     if (depth < 0) {
       if (vars.empty()) {
-        // Zero unbound variables: the one (fixed) solution.
+        // Zero variables: the one (empty) solution.
         done = true;
         Emit(out);
         return true;
@@ -366,19 +368,11 @@ struct JoinCursor::State {
 };
 
 JoinCursor::JoinCursor(std::shared_ptr<const ReadView> view,
-                       const std::vector<Triple>& patterns,
-                       const Mapping& fixed, ExecStats* stats,
+                       const std::vector<Triple>& patterns, ExecStats* stats,
                        const std::vector<TermId>* var_order) {
   WDSPARQL_CHECK(view != nullptr);
   const ReadView& ref = *view;
-  state_ = std::make_unique<State>(std::move(view), ref, fixed, stats);
-  if (!state_->Setup(patterns, var_order)) state_->done = true;
-}
-
-JoinCursor::JoinCursor(const ReadView& view, const std::vector<Triple>& patterns,
-                       const Mapping& fixed, ExecStats* stats,
-                       const std::vector<TermId>* var_order)
-    : state_(std::make_unique<State>(nullptr, view, fixed, stats)) {
+  state_ = std::make_unique<State>(std::move(view), ref, stats);
   if (!state_->Setup(patterns, var_order)) state_->done = true;
 }
 
@@ -419,7 +413,7 @@ CompiledTest::CompiledTest(const ReadView& view, const std::vector<Triple>& patt
   for (std::size_t i = 0; i < row_vars.size(); ++i) {
     slot_of.emplace(row_vars[i], static_cast<int>(i));
   }
-  auto join = std::make_unique<JoinCursor::State>(nullptr, view, Mapping{}, stats);
+  auto join = std::make_unique<JoinCursor::State>(nullptr, view, stats);
   auto local_var = [&join](TermId term) { return join->LocalVar(term); };
   std::vector<SlotRef> refs;
   for (const Triple& t : patterns) {
@@ -482,46 +476,6 @@ bool CompiledTest::Extends(const DataId* row) {
   if (join_ == nullptr) return true;
   join_->Reset(row);
   return join_->Next(&solution_);
-}
-
-void JoinEnumerate(const ReadView& store, const std::vector<Triple>& patterns,
-                   const Mapping& fixed,
-                   const std::function<bool(const Mapping&)>& callback,
-                   ExecStats* stats) {
-  JoinCursor cursor(store, patterns, fixed, stats);
-  Mapping out;
-  while (cursor.Next(&out)) {
-    if (!callback(out)) return;
-  }
-}
-
-bool JoinExists(const ReadView& store, const std::vector<Triple>& patterns,
-                const Mapping& fixed, ExecStats* stats) {
-  const bool ground = std::all_of(patterns.begin(), patterns.end(), [&](const Triple& t) {
-    for (int pos = 0; pos < 3; ++pos) {
-      if (IsVariable(t[pos]) && !fixed.IsDefinedOn(t[pos])) return false;
-    }
-    return true;
-  });
-  if (ground) {
-    // Every pattern is a triple under `fixed`: membership tests decide,
-    // with no cursor. Encodes count as the cursor's setup counts them.
-    for (const Triple& raw : patterns) {
-      const Triple t = fixed.ApplyPartial(raw);
-      EncTriple enc{};
-      for (int pos = 0; pos < 3; ++pos) {
-        if (stats != nullptr) ++stats->dict_encodes;
-        const DataId id = store.dict().Encode(t[pos]);
-        if (id == kNoDataId) return false;
-        (pos == 0 ? enc.s : (pos == 1 ? enc.p : enc.o)) = id;
-      }
-      if (!store.Contains(enc)) return false;
-    }
-    return true;
-  }
-  JoinCursor cursor(store, patterns, fixed, stats);
-  Mapping out;
-  return cursor.Next(&out);
 }
 
 }  // namespace wdsparql

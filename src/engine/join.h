@@ -2,7 +2,6 @@
 #define WDSPARQL_ENGINE_JOIN_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -42,14 +41,12 @@
 /// unchanged, so a conjunct that shares no variable with the levels
 /// above is located once per cursor.
 ///
-/// The join is exposed three ways: `JoinCursor`, a pull-based resumable
-/// iterator (the engine's suspendable enumeration builds on it);
-/// `CompiledTest`, an extension test
-/// compiled once and run on many rows of `DataId`s — the paper's
-/// maximality certificates and witness tests, run on each candidate
-/// the cursor emits, where the cursor left its values; and the
-/// callback-shaped `JoinEnumerate`/`JoinExists`, thin drivers over a
-/// cursor.
+/// The join is exposed two ways: `JoinCursor`, a pull-based resumable
+/// iterator (the engine's suspendable enumeration builds on it); and
+/// `CompiledTest`, an extension test compiled once and run on many rows
+/// of `DataId`s — the paper's maximality certificates and witness tests,
+/// run on each candidate the cursor emits, where the cursor left its
+/// values, and the membership test's, run on mu's values.
 ///
 /// Every entry point takes an optional `ExecStats*`: when non-null the
 /// join counts its storage work into it (`ranges_scanned`,
@@ -65,14 +62,14 @@ namespace wdsparql {
 /// after the first row pays for one row — not for the subtree's whole
 /// match set.
 ///
-/// The cursor copies `fixed` and may share ownership of the view, so it
-/// can outlive the `Execute` call that created it; `stats` (optional)
-/// must outlive the cursor and is written from the pulling thread only.
+/// The cursor shares ownership of the view, so it can outlive the
+/// `Execute` call that created it; `stats` (optional) must outlive the
+/// cursor and is written from the pulling thread only.
 class JoinCursor {
  public:
-  /// Shares ownership of `view` (the safe form for long-lived cursors).
+  /// Joins `patterns` over `view`, sharing ownership of the view.
   ///
-  /// `var_order` (optional, both constructors) injects a planner-chosen
+  /// `var_order` (optional) injects a planner-chosen
   /// variable binding order: the `TermId`s of the pattern's unbound
   /// variables, first-bound first. Any order over the same variable set
   /// yields the same solution set (a conjunctive pattern's homomorphisms
@@ -83,20 +80,14 @@ class JoinCursor {
   /// answers. Passing null preserves the historic heuristic order
   /// exactly (the `ExecOptions::optimize = false` contract).
   JoinCursor(std::shared_ptr<const ReadView> view,
-             const std::vector<Triple>& patterns, const Mapping& fixed,
-             ExecStats* stats = nullptr,
-             const std::vector<TermId>* var_order = nullptr);
-  /// Borrows `view`, which must outlive the cursor (the classic
-  /// callback drivers below use this form).
-  JoinCursor(const ReadView& view, const std::vector<Triple>& patterns,
-             const Mapping& fixed, ExecStats* stats = nullptr,
+             const std::vector<Triple>& patterns, ExecStats* stats = nullptr,
              const std::vector<TermId>* var_order = nullptr);
   ~JoinCursor();
   JoinCursor(JoinCursor&&) noexcept;
   JoinCursor& operator=(JoinCursor&&) noexcept;
 
-  /// Produces the next solution: `fixed` extended by the join's
-  /// variables, written over `out` (whose storage is reused). Returns
+  /// Produces the next solution: a mapping of the join's variables,
+  /// written over `out` (whose storage is reused). Returns
   /// false once exhausted (and from then on).
   bool Next(Mapping* out);
 
@@ -133,8 +124,7 @@ class JoinCursor {
 /// variable order. A call allocates nothing once warm.
 ///
 /// The view must outlive the test; `stats` (optional) receives the
-/// join's counters, as `JoinExists` would count them. One thread at a
-/// time.
+/// join's counters. One thread at a time.
 class CompiledTest {
  public:
   CompiledTest(const ReadView& view, const std::vector<Triple>& patterns,
@@ -155,26 +145,6 @@ class CompiledTest {
   std::unique_ptr<JoinCursor::State> join_;  // Null: every pattern is ground.
   Mapping solution_;  // The join's first solution, discarded.
 };
-
-/// Enumerates every mapping mu ⊇ `fixed` with dom(mu) = vars(`patterns`)
-/// ∪ dom(`fixed`) such that every pattern, instantiated by mu, is a
-/// triple of `view`. `callback` may return false to
-/// stop. Deterministic order. Patterns may repeat variables within a
-/// triple; `fixed` values must occur in the view for a match to exist.
-///
-/// Joins run over an immutable `ReadView`, so they are safe on any
-/// thread concurrently with a live writer: pin a view
-/// (`IndexedStore::PinView`) and keep it pinned for the join's duration.
-void JoinEnumerate(const ReadView& view, const std::vector<Triple>& patterns,
-                   const Mapping& fixed,
-                   const std::function<bool(const Mapping&)>& callback,
-                   ExecStats* stats = nullptr);
-
-/// True iff at least one such mapping exists (early-exit join). When
-/// `fixed` binds every variable of `patterns`, this is one
-/// `ReadView::Contains` per pattern, with no cursor.
-bool JoinExists(const ReadView& view, const std::vector<Triple>& patterns,
-                const Mapping& fixed, ExecStats* stats = nullptr);
 
 }  // namespace wdsparql
 

@@ -211,12 +211,6 @@ MergedScan::Iterator MergedScan::end() const {
   return Iterator(base_end_, base_end_, delta_end_, delta_end_, dead_, OrderOf(perm_));
 }
 
-std::size_t MergedScan::size() const {
-  std::size_t n = 0;
-  for (auto it = begin(); it != end(); ++it) ++n;
-  return n;
-}
-
 // ---------------------------------------------------------------------
 // ReadView
 // ---------------------------------------------------------------------

@@ -142,11 +142,8 @@ class MergedScan {
 
   Iterator begin() const;
   Iterator end() const;
-  /// Number of live triples in the scan. O(range) — counts by iterating;
-  /// intended for tests and diagnostics, not hot paths.
-  std::size_t size() const;
-  /// O(1) upper bound on `size()`: the base and delta range lengths,
-  /// tombstoned base triples included. Zero iff the scan is provably
+  /// O(1) upper bound on the number of live triples in the scan: the
+  /// base and delta range lengths, tombstoned base triples included. Zero iff the scan is provably
   /// empty. The join sizes candidate ranges with this.
   std::size_t bound_size() const {
     return static_cast<std::size_t>(base_end_ - base_begin_) +

@@ -118,7 +118,7 @@ Result<SnapshotView> SnapshotView::Open(const std::string& path,
       return Corrupt(path, "section " + std::to_string(entry.id) + " out of bounds");
     }
     const uint8_t* payload = base + entry.offset;
-    if (options.verify_checksums && Crc32(payload, entry.length) != entry.crc) {
+    if (Crc32(payload, entry.length) != entry.crc) {
       return Corrupt(path, "section " + std::to_string(entry.id) + " checksum mismatch");
     }
     switch (entry.id) {
@@ -154,8 +154,8 @@ Result<SnapshotView> SnapshotView::Open(const std::string& path,
         // Every DataId must decode: an out-of-range id would otherwise
         // surface later as a fatal CHECK inside Dictionary::Decode (a
         // crash, not a structured error) or as fabricated solutions.
-        // Unconditional — verify_checksums only waives the CRC pass, not
-        // the no-crash guarantee.
+        // A file whose CRCs match can still carry such ids (a writer bug
+        // checksums faithfully), so the check stands on its own.
         for (uint64_t t = 0; t < view.triple_count_; ++t) {
           if (run_data[t].s >= view.term_count_ || run_data[t].p >= view.term_count_ ||
               run_data[t].o >= view.term_count_) {

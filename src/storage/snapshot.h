@@ -35,7 +35,7 @@ class SnapshotView {
  public:
   /// Opens and validates the snapshot at `path`: magic, version,
   /// endianness, header/directory CRCs, section bounds and alignment,
-  /// per-section CRCs (when `options.verify_checksums`), and term-heap
+  /// per-section CRCs, and term-heap
   /// offset monotonicity. Any violation is `kCorruption` with a message
   /// naming the failed check; a missing file is `kNotFound`.
   static Result<SnapshotView> Open(const std::string& path, const OpenOptions& options);

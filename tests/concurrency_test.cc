@@ -420,7 +420,7 @@ TEST(SnapshotConcurrencyTest, NaiveReadersOnBorrowedViewsRaceAWriter) {
   Result<Database> reopened = Database::Open(path);
   ASSERT_TRUE(reopened.ok()) << reopened.status().message();
   Database db = std::move(reopened).value();
-  ASSERT_TRUE(db.store().borrows_snapshot());
+  ASSERT_TRUE(DatabaseImpl::Get(db).store.borrows_snapshot());
 
   // The naive oracle reads the same pinned views as the indexed engine
   // (here: runs borrowed straight out of the mapping), so it is safe
@@ -470,7 +470,7 @@ TEST(SnapshotConcurrencyTest, PinnedViewKeepsMappedSnapshotAliveAcrossMerge) {
   Result<Database> reopened = Database::Open(path, open_options);
   ASSERT_TRUE(reopened.ok()) << reopened.status().message();
   Database db = std::move(reopened).value();
-  ASSERT_TRUE(db.store().borrows_snapshot());
+  ASSERT_TRUE(DatabaseImpl::Get(db).store.borrows_snapshot());
 
   // Pin a cursor into the mapped base runs, then force a merge that
   // migrates the store to owned storage. The cursor's view must keep the
@@ -485,7 +485,7 @@ TEST(SnapshotConcurrencyTest, PinnedViewKeepsMappedSnapshotAliveAcrossMerge) {
     db.AddTriple("extra" + std::to_string(i), "p0", "extra" + std::to_string(i + 1));
   }
   EXPECT_GE(db.metrics().counter("store.compactions").value(), 1u);
-  EXPECT_FALSE(db.store().borrows_snapshot());  // Store migrated.
+  EXPECT_FALSE(DatabaseImpl::Get(db).store.borrows_snapshot());  // Store migrated.
   uint64_t rows = 1;
   while (cursor.Next()) ++rows;
   EXPECT_EQ(rows, 200u);  // Full pre-mutation snapshot, read off the mapping.

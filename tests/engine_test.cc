@@ -26,37 +26,64 @@ namespace {
 // Dictionary
 // ---------------------------------------------------------------------
 
-TEST(DictionaryTest, RoundTripsEveryTermOfTheSet) {
+/// The dictionary an older snapshot reopens to: `terms`, sorted, as the
+/// TermId-sorted prefix.
+Dictionary SortedPrefixDictionary(std::vector<TermId> terms) {
+  std::sort(terms.begin(), terms.end());
+  const std::size_t sorted_limit = terms.size();
+  return Dictionary::FromParts(std::move(terms), sorted_limit);
+}
+
+TEST(DictionaryTest, RoundTripsPrefixAndAppendedTerms) {
   TermPool pool;
-  RdfGraph graph(&pool);
-  graph.Insert("a", "p", "b");
-  graph.Insert("b", "q", "c");
-  Dictionary dict = Dictionary::Build(graph.triples());
-  EXPECT_EQ(dict.size(), 5u);  // a, b, c, p, q.
-  for (TermId t : graph.triples().AllTerms()) {
-    DataId id = dict.Encode(t);
-    ASSERT_NE(id, kNoDataId);
-    EXPECT_EQ(dict.Decode(id), t);
+  const TermId early = pool.InternIri("0");  // Below every prefix TermId.
+  Dictionary dict = SortedPrefixDictionary(
+      {pool.InternIri("c"), pool.InternIri("a"), pool.InternIri("p"), pool.InternIri("b")});
+  ASSERT_EQ(dict.sorted_limit(), 4u);
+  // Appended past the prefix, with TermIds below and above it.
+  for (TermId t : {pool.InternIri("q"), early}) {
+    const std::size_t before = dict.size();
+    EXPECT_EQ(dict.GetOrAdd(t), before);
+    EXPECT_EQ(dict.GetOrAdd(t), before);  // Idempotent.
+  }
+  EXPECT_EQ(dict.size(), 6u);
+  for (const char* name : {"a", "b", "c", "p", "q", "0"}) {
+    const TermId t = pool.InternIri(name);
+    const DataId id = dict.Encode(t);
+    ASSERT_NE(id, kNoDataId) << name;
+    EXPECT_EQ(dict.Decode(id), t) << name;
+    EXPECT_EQ(dict.view().Encode(t), id) << name;
   }
 }
 
 TEST(DictionaryTest, AbsentTermEncodesToNoId) {
   TermPool pool;
-  RdfGraph graph(&pool);
-  graph.Insert("a", "p", "b");
-  TermId stranger = pool.InternIri("not-in-graph");
-  Dictionary dict = Dictionary::Build(graph.triples());
+  Dictionary dict = SortedPrefixDictionary(
+      {pool.InternIri("a"), pool.InternIri("p"), pool.InternIri("b")});
+  dict.GetOrAdd(pool.InternIri("q"));
+  const TermId stranger = pool.InternIri("not-in-graph");
   EXPECT_EQ(dict.Encode(stranger), kNoDataId);
+  EXPECT_EQ(dict.view().Encode(stranger), kNoDataId);
 }
 
-TEST(DictionaryTest, EncodingPreservesTermOrder) {
+TEST(DictionaryTest, OneBatchGetsIdsInTermOrder) {
+  // Below and above the fold limit: each batch's newcomers take
+  // consecutive ids in ascending TermId order.
   TermPool pool;
-  RdfGraph graph(&pool);
-  graph.Insert("c", "p", "a");
-  graph.Insert("a", "q", "b");
-  Dictionary dict = Dictionary::Build(graph.triples());
-  for (std::size_t i = 1; i < dict.size(); ++i) {
-    EXPECT_LT(dict.Decode(static_cast<DataId>(i - 1)), dict.Decode(static_cast<DataId>(i)));
+  std::vector<TermId> terms;
+  for (int i = 0; i < 700; ++i) terms.push_back(pool.InternIri("t" + std::to_string(i)));
+  Rng rng(3);
+  rng.Shuffle(terms);
+  Dictionary dict;
+  for (std::size_t size : {std::size_t{5}, std::size_t{600}}) {
+    const std::size_t before = dict.size();
+    std::vector<TermId> batch(terms.begin() + static_cast<std::ptrdiff_t>(before),
+                              terms.begin() + static_cast<std::ptrdiff_t>(before + size));
+    dict.EnsureTerms(batch);
+    ASSERT_EQ(dict.size(), before + size);
+    for (std::size_t i = before + 1; i < dict.size(); ++i) {
+      EXPECT_LT(dict.Decode(static_cast<DataId>(i - 1)), dict.Decode(static_cast<DataId>(i)));
+    }
   }
 }
 
@@ -70,8 +97,7 @@ TEST(DictionaryTest, EnsureTermsInterleavedWithTailAppendsKeepsIdsStable) {
   for (std::size_t i = terms.size(); i > 1; --i) {
     std::swap(terms[i - 1], terms[rng.NextBounded(static_cast<uint32_t>(i))]);
   }
-  Dictionary dict = Dictionary::Build(std::vector<Triple>{
-      Triple(terms[0], terms[1], terms[2])});
+  Dictionary dict = SortedPrefixDictionary({terms[0], terms[1], terms[2]});
   std::vector<std::pair<TermId, DataId>> assigned;
   for (std::size_t i = 0; i < 3; ++i) assigned.push_back({terms[i], dict.Encode(terms[i])});
   auto expect_stable = [&](const std::string& step) {
@@ -124,6 +150,13 @@ TEST(DictionaryTest, EnsureTermsInterleavedWithTailAppendsKeepsIdsStable) {
 // IndexedStore: permutation-range scans against the naive filter.
 // ---------------------------------------------------------------------
 
+/// The live triples of `scan`, counted by walking it.
+std::size_t LiveCount(const MergedScan& scan) {
+  std::size_t n = 0;
+  for (auto it = scan.begin(); it != scan.end(); ++it) ++n;
+  return n;
+}
+
 class IndexedStoreScanTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IndexedStoreScanTest, EveryBoundMaskMatchesNaiveFilter) {
@@ -135,7 +168,7 @@ TEST_P(IndexedStoreScanTest, EveryBoundMaskMatchesNaiveFilter) {
   options.num_triples = 120;
   options.seed = GetParam();
   GenerateRandomGraph(options, &graph);
-  IndexedStore store = IndexedStore::Build(graph.triples());
+  IndexedStore store = testlib::BuildStore(graph.triples().triples());
   ASSERT_EQ(store.view().size(), graph.size());
 
   Rng rng(GetParam() ^ 0xabc);
@@ -173,7 +206,7 @@ TEST_P(IndexedStoreScanTest, EveryBoundMaskMatchesNaiveFilter) {
     // the existence probe agrees with the filter on every bound mask.
     EncPattern enc;
     if (store.view().EncodeScanPattern(probe, &enc)) {
-      EXPECT_EQ(store.view().Scan(enc).size(), expected.size());
+      EXPECT_EQ(LiveCount(store.view().Scan(enc)), expected.size());
       EXPECT_EQ(store.view().Scan(enc).bound_size(), expected.size());
       EXPECT_EQ(store.view().Probe(enc).Exists(enc), !expected.empty()) << "mask=" << mask;
     } else {
@@ -190,7 +223,7 @@ TEST_P(IndexedStoreScanTest, AgreesWithHashSourceOnContainsAndAllTerms) {
   options.num_triples = 60;
   options.seed = GetParam() ^ 0x77;
   GenerateRandomGraph(options, &graph);
-  IndexedStore store = IndexedStore::Build(graph.triples());
+  IndexedStore store = testlib::BuildStore(graph.triples().triples());
   HashTripleSource hash(graph.triples());
 
   EXPECT_EQ(store.view().AllTerms(), hash.AllTerms());
@@ -222,17 +255,11 @@ std::vector<Mapping> SortedMappings(const std::vector<VarAssignment>& assignment
   return out;
 }
 
-/// Checks the join of `patterns` under `fixed` (in `var_order` when
-/// given) against the CSP solver over `graph`, which must hold exactly
-/// the view's triples, and `JoinExists` against both.
-void ExpectJoinMatchesSolver(const RdfGraph& graph, const ReadView& view,
-                             const std::vector<Triple>& patterns, const Mapping& fixed,
-                             const std::vector<TermId>* var_order = nullptr) {
-  JoinCursor cursor(view, patterns, fixed, nullptr, var_order);
-  std::vector<Mapping> join_results;
-  Mapping mu;
-  while (cursor.Next(&mu)) join_results.push_back(mu);
-  std::sort(join_results.begin(), join_results.end());
+/// The homomorphisms of `patterns` extending `fixed` into `graph`, by
+/// the CSP solver, sorted.
+std::vector<Mapping> SolverMappings(const RdfGraph& graph,
+                                    const std::vector<Triple>& patterns,
+                                    const Mapping& fixed) {
   TripleSet pattern;
   for (const Triple& t : patterns) pattern.Insert(t);
   std::vector<VarAssignment> hom_results;
@@ -241,16 +268,59 @@ void ExpectJoinMatchesSolver(const RdfGraph& graph, const ReadView& view,
                            hom_results.push_back(a);
                            return true;
                          });
-  EXPECT_EQ(join_results, SortedMappings(hom_results));
-  EXPECT_EQ(JoinExists(view, patterns, fixed), !hom_results.empty());
+  return SortedMappings(hom_results);
+}
+
+/// Whether some homomorphism of `patterns` over `view` extends `fixed`,
+/// asked the way the engine asks it: a test compiled over dom(`fixed`)
+/// and run on `fixed`'s values as a row of `DataId`s. A value absent
+/// from the view fails before any test runs.
+bool CompiledExtends(const ReadView& view, const std::vector<Triple>& patterns,
+                     const Mapping& fixed, ExecStats* stats = nullptr) {
+  std::vector<DataId> row;
+  for (const auto& [var, value] : fixed.bindings()) {
+    row.push_back(view.dict().Encode(value));
+    if (row.back() == kNoDataId) return false;
+  }
+  return CompiledTest(view, patterns, fixed.Domain(), stats).Extends(row.data());
+}
+
+/// The solutions of the join cursor over `view` (in `var_order` when
+/// given), sorted.
+std::vector<Mapping> JoinMappings(const std::shared_ptr<const ReadView>& view,
+                                  const std::vector<Triple>& patterns,
+                                  ExecStats* stats = nullptr,
+                                  const std::vector<TermId>* var_order = nullptr) {
+  JoinCursor cursor(view, patterns, stats, var_order);
+  std::vector<Mapping> out;
+  Mapping mu;
+  while (cursor.Next(&mu)) out.push_back(mu);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Checks the join of `patterns` (in `var_order` when given) against the
+/// CSP solver over `graph`, which must hold exactly the view's triples,
+/// and the compiled test of `patterns` under `fixed` against the solver
+/// under `fixed`.
+void ExpectJoinMatchesSolver(const RdfGraph& graph,
+                             const std::shared_ptr<const ReadView>& view,
+                             const std::vector<Triple>& patterns, const Mapping& fixed,
+                             const std::vector<TermId>* var_order = nullptr) {
+  EXPECT_EQ(JoinMappings(view, patterns, nullptr, var_order),
+            SolverMappings(graph, patterns, {}));
+  EXPECT_EQ(CompiledExtends(*view, patterns, fixed),
+            !SolverMappings(graph, patterns, fixed).empty());
 }
 
 /// Twenty random conjunctive patterns over `nodes` (one variable
 /// repeated inside a conjunct, `?x p ?x`-style, in a third of them),
 /// each joined over `view` and checked against the CSP solver over
-/// `graph`, which must hold exactly the view's triples.
+/// `graph`, which must hold exactly the view's triples, and each run
+/// as a compiled test, half of them under one random fixed variable.
 void ExpectJoinsMatchSolver(Rng* rng, TermPool* pool, const RdfGraph& graph,
-                            const ReadView& view, const std::vector<TermId>& nodes) {
+                            const std::shared_ptr<const ReadView>& view,
+                            const std::vector<TermId>& nodes) {
   for (int trial = 0; trial < 20; ++trial) {
     // Random conjunctive pattern over the graph's predicates.
     int num_vars = 1 + static_cast<int>(rng->NextBounded(3));
@@ -292,8 +362,8 @@ TEST_P(JoinDifferentialTest, JoinMatchesHomomorphismEnumeration) {
   TermPool pool;
   RdfGraph graph(&pool);
   testlib::SmallWorkloadGraph(&rng, 6, 24, 3, &graph);
-  IndexedStore store = IndexedStore::Build(graph.triples());
-  ExpectJoinsMatchSolver(&rng, &pool, graph, store.view(), graph.triples().Iris());
+  IndexedStore store = testlib::BuildStore(graph.triples().triples());
+  ExpectJoinsMatchSolver(&rng, &pool, graph, store.PinView(), graph.triples().Iris());
 }
 
 TEST_P(JoinDifferentialTest, JoinMatchesSolverOverLiveDeltaAndTombstones) {
@@ -301,7 +371,7 @@ TEST_P(JoinDifferentialTest, JoinMatchesSolverOverLiveDeltaAndTombstones) {
   TermPool pool;
   RdfGraph graph(&pool);
   testlib::SmallWorkloadGraph(&rng, 6, 24, 3, &graph);
-  IndexedStore store = IndexedStore::Build(graph.triples());
+  IndexedStore store = testlib::BuildStore(graph.triples().triples());
   store.set_merge_threshold(0);  // Keep every mutation pending.
 
   // Churn without compacting: erase base and delta triples (base ones
@@ -328,7 +398,7 @@ TEST_P(JoinDifferentialTest, JoinMatchesSolverOverLiveDeltaAndTombstones) {
   }
   ASSERT_GT(store.delta_size(), 0u);
   ASSERT_EQ(store.view().size(), graph.size());
-  ExpectJoinsMatchSolver(&rng, &pool, graph, store.view(), nodes);
+  ExpectJoinsMatchSolver(&rng, &pool, graph, store.PinView(), nodes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinDifferentialTest, ::testing::Range<uint64_t>(1, 9));
@@ -341,12 +411,8 @@ std::vector<Mapping> ProbeJoin(const IndexedStore& store, TermPool* pool) {
   const std::vector<Triple> patterns = {
       Triple(pool->InternIri("c"), pool->InternIri("q"), y),
       Triple(pool->InternIri("a"), pool->InternIri("p"), y)};
-  std::vector<Mapping> out;
-  JoinEnumerate(store.view(), patterns, {}, [&](const Mapping& mu) {
-    out.push_back(mu);
-    return true;
-  });
-  EXPECT_EQ(JoinExists(store.view(), patterns, {}), !out.empty());
+  const std::vector<Mapping> out = JoinMappings(store.PinView(), patterns);
+  EXPECT_EQ(CompiledExtends(store.view(), patterns, {}), !out.empty());
   return out;
 }
 
@@ -356,7 +422,7 @@ TEST(JoinProbeTest, ProbeWhoseOnlyBaseMatchIsTombstonedFails) {
   graph.Insert("a", "p", "b");
   graph.Insert("a", "p", "d");
   graph.Insert("c", "q", "b");
-  IndexedStore store = IndexedStore::Build(graph.triples());
+  IndexedStore store = testlib::BuildStore(graph.triples().triples());
   store.set_merge_threshold(0);
   const Triple dead(pool.InternIri("a"), pool.InternIri("p"), pool.InternIri("b"));
   ASSERT_TRUE(store.view().Contains(dead));
@@ -365,7 +431,7 @@ TEST(JoinProbeTest, ProbeWhoseOnlyBaseMatchIsTombstonedFails) {
   EncPattern probe;
   ASSERT_TRUE(store.view().EncodeScanPattern(dead, &probe));
   EXPECT_GT(store.view().Scan(probe).bound_size(), 0u);  // The range still holds it.
-  EXPECT_EQ(store.view().Scan(probe).size(), 0u);
+  EXPECT_EQ(LiveCount(store.view().Scan(probe)), 0u);
   EXPECT_FALSE(store.view().Probe(probe).Exists(probe));
   EXPECT_TRUE(ProbeJoin(store, &pool).empty());
 }
@@ -375,7 +441,7 @@ TEST(JoinProbeTest, ProbeWhoseOnlyMatchIsInTheDeltaSucceeds) {
   RdfGraph graph(&pool);
   graph.Insert("a", "p", "d");
   graph.Insert("c", "q", "b");
-  IndexedStore store = IndexedStore::Build(graph.triples());
+  IndexedStore store = testlib::BuildStore(graph.triples().triples());
   store.set_merge_threshold(0);
   const Triple fresh(pool.InternIri("a"), pool.InternIri("p"), pool.InternIri("b"));
   ASSERT_FALSE(store.view().Contains(fresh));
@@ -417,7 +483,7 @@ TEST_P(SeekProbeTest, AscendingProbesMatchAFilteredScan) {
   TermPool pool;
   RdfGraph graph(&pool);
   testlib::SmallWorkloadGraph(&rng, 6, 40, 3, &graph);
-  IndexedStore store = IndexedStore::Build(graph.triples());
+  IndexedStore store = testlib::BuildStore(graph.triples().triples());
   store.set_merge_threshold(0);  // Keep every mutation pending.
   const std::vector<TermId> terms = graph.triples().Iris();
   auto term = [&] { return terms[rng.NextBounded(static_cast<uint32_t>(terms.size()))]; };
@@ -532,7 +598,7 @@ TEST(JoinProbeTest, NestedFullRunAndRepeatedVariableProbesMatchTheSolver) {
     graph.Insert(node(static_cast<int>(rng.NextBounded(30))), "likes",
                  node(static_cast<int>(rng.NextBounded(30))));
   }
-  IndexedStore store = IndexedStore::Build(graph.triples());
+  IndexedStore store = testlib::BuildStore(graph.triples().triples());
   store.set_merge_threshold(0);
   // Tombstone some base triples and add delta ones of every predicate.
   const std::vector<Triple> all = graph.triples().triples();
@@ -557,11 +623,8 @@ TEST(JoinProbeTest, NestedFullRunAndRepeatedVariableProbesMatchTheSolver) {
     const std::vector<Triple> patterns = {
         Triple(x, pool.InternIri("city"), city), Triple(x, pool.InternIri("knows"), y),
         Triple(y, pool.InternIri("city"), city), Triple(x, pool.InternIri("likes"), x)};
-    ExpectJoinMatchesSolver(graph, store.view(), patterns, {});
-    JoinEnumerate(store.view(), patterns, {}, [&](const Mapping&) {
-      ++answers;
-      return true;
-    });
+    ExpectJoinMatchesSolver(graph, store.PinView(), patterns, {});
+    answers += JoinMappings(store.PinView(), patterns).size();
   }
   EXPECT_GT(answers, 0u);
 }
@@ -580,7 +643,7 @@ TEST(JoinProbeTest, ChainWhoseMiddleRangeDependsOnTheRootMatchesTheSolver) {
     graph.Insert(name("b", rng.NextBounded(12)), "q", name("c", rng.NextBounded(12)));
   }
   for (uint32_t i = 0; i < 12; i += 2) graph.Insert(name("c", i), "r", "d");
-  IndexedStore store = IndexedStore::Build(graph.triples());
+  IndexedStore store = testlib::BuildStore(graph.triples().triples());
   const TermId a = pool.InternVariable("a");
   const TermId b = pool.InternVariable("b");
   const TermId c = pool.InternVariable("c");
@@ -588,37 +651,9 @@ TEST(JoinProbeTest, ChainWhoseMiddleRangeDependsOnTheRootMatchesTheSolver) {
       Triple(a, pool.InternIri("p"), b), Triple(b, pool.InternIri("q"), c),
       Triple(c, pool.InternIri("r"), pool.InternIri("d"))};
   const std::vector<TermId> order = {a, b, c};
-  ExpectJoinMatchesSolver(graph, store.view(), patterns, {}, &order);
+  ExpectJoinMatchesSolver(graph, store.PinView(), patterns, {}, &order);
   const std::vector<TermId> reverse = {c, b, a};
-  ExpectJoinMatchesSolver(graph, store.view(), patterns, {}, &reverse);
-}
-
-TEST(JoinExistsTest, GroundPatternsAreMembershipTests) {
-  TermPool pool;
-  RdfGraph graph(&pool);
-  graph.Insert("a", "p", "b");
-  graph.Insert("b", "q", "a");
-  graph.Insert("b", "q", "c");
-  IndexedStore store = IndexedStore::Build(graph.triples());
-  store.set_merge_threshold(0);
-  store.ApplyBatch({}, {Triple(pool.InternIri("b"), pool.InternIri("q"),
-                               pool.InternIri("c"))});
-  const TermId x = pool.InternVariable("x");
-  const TermId y = pool.InternVariable("y");
-  const std::vector<Triple> patterns = {Triple(x, pool.InternIri("p"), y),
-                                        Triple(y, pool.InternIri("q"), x)};
-  ExecStats stats;
-  EXPECT_TRUE(JoinExists(store.view(), patterns,
-                         testlib::MakeMapping(&pool, {{"x", "a"}, {"y", "b"}}), &stats));
-  EXPECT_EQ(stats.dict_encodes, 6u);  // Three per triple.
-  // (b q c) is tombstoned.
-  EXPECT_FALSE(JoinExists(store.view(), {Triple(y, pool.InternIri("q"), x)},
-                          testlib::MakeMapping(&pool, {{"x", "c"}, {"y", "b"}})));
-  // A term the store never saw ends the test at its encode.
-  stats = ExecStats{};
-  EXPECT_FALSE(JoinExists(store.view(), patterns,
-                          testlib::MakeMapping(&pool, {{"x", "a"}, {"y", "zz"}}), &stats));
-  EXPECT_EQ(stats.dict_encodes, 3u);
+  ExpectJoinMatchesSolver(graph, store.PinView(), patterns, {}, &reverse);
 }
 
 // ---------------------------------------------------------------------
@@ -642,7 +677,7 @@ TEST(MergeScheduleTest, MergesExactlyWhereTheCopyBudgetRunsOut) {
   // N + T = 208 at the 6th commit (10 + ... + 60 = 210), which merges.
   // The new base of 260 needs 268, reached at the 7th commit after it.
   TermPool pool;
-  IndexedStore store = IndexedStore::Build(FreshTriples(&pool, "base", 200));
+  IndexedStore store = testlib::BuildStore(FreshTriples(&pool, "base", 200));
   store.set_merge_threshold(8);
   auto metrics = std::make_shared<MetricsRegistry>();
   store.set_metrics(metrics);
@@ -671,7 +706,7 @@ TEST(MergeScheduleTest, MergesExactlyWhereTheCopyBudgetRunsOut) {
 
 TEST(MergeScheduleTest, CommitLargerThanTheBudgetMergesInsideOneApplyBatch) {
   TermPool pool;
-  IndexedStore store = IndexedStore::Build(FreshTriples(&pool, "base", 20));
+  IndexedStore store = testlib::BuildStore(FreshTriples(&pool, "base", 20));
   store.set_merge_threshold(8);
   auto metrics = std::make_shared<MetricsRegistry>();
   store.set_metrics(metrics);
@@ -691,7 +726,7 @@ TEST(MergeScheduleTest, RemovesSpendTheBudgetToo) {
   // like adds do.
   TermPool pool;
   const std::vector<Triple> base = FreshTriples(&pool, "base", 20);
-  IndexedStore store = IndexedStore::Build(base);
+  IndexedStore store = testlib::BuildStore(base);
   store.set_merge_threshold(4);
   auto metrics = std::make_shared<MetricsRegistry>();
   store.set_metrics(metrics);
@@ -712,7 +747,7 @@ TEST(MergeScheduleTest, CommitThatEmptiesTheDeltaPublishesWithoutMerging) {
   // must still publish its own view. (Reachable when the threshold is
   // lowered after the copies were counted.)
   TermPool pool;
-  IndexedStore store = IndexedStore::Build(FreshTriples(&pool, "base", 5));
+  IndexedStore store = testlib::BuildStore(FreshTriples(&pool, "base", 5));
   store.set_merge_threshold(1000);
   auto metrics = std::make_shared<MetricsRegistry>();
   store.set_metrics(metrics);
@@ -730,7 +765,7 @@ TEST(MergeScheduleTest, CommitThatEmptiesTheDeltaPublishesWithoutMerging) {
 
 TEST(MergeScheduleTest, ZeroThresholdNeverMerges) {
   TermPool pool;
-  IndexedStore store = IndexedStore::Build(FreshTriples(&pool, "base", 20));
+  IndexedStore store = testlib::BuildStore(FreshTriples(&pool, "base", 20));
   store.set_merge_threshold(0);
   auto metrics = std::make_shared<MetricsRegistry>();
   store.set_metrics(metrics);
@@ -754,18 +789,13 @@ uint64_t ChainScanVolume(int n) {
   for (int i = 0; i < n; ++i) {
     graph.Insert("e" + std::to_string(i), "domain", "d" + std::to_string(i));
   }
-  IndexedStore store = IndexedStore::Build(graph.triples());
+  IndexedStore store = testlib::BuildStore(graph.triples().triples());
   const std::vector<Triple> patterns = {
       Triple(pool.InternIri("y0"), pool.InternIri("email"), pool.InternVariable("e")),
       Triple(pool.InternVariable("e"), pool.InternIri("domain"),
              pool.InternVariable("d"))};
   ExecStats stats;
-  uint64_t answers = 0;
-  JoinEnumerate(store.view(), patterns, {}, [&](const Mapping&) {
-    ++answers;
-    return true;
-  }, &stats);
-  EXPECT_EQ(answers, 1u);
+  EXPECT_EQ(JoinMappings(store.PinView(), patterns, &stats).size(), 1u);
   return stats.base_triples_scanned;
 }
 
@@ -1072,6 +1102,38 @@ TEST(CompiledTestTest, ChildTripleTheCandidateGroundsIsStillTested) {
     ASSERT_TRUE(pattern.ok());
     ExpectBackendsAgree(db, pattern.value(), model);
   }
+}
+
+TEST(CompiledTestTest, GroundRowsAreMembershipTests) {
+  // Every pattern is ground under the row: each is one whole-triple
+  // probe, and compiling encodes only the patterns' own constants.
+  TermPool pool;
+  RdfGraph graph(&pool);
+  graph.Insert("a", "p", "b");
+  graph.Insert("b", "q", "a");
+  graph.Insert("b", "q", "c");
+  IndexedStore store = testlib::BuildStore(graph.triples().triples());
+  store.set_merge_threshold(0);
+  store.ApplyBatch({}, {Triple(pool.InternIri("b"), pool.InternIri("q"),
+                               pool.InternIri("c"))});
+  const TermId x = pool.InternVariable("x");
+  const TermId y = pool.InternVariable("y");
+  const std::vector<Triple> patterns = {Triple(x, pool.InternIri("p"), y),
+                                        Triple(y, pool.InternIri("q"), x)};
+  ExecStats stats;
+  EXPECT_TRUE(CompiledExtends(store.view(), patterns,
+                              testlib::MakeMapping(&pool, {{"x", "a"}, {"y", "b"}}),
+                              &stats));
+  EXPECT_EQ(stats.dict_encodes, 2u);  // p and q.
+  EXPECT_EQ(stats.ranges_scanned, 0u);
+  // (b q c) is tombstoned.
+  EXPECT_FALSE(CompiledExtends(store.view(), {Triple(y, pool.InternIri("q"), x)},
+                               testlib::MakeMapping(&pool, {{"x", "c"}, {"y", "b"}})));
+  // A constant the store never saw fails every row.
+  EXPECT_FALSE(CompiledExtends(store.view(),
+                               {Triple(x, pool.InternIri("p"), y),
+                                Triple(y, pool.InternIri("zz"), x)},
+                               testlib::MakeMapping(&pool, {{"x", "a"}, {"y", "b"}})));
 }
 
 /// `dict_encodes` of one execution of the two-arm query below over a

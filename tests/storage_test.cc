@@ -143,11 +143,11 @@ TEST(SnapshotTest, OpenConsumesRunsInPlaceUntilFirstMerge) {
 
   Database reopened = MustOpen(path);
   // The permutation runs are borrowed straight from the mapped file...
-  EXPECT_TRUE(reopened.store().borrows_snapshot());
+  EXPECT_TRUE(DatabaseImpl::Get(reopened).store.borrows_snapshot());
   // ...until a compaction migrates them into owned storage.
   EXPECT_TRUE(reopened.AddTriple("fresh-s", "fresh-p", "fresh-o"));
   reopened.Compact();
-  EXPECT_FALSE(reopened.store().borrows_snapshot());
+  EXPECT_FALSE(DatabaseImpl::Get(reopened).store.borrows_snapshot());
   EXPECT_TRUE(reopened.Contains(Triple(reopened.pool().InternIri("fresh-s"),
                                        reopened.pool().InternIri("fresh-p"),
                                        reopened.pool().InternIri("fresh-o"))));
@@ -178,11 +178,11 @@ TEST(SnapshotTest, MutationsOnReopenedDatabaseMatchInMemory) {
   // Interleave adds and removes identically on both sides; the reopened
   // database starts from borrowed runs and must behave identically.
   std::vector<Triple> victims;
-  in_memory.store().view().ScanPattern(Triple(kAnyTerm, kAnyTerm, kAnyTerm),
-                                       [&victims](const Triple& t) {
-                                         victims.push_back(t);
-                                         return true;
-                                       });
+  DatabaseImpl::Get(in_memory).store.PinView()->ScanPattern(
+      Triple(kAnyTerm, kAnyTerm, kAnyTerm), [&victims](const Triple& t) {
+        victims.push_back(t);
+        return true;
+      });
   for (std::size_t i = 0; i < victims.size(); i += 3) {
     std::string s = std::string(in_memory.pool().Spelling(victims[i].subject));
     std::string p = std::string(in_memory.pool().Spelling(victims[i].predicate));

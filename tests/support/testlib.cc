@@ -137,6 +137,15 @@ void LoadGraph(const RdfGraph& graph, Database* db) {
   db->Compact();
 }
 
+IndexedStore BuildStore(std::vector<Triple> triples) {
+  std::sort(triples.begin(), triples.end());
+  triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
+  IndexedStore store;
+  store.ApplyBatch(triples, {});
+  store.MergeDelta();
+  return store;
+}
+
 Mapping MakeMapping(TermPool* pool,
                     const std::vector<std::pair<std::string, std::string>>& bindings) {
   Mapping mu;

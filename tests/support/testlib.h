@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/indexed_store.h"
 #include "rdf/graph.h"
 #include "sparql/ast.h"
 #include "util/rng.h"
@@ -13,7 +14,7 @@
 /// \file
 /// Shared helpers for the test and benchmark executables: random
 /// well-designed pattern generation (well designed *by construction*),
-/// small workload graphs, and mapping factories.
+/// small workload graphs, stores, and mapping factories.
 
 namespace wdsparql {
 namespace testlib {
@@ -56,6 +57,12 @@ void SmallWorkloadGraph(Rng* rng, int num_nodes, int num_triples, int num_predic
 /// compacts. `db` must intern into the graph's pool, so ids line up and
 /// the graph stays an independent model of the database's content.
 void LoadGraph(const RdfGraph& graph, Database* db);
+
+/// A store holding exactly `triples` (duplicates collapse), built the
+/// way every load builds one: one `ApplyBatch` commit, then
+/// `MergeDelta`, so every triple sits in the base runs. A batch gives
+/// its new terms ascending `DataId`s in `TermId` order.
+IndexedStore BuildStore(std::vector<Triple> triples);
 
 /// Builds a mapping from variable/IRI spelling pairs, e.g.
 /// MakeMapping(&pool, {{"x", "a"}, {"y", "b"}}).
