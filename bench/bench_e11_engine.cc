@@ -111,9 +111,9 @@ void BM_E11_CandidateGeneration(benchmark::State& state) {
   uint64_t candidates = 0;
   for (auto _ : state) {
     if (indexed) {
-      JoinCursor cursor(instance.pinned, instance.path_pattern.triples());
-      Mapping mu;
-      while (cursor.Next(&mu)) ++candidates;
+      CompiledJoin join(*instance.pinned, instance.path_pattern.triples(), {});
+      join.Open(nullptr);
+      while (join.Next()) ++candidates;
     } else {
       EnumerateHomomorphisms(instance.path_pattern, VarAssignment{}, instance.hash(),
                              [&](const VarAssignment&) {

@@ -25,8 +25,8 @@
 ///   --plan       print wdpf(P) (the pattern forest) and the width report
 ///   --explain-plan
 ///                execute once with statistics collection, suppress the
-///                rows, and print the EXPLAIN tree — including, per wdpf
-///                subtree, the cost-based optimizer's chosen variable
+///                rows, and print the EXPLAIN tree — including, per tree
+///                root, the cost-based optimizer's chosen variable
 ///                order / scan permutations and estimated vs actual
 ///                cardinalities (indexed backend; needs compacted or
 ///                snapshot-loaded statistics)
@@ -35,11 +35,11 @@
 ///                (ExecOptions::optimize = false): the historic
 ///                most-constrained-first heuristic order runs instead
 ///   --count      print |JPKG| only
-///   --promise K  run the naive backend's extension tests as the
-///                (K+1)-pebble game of Theorem 1 (exact when the
-///                pattern's domination width is at most K), then
-///                re-verify every answer with that test on the snapshot
-///                the answers were read from (not with --count/--table)
+///   --promise K  re-verify every answer with the naive backend's
+///                membership test run as the (K+1)-pebble game of
+///                Theorem 1 (exact when the pattern's domination width
+///                is at most K), on the snapshot the answers were read
+///                from (not with --count/--table)
 ///   --backend    storage/execution backend (default: indexed — the
 ///                dictionary-encoded permutation store; naive keeps the
 ///                paper-faithful hash path)

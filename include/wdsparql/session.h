@@ -55,12 +55,12 @@ const char* BackendToString(Backend backend);
 struct SessionOptions {
   Backend backend = Backend::kIndexed;
 
-  /// Domination-width promise k for the naive backend's extension
-  /// tests: its enumeration certificates (maximality and the earlier
-  /// trees' witness tests) and its membership tests. 0 uses exact
-  /// homomorphism tests (always correct), k >= 1 the polynomial
-  /// (k+1)-pebble relaxation of Theorem 1 (correct under dw <= k).
-  /// `Backend::kIndexed` ignores it: its tests are exact joins.
+  /// Domination-width promise k for the naive backend's membership
+  /// tests (`Statement::Contains`). 0 uses exact homomorphism tests
+  /// (always correct), k >= 1 the polynomial (k+1)-pebble relaxation of
+  /// Theorem 1 (correct under dw <= k). Enumeration ignores it: its
+  /// child searches are exact CSP solves. `Backend::kIndexed` ignores
+  /// it too: its tests are exact joins.
   int pebble_promise = 0;
 };
 

@@ -27,7 +27,7 @@
 /// `MetricsRegistry` (see wdsparql/metrics.h).
 ///
 /// Two renderings are provided: `ToText()` — an EXPLAIN-style tree of
-/// the execution (phases, totals, one line per enumerated subpattern) —
+/// the execution (phases, totals, one line per searched node) —
 /// and `ToJson()` for machine consumption. `docs/OBSERVABILITY.md`
 /// holds the counter glossary and a worked example.
 
@@ -36,26 +36,27 @@ namespace wdsparql {
 /// Counters and timers of one statement execution. A plain value: copy
 /// it out of the cursor to keep it past the cursor's lifetime.
 struct ExecStats {
-  /// Per-subpattern breakdown: one entry for every subtree pattern the
-  /// enumerator opened that produced at least one candidate (empty
-  /// subtrees are summarised by `empty_subpatterns`). Entries appear in
-  /// enumeration order.
+  /// Per-node breakdown: one entry for every pattern-tree node the
+  /// enumerator searched, in the order of their first search. Each of a
+  /// tree walk's node searches counts into its node's entry; the root's
+  /// entry also carries its tree's answers (`rows`, `dedup_rejected`)
+  /// and witness tests. The entries sum to the totals.
   struct Subpattern {
     std::size_t tree = 0;     ///< Index of the pattern tree in wdpf(P).
-    std::size_t subtree = 0;  ///< Index of the subtree within its tree.
-    std::string pattern;      ///< Rendered pat(T'), e.g. "(?x knows ?y)".
-    uint64_t candidates = 0;  ///< Homomorphism candidates buffered.
+    std::size_t node = 0;     ///< Node id within its tree (0 = the root).
+    std::string pattern;      ///< Rendered pat(n), e.g. "(?x knows ?y)".
+    uint64_t candidates = 0;  ///< Rows pulled from the node's searches.
     uint64_t dedup_rejected = 0;    ///< Dropped: answers of an earlier tree.
-    uint64_t non_maximal = 0;       ///< Dropped: a child pattern extends them.
-    uint64_t maximality_tests = 0;  ///< Extension tests run (incl. witness tests).
-    uint64_t rows = 0;        ///< Answers this subpattern contributed.
+    uint64_t non_maximal = 0;       ///< Searches of this child that found a row.
+    uint64_t maximality_tests = 0;  ///< Searches of this child (root: witness tests).
+    uint64_t rows = 0;        ///< Answers of the tree (root entry only).
 
     // Cost-based optimizer report (indexed backend with statistics;
     // est_rows stays -1 when no plan was chosen — e.g.
     // `ExecOptions::optimize = false` or a stats-less legacy snapshot).
     double est_rows = -1;     ///< Estimated candidates (compare `candidates`).
     double est_cost = 0;      ///< Estimated join work of the chosen order.
-    uint64_t plan_ns = 0;     ///< Time the optimizer spent on this subtree.
+    uint64_t plan_ns = 0;     ///< Time the optimizer spent on this node.
     std::string plan;         ///< Chosen order, e.g. "order=[?y ?x]".
   };
 
@@ -69,21 +70,22 @@ struct ExecStats {
   uint64_t optimize_ns = 0;   ///< Cost-based variable-order planning.
   uint64_t enumerate_ns = 0;  ///< Time spent pulling rows.
 
-  /// Summed estimated join work across the planned subpatterns (0 when
+  /// Summed estimated join work across the planned roots (0 when
   /// the optimizer never ran — see `Subpattern::est_rows`).
   double est_cost = 0;
 
   // Enumeration totals.
   uint64_t rows_emitted = 0;     ///< Rows the cursor delivered (== Cursor::rows()).
-  uint64_t candidates = 0;       ///< Candidates generated across subpatterns.
+  uint64_t candidates = 0;       ///< Rows pulled from node searches.
   uint64_t dedup_rejected = 0;   ///< Dropped as answers of an earlier tree.
-  uint64_t non_maximal = 0;      ///< Candidates dropped as extendable.
-  /// Extension tests run: the open subtree's maximality certificates and
-  /// the earlier-tree witness tests behind `dedup_rejected`.
+  uint64_t non_maximal = 0;      ///< Child searches that found a row.
+  /// Extension tests run: the child searches (each the maximality
+  /// certificate of the mapping assembled so far) and the earlier-tree
+  /// witness tests behind `dedup_rejected`.
   uint64_t maximality_tests = 0;
   uint64_t filtered_out = 0;     ///< Answers dropped by post-FILTERs.
   uint64_t projection_dedup_rejected = 0;  ///< Dropped by SELECT dedup.
-  uint64_t empty_subpatterns = 0;  ///< Subtrees whose match set was empty.
+  uint64_t empty_subpatterns = 0;  ///< Child searches that found no row.
   uint64_t interrupt_checks = 0;   ///< Deadline/cancellation probe calls.
 
   // Storage counters (indexed backend; zero on the naive-hash oracle).
@@ -100,7 +102,7 @@ struct ExecStats {
   std::vector<Subpattern> subpatterns;
 
   /// Human-readable EXPLAIN-style rendering: phases, totals, then one
-  /// line per subpattern with its candidate/rejection/row counts.
+  /// line per searched node with its candidate/rejection/row counts.
   std::string ToText() const;
 
   /// The same content as one JSON object.

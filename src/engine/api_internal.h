@@ -184,14 +184,15 @@ namespace engine_internal {
 /// Enumeration hooks for the session's backend over `view` (pinned by
 /// the caller — this is the cursor's pin-at-open step; the hooks share
 /// ownership of it). Bound to the move-stable impl, not the movable
-/// `Database` shell. The indexed backend opens a resumable `JoinCursor`
-/// per subtree; the naive backend materialises each subtree's
-/// homomorphisms with the CSP solver. A non-null `join_stats` (indexed
-/// backend only) receives the join layer's scan and dictionary counters;
-/// it must outlive the hooks. `optimize` (indexed backend only) enables
-/// the cost-based variable-order planner for each opened generator when
-/// the view carries cardinality statistics; false preserves the
-/// historic heuristic order exactly.
+/// `Database` shell. The indexed backend compiles each node search into
+/// a `CompiledJoin` whose rows stay `DataId`s until an answer is
+/// decoded; the naive backend runs the CSP solver (`SolverSearch`). A
+/// non-null `join_stats` (indexed backend only) receives the join
+/// layer's scan and dictionary counters; it must outlive the hooks.
+/// `optimize` (indexed backend only) enables the cost-based
+/// variable-order planner for each tree's root search when the view
+/// carries cardinality statistics; false preserves the historic
+/// heuristic order exactly.
 EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
                                       const SessionOptions& options,
                                       std::shared_ptr<const ReadView> view,

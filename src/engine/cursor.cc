@@ -10,7 +10,7 @@ namespace {
 /// `Close` / destruction ends the execution first. It folds the
 /// enumeration record into the cursor's `ExecStats`, merges the
 /// execution's totals into the database's `MetricsRegistry`, ends the
-/// enumeration (and with it the open subtree span), and releases the
+/// enumeration (and with it the open tree's span), and releases the
 /// machinery and the pinned view. This is the "cursor-local
 /// accumulation, merge at close" half of the observability contract —
 /// the enumeration hot path touched only plain cursor-local integers;
@@ -26,8 +26,8 @@ void FinalizeCursorStats(CursorImpl* impl) {
   if (impl->stats != nullptr) {
     ExecStats& stats = *impl->stats;
     AccumulateExecStats(record, &stats);
-    // Optimizer totals, folded up from the per-subtree breakdown (the
-    // planner runs once per opened generator).
+    // Optimizer totals, folded up from the per-node breakdown (the
+    // planner runs once per tree, on its root search).
     for (const ExecStats::Subpattern& sub : stats.subpatterns) {
       stats.optimize_ns += sub.plan_ns;
       if (sub.est_rows >= 0) stats.est_cost += sub.est_cost;
@@ -37,7 +37,7 @@ void FinalizeCursorStats(CursorImpl* impl) {
   metrics.counter("query.rows_emitted").Add(impl->rows);
   metrics.counter("query.candidates").Add(candidates);
   metrics.counter("query.maximality_tests").Add(record.maximality_tests);
-  // Releasing the enumerator ends its open subtree span.
+  // Releasing the enumerator ends its open tree's span.
   impl->enumerator.reset();
   impl->view.reset();  // Drop the pin: the store may free superseded runs.
   // Outcome counters: how executions ended, not just what they did. A
@@ -113,8 +113,8 @@ bool Cursor::Open() {
   impl_->open_generation = impl_->view->generation();
   if (impl_->exec.trace != nullptr && impl_->exec.trace->enabled()) {
     // One span covering the whole enumeration (ended with rows/outcome
-    // annotations at finish), with one child span per wdpf subtree —
-    // never per row — added by the enumerator as it opens them.
+    // annotations at finish), with one child span per tree walk — never
+    // per row — added by the enumerator as it loads the trees.
     impl_->enumerate_span =
         impl_->exec.trace->StartSpan("enumerate", impl_->exec.trace_parent);
   }
@@ -199,7 +199,7 @@ bool NextRow(CursorImpl* impl) {
     return true;
   }
   if (enumerator.interrupted()) {
-    // Stopped mid-subtree by the ExecOptions probe. The token is
+    // Stopped mid-tree by the ExecOptions probe. The token is
     // checked first so a cancel that races the deadline reports as a
     // cancellation (the caller's explicit action wins the tie).
     bool token_fired = impl->exec.cancel != nullptr &&

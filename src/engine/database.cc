@@ -1,6 +1,7 @@
 #include "wdsparql/database.h"
 
 #include <fstream>
+#include <type_traits>
 #include <unordered_map>
 
 #include "engine/api_internal.h"
@@ -387,55 +388,50 @@ namespace engine_internal {
 
 namespace {
 
-/// `CandidateGenerator` over a resumable `JoinCursor`: the indexed
-/// backend's suspendable candidate source. Shares ownership of the
-/// pinned view through the cursor. Each extension test is compiled
-/// once, in its reduced form, over the cursor's row: a test reads the
-/// candidate's `DataId`s where the join left them.
-///
-/// When `optimize` is set and the view carries cardinality statistics,
-/// the subtree's variable order comes from the cost-based planner and
-/// the chosen plan is surfaced through `plan_info()`.
-class JoinCursorGenerator final : public CandidateGenerator {
+static_assert(std::is_same_v<RowValue, DataId>,
+              "the indexed backend's rows hold DataIds");
+
+/// The indexed backend's node search: a `CompiledJoin` over the pinned
+/// view. A tree's root search binds its variables in the cost-based
+/// planner's order when `optimize` is set and the view carries
+/// cardinality statistics, and surfaces the plan through `plan_info()`;
+/// every other search keeps the heuristic order with its inputs bound.
+class JoinSearch final : public NodeSearch {
  public:
-  JoinCursorGenerator(std::shared_ptr<const ReadView> view,
-                      const std::vector<Triple>& patterns,
-                      const std::vector<ExtensionTest>& tests, ExecStats* stats,
-                      bool optimize, const TermPool* pool, Counter* plans_metric,
-                      Histogram* plan_ns_metric)
-      : plan_(MakePlan(view.get(), patterns, optimize, plans_metric,
-                       plan_ns_metric, &info_.plan_ns)),
-        cursor_(view, patterns, stats,
-                plan_.has_value() ? &plan_->var_order : nullptr) {
+  JoinSearch(const ReadView& view, const SearchSpec& spec, ExecStats* stats, bool optimize,
+             const TermPool* pool, Counter* plans_metric, Histogram* plan_ns_metric)
+      : plan_(MakePlan(view, spec, optimize, plans_metric, plan_ns_metric, &info_.plan_ns)),
+        join_(view, spec.pattern->triples(), *spec.row_vars, stats,
+              plan_.has_value() ? &plan_->var_order : nullptr) {
     if (plan_.has_value()) {
       info_.est_rows = plan_->est_rows;
       info_.est_cost = plan_->est_cost;
-      info_.description = optimizer::DescribePlan(*plan_, *pool);
-    }
-    tests_.reserve(tests.size());
-    for (const ExtensionTest& test : tests) {
-      tests_.emplace_back(*view, test.reduced.triples(), cursor_.row_variables(), stats);
+      // The rendering is for the breakdown only, which a stats-collecting
+      // execution keeps.
+      if (stats != nullptr) info_.description = optimizer::DescribePlan(*plan_, *pool);
     }
   }
 
-  bool Next(Mapping* out) override { return cursor_.Next(out); }
+  void Open(const RowValue* row) override { join_.Open(row); }
+  bool Next() override { return join_.Next(); }
+  const std::vector<TermId>& variables() const override { return join_.variables(); }
+  const RowValue* values() const override { return join_.values(); }
 
-  bool Extends(std::size_t test, const Mapping&) override {
-    return tests_[test].Extends(cursor_.row());
-  }
-
-  const CandidatePlanInfo* plan_info() const override {
+  const SearchPlanInfo* plan_info() const override {
     return plan_.has_value() ? &info_ : nullptr;
   }
 
  private:
   static std::optional<optimizer::SubtreePlan> MakePlan(
-      const ReadView* view, const std::vector<Triple>& patterns, bool optimize,
-      Counter* plans_metric, Histogram* plan_ns_metric, uint64_t* plan_ns) {
-    if (!optimize || view->stats() == nullptr) return std::nullopt;
+      const ReadView& view, const SearchSpec& spec, bool optimize, Counter* plans_metric,
+      Histogram* plan_ns_metric, uint64_t* plan_ns) {
+    if (!optimize || spec.tree == nullptr || spec.node != spec.tree->root() ||
+        view.stats() == nullptr) {
+      return std::nullopt;
+    }
     Timer timer;
     std::optional<optimizer::SubtreePlan> plan =
-        optimizer::PlanSubtree(*view, patterns);
+        optimizer::PlanSubtree(view, spec.pattern->triples());
     *plan_ns = timer.ElapsedNanos();
     if (plan.has_value()) {
       plans_metric->Add(1);
@@ -445,12 +441,10 @@ class JoinCursorGenerator final : public CandidateGenerator {
   }
 
   // Declaration order is load-bearing: `plan_` initialises (writing
-  // `info_.plan_ns`) before `cursor_`, which consumes the chosen order;
-  // `tests_` read the view the cursor pins, so they die before it.
-  CandidatePlanInfo info_;
+  // `info_.plan_ns`) before `join_`, which consumes the chosen order.
+  SearchPlanInfo info_;
   std::optional<optimizer::SubtreePlan> plan_;
-  JoinCursor cursor_;
-  std::vector<CompiledTest> tests_;
+  CompiledJoin join_;
 };
 
 }  // namespace
@@ -467,19 +461,8 @@ EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
   WDSPARQL_CHECK(view != nullptr);
   EnumerationHooks hooks;
   if (options.backend == Backend::kNaiveHash) {
-    // Under a pebble promise the game runs over the pinned view. Its
-    // domain is `ReadView::AllTerms`: every dictionary term, including
-    // dead ones a removal left in no triple. They cannot change the
-    // outcome at k+1 >= 2 pebbles on a non-empty view (and a test only
-    // runs once the candidate matched pat(T') in this view): a dead
-    // image for x survives only when every triple of x has three free
-    // variables and the game has two pebbles, and then any live term
-    // survives in its place.
-    hooks.open_subtree = [view, k = options.pebble_promise](
-                             const TripleSet& pattern,
-                             const std::vector<ExtensionTest>& tests,
-                             const std::function<bool()>& stop) {
-      return MaterializeHomomorphisms(pattern, tests, *view, k, stop);
+    hooks.open_search = [view](const SearchSpec& spec, const std::function<bool()>& stop) {
+      return SolverSearch(spec, *view, stop);
     };
     return hooks;
   }
@@ -489,15 +472,18 @@ EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
   const TermPool* pool = db.pool;
   Counter* plans_metric = &db.metrics->counter("optimizer.plans");
   Histogram* plan_ns_metric = &db.metrics->histogram("optimizer.plan_ns");
-  // The join cursor is lazy, so it needs no stop check: the enumerator
+  // The compiled join is lazy, so it needs no stop check: the enumerator
   // checks for interruption between pulls.
-  hooks.open_subtree =
-      [view, join_stats, optimize, pool, plans_metric, plan_ns_metric](
-          const TripleSet& pattern, const std::vector<ExtensionTest>& tests,
-          const std::function<bool()>&) -> std::unique_ptr<CandidateGenerator> {
-    return std::make_unique<JoinCursorGenerator>(view, pattern.triples(), tests,
-                                                 join_stats, optimize, pool,
-                                                 plans_metric, plan_ns_metric);
+  hooks.open_search = [view, join_stats, optimize, pool, plans_metric, plan_ns_metric](
+                          const SearchSpec& spec,
+                          const std::function<bool()>&) -> std::unique_ptr<NodeSearch> {
+    return std::make_unique<JoinSearch>(*view, spec, join_stats, optimize, pool,
+                                        plans_metric, plan_ns_metric);
+  };
+  // Rows stay DataIds until an answer is emitted.
+  hooks.decode = [view, join_stats](RowValue value) {
+    if (join_stats != nullptr) ++join_stats->dict_decodes;
+    return view->dict().Decode(value);
   };
   return hooks;
 }
@@ -506,6 +492,14 @@ bool EvaluateMembership(const PatternForest& forest, const SessionOptions& optio
                         const Mapping& mu, std::shared_ptr<const ReadView> view) {
   // Subtree matching and every extension test read the same pinned view.
   if (options.backend == Backend::kNaiveHash) {
+    // Under a pebble promise the game runs over the pinned view. Its
+    // domain is `ReadView::AllTerms`: every dictionary term, including
+    // dead ones a removal left in no triple. They cannot change the
+    // outcome at k+1 >= 2 pebbles on a non-empty view (and a test only
+    // runs once mu matched a subtree in this view): a dead image for x
+    // survives only when every triple of x has three free variables and
+    // the game has two pebbles, and then any live term survives in its
+    // place.
     return WdEvalWith(forest, *view, mu, nullptr,
                       [&](const TripleSet& combined, const TripleSet&) {
                         return LiteralExtends(combined, mu, *view, options.pebble_promise);
@@ -522,7 +516,7 @@ bool EvaluateMembership(const PatternForest& forest, const SessionOptions& optio
   }
   return WdEvalWith(forest, *view, mu, nullptr,
                     [&](const TripleSet&, const TripleSet& child) {
-                      return CompiledTest(*view, child.triples(), row_vars)
+                      return CompiledJoin(*view, child.triples(), row_vars)
                           .Extends(row.data());
                     });
 }

@@ -57,25 +57,18 @@ bool IsGround(const EncConjunct& c) {
   return c.var[0] < 0 && c.var[1] < 0 && c.var[2] < 0;
 }
 
-// Copy-assigning it clears a solution but keeps the solution's binding
-// storage, which assigning a temporary would free.
-const Mapping kNoBindings;
-
 }  // namespace
 
-/// The whole resumable join state. The recursion of the old callback
-/// join became an explicit stack: one {values, position} frame per
+/// The whole resumable join state: one {values, position} frame per
 /// variable level, advanced iteratively so `Next` can return mid-descent
 /// and resume exactly there.
-struct JoinCursor::State {
-  State(std::shared_ptr<const ReadView> owned, const ReadView& view,
-        ExecStats* stats_in)
-      : keepalive(std::move(owned)), store(view), stats(stats_in) {}
+struct CompiledJoin::State {
+  State(const ReadView& view, ExecStats* stats_in) : store(view), stats(stats_in) {}
 
   /// The sized range of one conjunct at one level and the probe that
   /// searches it. Kept across fills while the conjunct's pattern under
   /// the bindings above is unchanged, so a conjunct that shares no
-  /// variable with the levels above is located once per cursor.
+  /// variable with the levels above is located once per join.
   struct SizedRange {
     EncPattern pattern;
     std::optional<MergedScan> range;  // Empty until first located.
@@ -92,12 +85,11 @@ struct JoinCursor::State {
     std::vector<SizedRange> sized;
   };
 
-  std::shared_ptr<const ReadView> keepalive;  // Null in compiled tests.
   const ReadView& store;
   ExecStats* stats;
 
   std::vector<EncConjunct> conjuncts;
-  std::vector<SlotRef> slot_refs;  // Compiled tests only (see Reset).
+  std::vector<SlotRef> slot_refs;  // Row slots written by every Reset.
   /// The join's variables in binding order: level d binds `vars[d]`, and
   /// `binding[d]` holds its value.
   std::vector<TermId> vars;
@@ -115,30 +107,6 @@ struct JoinCursor::State {
     var_index[term] = idx;
     vars.push_back(term);
     return idx;
-  }
-
-  /// Encodes `patterns`; returns false iff setup proved the join empty.
-  /// Ground conjuncts are tested here and dropped.
-  bool Setup(const std::vector<Triple>& patterns,
-             const std::vector<TermId>* preferred_order) {
-    static const std::unordered_map<TermId, int> kNoSlots;
-    for (const Triple& raw : patterns) {
-      EncConjunct c;
-      if (!EncodeConjunct(store, raw, kNoSlots, conjuncts.size(), stats,
-                          [this](TermId term) { return LocalVar(term); }, &c,
-                          &slot_refs)) {
-        return false;  // Constant absent from the store.
-      }
-      if (IsGround(c)) {
-        if (!store.Contains(EncTriple{c.constant[0], c.constant[1], c.constant[2]})) {
-          return false;
-        }
-        continue;  // Satisfied unconditionally; drop the conjunct.
-      }
-      conjuncts.push_back(c);
-    }
-    Plan(preferred_order);
-    return true;
   }
 
   /// Fixes the binding order over `conjuncts` and renumbers the
@@ -184,7 +152,7 @@ struct JoinCursor::State {
       if (ok) order = std::move(mapped);
     }
     // Renumber so that variable d is the one level d binds: the binding
-    // vector is then the row, in binding order, that compiled tests read.
+    // vector is then the join's row of values, in binding order.
     std::vector<int> rank(order.size());
     for (std::size_t d = 0; d < order.size(); ++d) rank[order[d]] = static_cast<int>(d);
     for (EncConjunct& c : conjuncts) {
@@ -208,7 +176,7 @@ struct JoinCursor::State {
     }
   }
 
-  /// Restarts a compiled test's join on a new row: writes the row's
+  /// Restarts the join on a new row: writes the row's
   /// slot values into their conjunct positions and unbinds every level.
   /// Sized ranges stay: each is re-located only if its pattern changed.
   void Reset(const DataId* row) {
@@ -323,21 +291,12 @@ struct JoinCursor::State {
         level.values.end());
   }
 
-  void Emit(Mapping* out) {
-    *out = kNoBindings;
-    for (std::size_t i = 0; i < vars.size(); ++i) {
-      out->Bind(vars[i], store.dict().Decode(binding[i]));
-    }
-    if (stats != nullptr) stats->dict_decodes += vars.size();
-  }
-
-  bool Next(Mapping* out) {
+  bool Next() {
     if (done) return false;
     if (depth < 0) {
       if (vars.empty()) {
         // Zero variables: the one (empty) solution.
         done = true;
-        Emit(out);
         return true;
       }
       depth = 0;
@@ -351,10 +310,7 @@ struct JoinCursor::State {
       if (level.pos < level.values.size()) {
         DataId value = level.values[level.pos++];
         binding[depth] = value;
-        if (depth + 1 == static_cast<int>(vars.size())) {
-          Emit(out);
-          return true;
-        }
+        if (depth + 1 == static_cast<int>(vars.size())) return true;
         ++depth;
         FillLevel(depth);
       } else {
@@ -367,28 +323,9 @@ struct JoinCursor::State {
   }
 };
 
-JoinCursor::JoinCursor(std::shared_ptr<const ReadView> view,
-                       const std::vector<Triple>& patterns, ExecStats* stats,
-                       const std::vector<TermId>* var_order) {
-  WDSPARQL_CHECK(view != nullptr);
-  const ReadView& ref = *view;
-  state_ = std::make_unique<State>(std::move(view), ref, stats);
-  if (!state_->Setup(patterns, var_order)) state_->done = true;
-}
-
-JoinCursor::~JoinCursor() = default;
-JoinCursor::JoinCursor(JoinCursor&&) noexcept = default;
-JoinCursor& JoinCursor::operator=(JoinCursor&&) noexcept = default;
-
-bool JoinCursor::Next(Mapping* out) { return state_->Next(out); }
-
-const std::vector<TermId>& JoinCursor::row_variables() const { return state_->vars; }
-
-const DataId* JoinCursor::row() const { return state_->binding.data(); }
-
-/// One ground conjunct of a compiled test: a whole-triple probe whose
+/// One ground conjunct of a compiled join: a whole-triple probe whose
 /// key is the constants with the row's slot values written in.
-struct CompiledTest::GroundProbe {
+struct CompiledJoin::GroundProbe {
   EncTriple key;
   int slot[3];  // -1 where a constant sits.
   Permutation perm;
@@ -407,13 +344,14 @@ struct CompiledTest::GroundProbe {
   }
 };
 
-CompiledTest::CompiledTest(const ReadView& view, const std::vector<Triple>& patterns,
-                           const std::vector<TermId>& row_vars, ExecStats* stats) {
+CompiledJoin::CompiledJoin(const ReadView& view, const std::vector<Triple>& patterns,
+                           const std::vector<TermId>& row_vars, ExecStats* stats,
+                           const std::vector<TermId>* var_order) {
   std::unordered_map<TermId, int> slot_of;
   for (std::size_t i = 0; i < row_vars.size(); ++i) {
-    slot_of.emplace(row_vars[i], static_cast<int>(i));
+    if (IsVariable(row_vars[i])) slot_of.emplace(row_vars[i], static_cast<int>(i));
   }
-  auto join = std::make_unique<JoinCursor::State>(nullptr, view, stats);
+  auto join = std::make_unique<State>(view, stats);
   auto local_var = [&join](TermId term) { return join->LocalVar(term); };
   std::vector<SlotRef> refs;
   for (const Triple& t : patterns) {
@@ -455,27 +393,31 @@ CompiledTest::CompiledTest(const ReadView& view, const std::vector<Triple>& patt
     ground_.push_back(ground);
   }
   if (absent_) {
-    ground_.clear();  // An absent constant decides the test: no triple matches.
-    return;
+    ground_.clear();  // An absent constant decides the join: no triple matches.
+    join->conjuncts.clear();
+    join->slot_refs.clear();
   }
-  if (!join->conjuncts.empty()) {
-    join->Plan(nullptr);
-    join_ = std::move(join);
-  }
+  join->Plan(var_order);
+  values_ = join->binding.data();
+  join_ = std::move(join);
 }
 
-CompiledTest::~CompiledTest() = default;
-CompiledTest::CompiledTest(CompiledTest&&) noexcept = default;
-CompiledTest& CompiledTest::operator=(CompiledTest&&) noexcept = default;
+CompiledJoin::~CompiledJoin() = default;
+CompiledJoin::CompiledJoin(CompiledJoin&&) noexcept = default;
+CompiledJoin& CompiledJoin::operator=(CompiledJoin&&) noexcept = default;
 
-bool CompiledTest::Extends(const DataId* row) {
-  if (absent_) return false;
+void CompiledJoin::Open(const DataId* row) {
+  open_ = !absent_;
   for (GroundProbe& ground : ground_) {
-    if (!ground.Exists(row)) return false;
+    if (!open_) break;
+    open_ = ground.Exists(row);
   }
-  if (join_ == nullptr) return true;
   join_->Reset(row);
-  return join_->Next(&solution_);
 }
+
+bool CompiledJoin::Next() { return open_ && join_->Next(); }
+
+const std::vector<TermId>& CompiledJoin::variables() const { return join_->vars; }
+
 
 }  // namespace wdsparql

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "engine/read_view.h"
-#include "wdsparql/mapping.h"
+#include "wdsparql/triple.h"
 #include "wdsparql/stats.h"
 
 /// \file
@@ -39,111 +39,90 @@
 /// runs of its own permutation otherwise. Each level keeps its sized
 /// ranges while a conjunct's pattern under the bindings above is
 /// unchanged, so a conjunct that shares no variable with the levels
-/// above is located once per cursor.
+/// above is located once per join.
 ///
-/// The join is exposed two ways: `JoinCursor`, a pull-based resumable
-/// iterator (the engine's suspendable enumeration builds on it); and
-/// `CompiledTest`, an extension test compiled once and run on many rows
-/// of `DataId`s — the paper's maximality certificates and witness tests,
-/// run on each candidate the cursor emits, where the cursor left its
-/// values, and the membership test's, run on mu's values.
+/// The join has one shape, `CompiledJoin`: a pattern compiled once
+/// against a view, with input slots read from a row of `DataId`s and run
+/// on many rows. Pulled for rows it is a node search of the enumerator's
+/// tree walk (a tree's root with no inputs, each child with the values
+/// its ancestors bound); stopped at its first row it is an extension
+/// test (a witness's residual or child certificate, or the membership
+/// test's, run on mu's values).
 ///
 /// Every entry point takes an optional `ExecStats*`: when non-null the
 /// join counts its storage work into it (`ranges_scanned`,
-/// `values_probed`, `base/delta_triples_scanned`, `dict_encodes`,
-/// `dict_decodes`) as plain increments from the pulling thread. Null
-/// (stats collection off) selects the uninstrumented scan walk.
+/// `values_probed`, `base/delta_triples_scanned`, `dict_encodes`) as
+/// plain increments from the pulling thread. Null (stats collection
+/// off) selects the uninstrumented scan walk. The join never decodes:
+/// its rows stay `DataId`s.
 
 namespace wdsparql {
 
-/// Pull-based resumable join: each `Next` call produces one solution
-/// mapping and suspends with the whole descent state (one {values,
-/// position} frame per bound variable) intact, so a caller that stops
-/// after the first row pays for one row — not for the subtree's whole
-/// match set.
-///
-/// The cursor shares ownership of the view, so it can outlive the
-/// `Execute` call that created it; `stats` (optional) must outlive the
-/// cursor and is written from the pulling thread only.
-class JoinCursor {
- public:
-  /// Joins `patterns` over `view`, sharing ownership of the view.
-  ///
-  /// `var_order` (optional) injects a planner-chosen
-  /// variable binding order: the `TermId`s of the pattern's unbound
-  /// variables, first-bound first. Any order over the same variable set
-  /// yields the same solution set (a conjunctive pattern's homomorphisms
-  /// do not depend on enumeration order), just different work. The
-  /// pointer is only read during construction. An order that does not
-  /// cover the unbound variables exactly is ignored in favour of the
-  /// built-in heuristic, so a stale plan can never produce wrong
-  /// answers. Passing null preserves the historic heuristic order
-  /// exactly (the `ExecOptions::optimize = false` contract).
-  JoinCursor(std::shared_ptr<const ReadView> view,
-             const std::vector<Triple>& patterns, ExecStats* stats = nullptr,
-             const std::vector<TermId>* var_order = nullptr);
-  ~JoinCursor();
-  JoinCursor(JoinCursor&&) noexcept;
-  JoinCursor& operator=(JoinCursor&&) noexcept;
-
-  /// Produces the next solution: a mapping of the join's variables,
-  /// written over `out` (whose storage is reused). Returns
-  /// false once exhausted (and from then on).
-  bool Next(Mapping* out);
-
-  /// The join's variables in binding order: the first-bound first.
-  /// Solutions arrive in ascending order of their values read in this
-  /// order (as `DataId`s).
-  const std::vector<TermId>& row_variables() const;
-
-  /// The last solution's values, parallel to `row_variables()`: the row
-  /// a `CompiledTest` reads. Valid after `Next` returned true, until the
-  /// next `Next`.
-  const DataId* row() const;
-
- private:
-  friend class CompiledTest;  // Resets one join state per call.
-  struct State;
-  std::unique_ptr<State> state_;
-};
-
-/// An extension test compiled once against a view: does some
-/// homomorphism of `patterns` extend a row of `DataId`s? The row binds
-/// `row_vars` (slot i holds the value of `row_vars[i]`); the patterns'
-/// other variables are the test's own.
+/// A pattern compiled once against a view: the homomorphisms of
+/// `patterns` that extend a row of `DataId`s. The row binds `row_vars`
+/// (slot i holds the value of `row_vars[i]`; a slot whose entry is not a
+/// variable is never read); the patterns' other variables are the
+/// join's own.
 ///
 /// Compiling encodes every constant once (`dict_encodes`), so running
-/// the test never touches the dictionary. A constant absent from the
-/// view decides the test at once: it fails for every row. Each pattern
-/// the row grounds becomes a whole-triple `SeekProbe` in the cyclic
-/// permutation that best follows `row_vars`' order: rows that ascend in
-/// it (a `JoinCursor`'s do, over `row_variables()`) seek forward, and a
-/// key below the previous one rewinds the probe. The other patterns
-/// form one Generic Join state with the row's values as constants,
-/// reset on every call and run to its first solution, with the heuristic
-/// variable order. A call allocates nothing once warm.
+/// the join never touches the dictionary. A constant absent from the
+/// view decides the join at once: it is empty for every row. Each
+/// pattern the row grounds becomes a whole-triple `SeekProbe` in the
+/// cyclic permutation that best follows `row_vars`' order: rows that
+/// ascend in it seek forward, and a key below the previous one rewinds
+/// the probe. The other patterns form one Generic Join state with the
+/// row's values as constants, reset by every `Open`, binding the own
+/// variables in `var_order` when that is a permutation of them (the
+/// planner's choice) and in the heuristic order otherwise. `Next`
+/// resumes the descent where the previous row left it, so a caller that
+/// stops early pays only for the rows it pulled. A pull allocates
+/// nothing once warm.
 ///
-/// The view must outlive the test; `stats` (optional) receives the
+/// The view must outlive the join; `stats` (optional) receives the
 /// join's counters. One thread at a time.
-class CompiledTest {
+class CompiledJoin {
  public:
-  CompiledTest(const ReadView& view, const std::vector<Triple>& patterns,
-               const std::vector<TermId>& row_vars, ExecStats* stats = nullptr);
-  ~CompiledTest();
-  CompiledTest(CompiledTest&&) noexcept;
-  CompiledTest& operator=(CompiledTest&&) noexcept;
+  CompiledJoin(const ReadView& view, const std::vector<Triple>& patterns,
+               const std::vector<TermId>& row_vars, ExecStats* stats = nullptr,
+               const std::vector<TermId>* var_order = nullptr);
+  ~CompiledJoin();
+  CompiledJoin(CompiledJoin&&) noexcept;
+  CompiledJoin& operator=(CompiledJoin&&) noexcept;
 
-  /// True iff some homomorphism of the patterns extends `row`'s
-  /// bindings, which must cover the patterns' row variables.
-  bool Extends(const DataId* row);
+  /// Restarts the join on `row`, whose slots must cover the patterns'
+  /// row variables; `Next` then pulls its rows.
+  void Open(const DataId* row);
+
+  /// Advances to the next homomorphism extending the open row: its own
+  /// variables' values are in `values()`. False once exhausted (and
+  /// until the next `Open`).
+  bool Next();
+
+  /// True iff some homomorphism of the patterns extends `row`: `Open`,
+  /// then the first `Next`.
+  bool Extends(const DataId* row) {
+    Open(row);
+    return Next();
+  }
+
+  /// The join's own variables in binding order, first-bound first. Rows
+  /// of one `Open` arrive in ascending order of their values read in
+  /// this order.
+  const std::vector<TermId>& variables() const;
+
+  /// The last row's values, parallel to `variables()`. Valid after
+  /// `Next` returned true, until the next `Next` or `Open`.
+  const DataId* values() const { return values_; }
 
  private:
   struct GroundProbe;
+  struct State;
 
   bool absent_ = false;  // A constant is absent from the view.
+  bool open_ = false;    // The open row passed every ground probe.
   std::vector<GroundProbe> ground_;
-  std::unique_ptr<JoinCursor::State> join_;  // Null: every pattern is ground.
-  Mapping solution_;  // The join's first solution, discarded.
+  std::unique_ptr<State> join_;  // Every pattern's own-variable join.
+  const DataId* values_ = nullptr;  // The join's bindings, in binding order.
 };
 
 }  // namespace wdsparql

@@ -119,7 +119,9 @@ std::shared_ptr<StatementImpl> PrepareImpl(const DatabaseImpl* db,
   diag.union_free = core->IsUnionFree();
   diag.num_triple_patterns = static_cast<std::size_t>(core->NumTriples());
 
-  Result<PatternForest> forest = BuildPatternForest(core, pool);
+  // The check above covered `core`: dropping top-level FILTERs keeps a
+  // pattern well designed.
+  Result<PatternForest> forest = BuildPatternForestOfWellDesigned(core);
   if (!forest.ok()) {
     diag.code = QueryDiagnostics::Code::kInternal;
     diag.message = "wdpf translation failed on a checked pattern: " +

@@ -54,7 +54,7 @@ std::string ExecStats::ToText() const {
       << " dict_encodes=" << dict_encodes << " dict_decodes=" << dict_decodes
       << "\n";
   for (const Subpattern& sub : subpatterns) {
-    out << "  tree " << sub.tree << " subtree " << sub.subtree << ": "
+    out << "  tree " << sub.tree << " node " << sub.node << ": "
         << sub.pattern << "\n";
     out << "    candidates=" << sub.candidates << " dedup_rejected="
         << sub.dedup_rejected << " non_maximal=" << sub.non_maximal
@@ -102,7 +102,7 @@ std::string ExecStats::ToJson() const {
   for (const Subpattern& sub : subpatterns) {
     json.BeginObject();
     json.Field("tree", static_cast<uint64_t>(sub.tree));
-    json.Field("subtree", static_cast<uint64_t>(sub.subtree));
+    json.Field("node", static_cast<uint64_t>(sub.node));
     json.Field("pattern", sub.pattern);
     json.Field("candidates", sub.candidates);
     json.Field("dedup_rejected", sub.dedup_rejected);

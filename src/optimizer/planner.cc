@@ -200,7 +200,7 @@ std::optional<SubtreePlan> PlanSubtree(const ReadView& view,
   const CardinalityStats* stats = view.stats();
   if (stats == nullptr) return std::nullopt;
 
-  // Encode the conjuncts exactly like JoinCursor::Setup: local variable
+  // Encode the conjuncts exactly like CompiledJoin does: local variable
   // indexes in first-occurrence order, ground conjuncts dropped, absent
   // constants aborting (the join is provably empty — nothing to plan).
   Model model;

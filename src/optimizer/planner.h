@@ -9,19 +9,22 @@
 #include "wdsparql/term.h"
 
 /// \file
-/// Cost-based variable-order planning for one conjunctive subtree.
+/// Cost-based variable-order planning for one conjunctive pattern.
 ///
-/// The engine evaluates a well-designed pattern forest subtree by
-/// subtree; inside one subtree the pattern is purely conjunctive, and
-/// its solution set — the homomorphisms of the triple-pattern set — is
-/// independent of the order in which the Generic Join (engine/join.h)
-/// binds variables. That is the legality boundary the optimizer lives
-/// inside: *any* variable order within a subtree is a correct plan,
-/// while reordering *across* subtrees would change which maximality
-/// certificates wdEVAL tests and is never attempted. So the search
-/// space per subtree is the variable order; which range the join walks
-/// and which it probes at each level follows from the range sizes at
-/// run time.
+/// The engine evaluates a well-designed pattern forest by walking each
+/// tree top-down, one search per node with the values its ancestors
+/// bound as inputs; inside one node the pattern is purely conjunctive,
+/// and its solution set — the homomorphisms of the triple-pattern set —
+/// is independent of the order in which the Generic Join
+/// (engine/join.h) binds variables. That is the legality boundary the
+/// optimizer lives inside: *any* variable order within a node is a
+/// correct plan, while reordering *across* nodes would change which
+/// maximality certificates wdEVAL tests and is never attempted. The
+/// engine plans each tree's root search, the one search without
+/// inputs; children keep the heuristic order with their inputs bound.
+/// So the search space per root is the variable order; which range the
+/// join walks and which it probes at each level follows from the range
+/// sizes at run time.
 ///
 /// Costing follows RDF-3X: exact cardinalities for the conjunct's
 /// constant bindings from `CardinalityStats`, the independence
@@ -33,7 +36,7 @@
 /// located and per existence probe.
 ///
 /// `PlanSubtree` is a pure function of (view stats, patterns) with
-/// deterministic tie-breaking, so a view and a subtree always give the
+/// deterministic tie-breaking, so a view and a pattern always give the
 /// same plan.
 
 namespace wdsparql {
@@ -47,7 +50,7 @@ inline constexpr int kDpMaxVars = 12;
 /// The chosen plan for one conjunctive subtree.
 struct SubtreePlan {
   /// Variable binding order (global `TermId`s, first-bound first) —
-  /// what `JoinCursor` consumes.
+  /// what `CompiledJoin` consumes.
   std::vector<TermId> var_order;
   /// Estimated solutions of the subtree (independence assumption).
   double est_rows = 0;

@@ -59,6 +59,17 @@ PatternTree RawToPatternTree(RawTree&& raw) {
   return tree;
 }
 
+/// wdpf of a UNION-free pattern that is well designed.
+Result<PatternTree> TreeOfWellDesigned(const PatternPtr& pattern,
+                                       const WdpfOptions& options) {
+  RawTree raw = BuildRaw(*pattern);
+  PatternTree tree = RawToPatternTree(std::move(raw));
+  if (options.nr_normal_form) tree.ToNrNormalForm();
+  Status valid = tree.Validate();
+  if (!valid.ok()) return Result<PatternTree>(valid);
+  return tree;
+}
+
 }  // namespace
 
 Result<PatternTree> BuildPatternTree(const PatternPtr& pattern, const TermPool& pool,
@@ -75,25 +86,33 @@ Result<PatternTree> BuildPatternTree(const PatternPtr& pattern, const TermPool& 
   }
   Status wd = CheckWellDesigned(pattern, pool);
   if (!wd.ok()) return Result<PatternTree>(wd);
-
-  RawTree raw = BuildRaw(*pattern);
-  PatternTree tree = RawToPatternTree(std::move(raw));
-  if (options.nr_normal_form) tree.ToNrNormalForm();
-  Status valid = tree.Validate();
-  if (!valid.ok()) return Result<PatternTree>(valid);
-  return tree;
+  return TreeOfWellDesigned(pattern, options);
 }
 
 Result<PatternForest> BuildPatternForest(const PatternPtr& pattern, const TermPool& pool,
                                          const WdpfOptions& options) {
+  WDSPARQL_CHECK(pattern != nullptr);
   Status wd = CheckWellDesigned(pattern, pool);
   if (!wd.ok()) return Result<PatternForest>(wd);
+  return BuildPatternForestOfWellDesigned(pattern, options);
+}
+
+Result<PatternForest> BuildPatternForestOfWellDesigned(const PatternPtr& pattern,
+                                                       const WdpfOptions& options) {
+  WDSPARQL_CHECK(pattern != nullptr);
+  if (ContainsFilter(*pattern)) {
+    return Result<PatternForest>(Status::InvalidArgument(
+        "FILTER is outside the classified AND/OPT/UNION fragment; evaluate "
+        "FILTER patterns with sparql/semantics.h (see Section 5 of the paper)"));
+  }
   Result<std::vector<PatternPtr>> operands = UnionNormalForm(pattern);
   if (!operands.ok()) return Result<PatternForest>(operands.status());
 
+  // Each UNION operand of a well-designed pattern is itself well
+  // designed, so no operand is checked again.
   PatternForest forest;
   for (const PatternPtr& operand : operands.value()) {
-    Result<PatternTree> tree = BuildPatternTree(operand, pool, options);
+    Result<PatternTree> tree = TreeOfWellDesigned(operand, options);
     if (!tree.ok()) return Result<PatternForest>(tree.status());
     forest.trees.push_back(std::move(tree).value());
   }

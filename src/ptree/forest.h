@@ -36,6 +36,13 @@ struct WdpfOptions {
 Result<PatternForest> BuildPatternForest(const PatternPtr& pattern, const TermPool& pool,
                                          const WdpfOptions& options = {});
 
+/// wdpf(P) for a pattern already known to be well designed (as
+/// `CheckWellDesigned` decides): the same translation without the
+/// check, for a caller that has just run it. A pattern that is not well
+/// designed gives an unspecified forest.
+Result<PatternForest> BuildPatternForestOfWellDesigned(const PatternPtr& pattern,
+                                                       const WdpfOptions& options = {});
+
 /// Translates a UNION-free well-designed pattern into a single wdPT.
 Result<PatternTree> BuildPatternTree(const PatternPtr& pattern, const TermPool& pool,
                                      const WdpfOptions& options = {});

@@ -575,7 +575,7 @@ void Server::HandleQuery(int fd, const HttpRequest& request,
 
   if (!alive) {
     // The client went away mid-stream. Fire the request's token (the
-    // enumerator stops mid-subtree at its next check) and close the
+    // enumerator stops mid-tree at its next check) and close the
     // cursor NOW: its pinned read view must not outlive the connection.
     exec.cancel->store(true, std::memory_order_relaxed);
     cursor.Close();

@@ -282,19 +282,25 @@ bool CompiledExtends(const ReadView& view, const std::vector<Triple>& patterns,
     row.push_back(view.dict().Encode(value));
     if (row.back() == kNoDataId) return false;
   }
-  return CompiledTest(view, patterns, fixed.Domain(), stats).Extends(row.data());
+  return CompiledJoin(view, patterns, fixed.Domain(), stats).Extends(row.data());
 }
 
-/// The solutions of the join cursor over `view` (in `var_order` when
-/// given), sorted.
+/// The solutions of the join over `view` with no inputs (in `var_order`
+/// when given), decoded and sorted.
 std::vector<Mapping> JoinMappings(const std::shared_ptr<const ReadView>& view,
                                   const std::vector<Triple>& patterns,
                                   ExecStats* stats = nullptr,
                                   const std::vector<TermId>* var_order = nullptr) {
-  JoinCursor cursor(view, patterns, stats, var_order);
+  CompiledJoin join(*view, patterns, {}, stats, var_order);
   std::vector<Mapping> out;
-  Mapping mu;
-  while (cursor.Next(&mu)) out.push_back(mu);
+  join.Open(nullptr);
+  while (join.Next()) {
+    Mapping mu;
+    for (std::size_t i = 0; i < join.variables().size(); ++i) {
+      mu.Bind(join.variables()[i], view->dict().Decode(join.values()[i]));
+    }
+    out.push_back(std::move(mu));
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -810,6 +816,103 @@ TEST(JoinScanVolumeTest, ChainReadsAConstantNumberOfTriplesWhateverTheRangeSize)
 }
 
 // ---------------------------------------------------------------------
+// Count gates for wide and deep trees: the top-down walk runs one
+// search per node and parent row, never one join per subtree.
+// ---------------------------------------------------------------------
+
+/// One execution of `text` over `graph` on `backend`, checked against
+/// the set semantics; returns its record.
+ExecStats ExecuteAgainstSemantics(const RdfGraph& graph, const std::string& text,
+                                  Backend backend, TermPool* pool) {
+  Database db(pool);
+  testlib::LoadGraph(graph, &db);
+  auto pattern = ParsePattern(text, pool);
+  EXPECT_TRUE(pattern.ok());
+  SessionOptions options;
+  options.backend = backend;
+  Statement stmt = db.OpenSession(options).PrepareParsed(pattern.value());
+  EXPECT_TRUE(stmt.ok()) << stmt.diagnostics().ToString();
+  ExecOptions exec;
+  exec.collect_stats = true;
+  Cursor cursor = stmt.Execute(exec);
+  std::vector<Mapping> rows;
+  while (cursor.Next()) rows.push_back(cursor.Row());
+  EXPECT_EQ(cursor.state(), Cursor::State::kExhausted);
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(rows, Evaluate(*pattern.value(), graph));
+  return *cursor.stats();
+}
+
+TEST(TreeWalkCountTest, OptStarSearchesEachChildOncePerSubject) {
+  // A root (?s type T) with k independent OPT children (?s p_i ?o_i)
+  // over 4 subjects; subject j has p_i iff i + j is even. The walk
+  // scans the root's range once and each present child's range once per
+  // subject; a join per subtree would open all 2^k subtrees.
+  for (int k = 2; k <= 12; ++k) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    TermPool pool;
+    RdfGraph graph(&pool);
+    std::string text = "(?s type T)";
+    for (int i = 1; i <= k; ++i) {
+      const std::string p = "p" + std::to_string(i);
+      text = "(" + text + " OPT (?s " + p + " ?o" + std::to_string(i) + "))";
+      for (int j = 0; j < 4; ++j) {
+        if ((i + j) % 2 == 0) graph.Insert("s" + std::to_string(j), p, "o" + std::to_string(i));
+      }
+    }
+    for (int j = 0; j < 4; ++j) graph.Insert("s" + std::to_string(j), "type", "T");
+    for (Backend backend : {Backend::kIndexed, Backend::kNaiveHash}) {
+      SCOPED_TRACE(BackendToString(backend));
+      const ExecStats stats = ExecuteAgainstSemantics(graph, text, backend, &pool);
+      EXPECT_EQ(stats.rows_emitted, 4u);
+      EXPECT_EQ(stats.maximality_tests, 4u * k);  // One search per child and subject.
+      EXPECT_EQ(stats.candidates, 4u + 2u * k);   // 4 root rows, 2 subjects per child.
+      if (backend == Backend::kIndexed) {
+        EXPECT_LE(stats.ranges_scanned, 5u * (k + 1));
+      }
+    }
+  }
+}
+
+TEST(TreeWalkCountTest, OptChainSearchesEachNodeOncePerParentRow) {
+  // A root (?s type T) under a nested chain of k OPTs, each child
+  // hanging off the previous child's fresh variable; subject j's chain
+  // is j * k / 3 edges long, so the walk stops at a different depth for
+  // each subject.
+  for (int k = 2; k <= 12; ++k) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    TermPool pool;
+    RdfGraph graph(&pool);
+    std::string text = "(?o" + std::to_string(k - 1) + " p" + std::to_string(k) + " ?o" +
+                       std::to_string(k) + ")";
+    for (int i = k - 1; i >= 1; --i) {
+      text = "((?o" + std::to_string(i - 1) + " p" + std::to_string(i) + " ?o" +
+             std::to_string(i) + ") OPT " + text + ")";
+    }
+    text = "(?o0 type T) OPT " + text;
+    for (int j = 0; j < 4; ++j) {
+      const std::string s = "s" + std::to_string(j);
+      graph.Insert(s, "type", "T");
+      std::string at = s;
+      for (int i = 1; i <= j * k / 3; ++i) {
+        const std::string next = s + "_" + std::to_string(i);
+        graph.Insert(at, "p" + std::to_string(i), next);
+        at = next;
+      }
+    }
+    for (Backend backend : {Backend::kIndexed, Backend::kNaiveHash}) {
+      SCOPED_TRACE(BackendToString(backend));
+      const ExecStats stats = ExecuteAgainstSemantics(graph, text, backend, &pool);
+      EXPECT_EQ(stats.rows_emitted, 4u);
+      EXPECT_LE(stats.maximality_tests, 4u * k);
+      if (backend == Backend::kIndexed) {
+        EXPECT_LE(stats.ranges_scanned, 5u * (k + 1));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // Database/Session: backends must agree byte for byte.
 // ---------------------------------------------------------------------
 
@@ -939,9 +1042,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SessionBackendDifferentialTest,
                          ::testing::Range<uint64_t>(1, 13));
 
 // ---------------------------------------------------------------------
-// Compiled extension tests: the indexed backend runs each subtree's
-// reduced tests on the candidate join's rows, the naive oracle the
-// paper's literal ones.
+// Compiled searches: the indexed backend compiles each node search and
+// witness test into a join with input slots read from the tree walk's
+// row, the naive oracle runs the CSP solver on the same walk.
 // ---------------------------------------------------------------------
 
 /// One execution: its rows, sorted with duplicates kept (a missed dedup
@@ -996,7 +1099,7 @@ void LoadBoth(const std::vector<std::array<const char*, 3>>& triples, Database* 
   testlib::LoadGraph(*model, db);
 }
 
-TEST(CompiledTestDifferentialTest, SharedRootUnionsOnDeltaInsertsAndTombstones) {
+TEST(CompiledJoinDifferentialTest, SharedRootUnionsOnDeltaInsertsAndTombstones) {
   // 2- and 3-arm UNIONs whose arms share their root variables: every
   // later arm tests its candidates against the earlier arms' witnesses,
   // with residuals of 1-3 triples and the witnesses' OPT children.
@@ -1039,7 +1142,7 @@ TEST(CompiledTestDifferentialTest, SharedRootUnionsOnDeltaInsertsAndTombstones) 
   EXPECT_GT(total.rows_emitted, 0u);
 }
 
-TEST(CompiledTestTest, ResidualOutsideEveryCyclicOrderRewindsItsProbe) {
+TEST(CompiledJoinTest, ResidualOutsideEveryCyclicOrderRewindsItsProbe) {
   // The second arm binds x, z, y (x sits in three conjuncts, z in two),
   // so its rows ascend by (x, z, y). The first arm's residual (?x ?y ?z)
   // reads its slots in no cyclic order: the probe takes SPO, whose keys
@@ -1063,7 +1166,7 @@ TEST(CompiledTestTest, ResidualOutsideEveryCyclicOrderRewindsItsProbe) {
   EXPECT_EQ(run.stats.dedup_rejected, 2u);
 }
 
-TEST(CompiledTestTest, ChildConstantAbsentFromTheStoreNeverExtends) {
+TEST(CompiledJoinTest, ChildConstantAbsentFromTheStoreNeverExtends) {
   // `absent` is in no triple, so neither child can extend a candidate:
   // neither the open subtree's nor the earlier witness's. Read as a
   // wildcard, (?y absent ?z) would match b's outgoing triples.
@@ -1084,7 +1187,7 @@ TEST(CompiledTestTest, ChildConstantAbsentFromTheStoreNeverExtends) {
   EXPECT_EQ(run.stats.dedup_rejected, 1u);
 }
 
-TEST(CompiledTestTest, ChildTripleTheCandidateGroundsIsStillTested) {
+TEST(CompiledJoinTest, ChildTripleTheCandidateGroundsIsStillTested) {
   // The child's (?x r ?y) is ground under a candidate, but unlike
   // pat(T') the candidate has not matched it: (a, b) has (b q c) and no
   // (a r b), so it is maximal; (c, d) extends to e.
@@ -1104,7 +1207,7 @@ TEST(CompiledTestTest, ChildTripleTheCandidateGroundsIsStillTested) {
   }
 }
 
-TEST(CompiledTestTest, GroundRowsAreMembershipTests) {
+TEST(CompiledJoinTest, GroundRowsAreMembershipTests) {
   // Every pattern is ground under the row: each is one whole-triple
   // probe, and compiling encodes only the patterns' own constants.
   TermPool pool;
@@ -1162,17 +1265,16 @@ ExecStats EncodesOverCity(int persons) {
   return ExecuteAll(stmt, true).stats;
 }
 
-TEST(CompiledTestTest, DictEncodesCountEachCompiledConstantOnce) {
-  // Constant occurrences, each encoded once per compiled pattern:
+TEST(CompiledJoinTest, DictEncodesCountEachCompiledConstantOnce) {
+  // Constant occurrences, each encoded once per compiled search:
   //  - the first arm's root: join 5, its child (?y email ?e) 1;
-  //  - the first arm's root with its child: join 6;
   //  - the second arm: join 5, and the first arm's root as its witness,
   //    with residual (?x knows ?y) 1 and certificate (?y email ?e) 1.
   const ExecStats small = EncodesOverCity(8);
   const ExecStats large = EncodesOverCity(32);
   EXPECT_EQ(large.candidates, 4 * small.candidates);
-  EXPECT_EQ(small.dict_encodes, 19u);
-  EXPECT_EQ(large.dict_encodes, 19u);
+  EXPECT_EQ(small.dict_encodes, 13u);
+  EXPECT_EQ(large.dict_encodes, 13u);
 }
 
 }  // namespace

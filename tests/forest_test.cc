@@ -95,6 +95,15 @@ TEST_F(ForestTest, RejectsNonWellDesigned) {
   auto forest = BuildPatternForest(p2, pool_);
   ASSERT_FALSE(forest.ok());
   EXPECT_EQ(forest.status().code(), StatusCode::kNotWellDesigned);
+  // The forest checks the whole pattern once, so an operand that breaks
+  // the condition fails it too; a single tree is checked on its own.
+  auto with_bad_operand = BuildPatternForest(
+      Parse("(?x p ?y) UNION (((?x p ?x) OPT (?x q ?y)) AND (?y p ?y))"), pool_);
+  ASSERT_FALSE(with_bad_operand.ok());
+  EXPECT_EQ(with_bad_operand.status().code(), StatusCode::kNotWellDesigned);
+  auto tree = BuildPatternTree(Parse("((?x p ?x) OPT (?x q ?y)) AND (?y p ?y)"), pool_);
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kNotWellDesigned);
 }
 
 TEST_F(ForestTest, RejectsUnionForSingleTree) {

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "rdf/graph.h"
+#include "sparql/semantics.h"
 #include "support/testlib.h"
 #include "util/rng.h"
 #include "wdsparql/wdsparql.h"
@@ -262,11 +264,12 @@ TEST(EarlyExitTest, RowLimitOneStopsAfterBoundedWorkSerially) {
 
 TEST(UnionDedupTest, UnionOverlapsRejectDuplicatesAndBreakdownSumsToTotals) {
   // UNIONs whose later tree re-derives answers of the earlier one. The
-  // enumerator rejects such a candidate by testing it against the
+  // enumerator rejects such a mapping by testing it against the
   // earlier tree's witness subtree, so each answer is delivered once,
   // with the expected `dedup_rejected`; the breakdown sums to the
-  // totals, every candidate has exactly one verdict, and the registry
-  // merged exactly the record's totals.
+  // totals, every assembled mapping has exactly one verdict, every child
+  // search one outcome, and the registry merged exactly the record's
+  // totals.
   TermPool pool;
   Database db(&pool);
   uint64_t p2_rows = 0, p3_rows = 0, both_rows = 0;
@@ -329,26 +332,144 @@ TEST(UnionDedupTest, UnionOverlapsRejectDuplicatesAndBreakdownSumsToTotals) {
     EXPECT_EQ(stats.dedup_rejected, c.dedup_rejected);
 
     uint64_t candidates = 0, dedup = 0, non_maximal = 0, tests = 0, sub_rows = 0;
+    uint64_t child_searches = 0;
     for (const ExecStats::Subpattern& sub : stats.subpatterns) {
       candidates += sub.candidates;
       dedup += sub.dedup_rejected;
       non_maximal += sub.non_maximal;
       tests += sub.maximality_tests;
       sub_rows += sub.rows;
+      if (sub.node != 0) {
+        child_searches += sub.maximality_tests;
+        continue;
+      }
+      // A root entry carries its tree's verdicts; the first tree has no
+      // earlier one to test against. Every root row of these trees is
+      // one assembled mapping: emitted or a duplicate.
+      if (sub.tree == 0) EXPECT_EQ(sub.dedup_rejected, 0u);
+      if (sub.tree == 0) EXPECT_EQ(sub.maximality_tests, 0u);
+      EXPECT_EQ(sub.candidates, sub.rows + sub.dedup_rejected);
     }
     EXPECT_EQ(candidates, stats.candidates);
     EXPECT_EQ(dedup, stats.dedup_rejected);
     EXPECT_EQ(non_maximal, stats.non_maximal);
     EXPECT_EQ(tests, stats.maximality_tests);
     EXPECT_EQ(sub_rows, stats.rows_emitted);
-    EXPECT_EQ(stats.candidates,
-              stats.dedup_rejected + stats.non_maximal + stats.rows_emitted);
+    // Every child search finds a row or none.
+    EXPECT_EQ(child_searches, stats.non_maximal + stats.empty_subpatterns);
 
     EXPECT_EQ(metrics.counter("query.candidates").value() - candidates_before,
               stats.candidates);
     EXPECT_EQ(metrics.counter("query.maximality_tests").value() - tests_before,
               stats.maximality_tests);
   }
+}
+
+// ---------------------------------------------------------------------
+// Branching forests: trees of depth >= 3 with nodes of >= 2 OPT
+// children, and UNIONs of them, on every backend against the set
+// semantics; row limits and interruptions stop in the middle of a tree.
+// ---------------------------------------------------------------------
+
+/// Rendered rows of one execution in delivery order, at most `max_rows`.
+std::vector<std::string> DrainInOrder(Cursor* cursor, const TermPool& pool,
+                                      std::size_t max_rows = SIZE_MAX) {
+  std::vector<std::string> out;
+  while (out.size() < max_rows && cursor->Next()) {
+    out.push_back(cursor->Row().ToString(pool));
+  }
+  return out;
+}
+
+TEST(BranchingForestDifferentialTest, BackendsMatchTheSetSemanticsAndStopMidTree) {
+  constexpr int kCases = 150;
+  ExecStats total;
+  uint64_t multi_node_answers = 0;
+  for (int seed = 0; seed < kCases; ++seed) {
+    SCOPED_TRACE("case seed=" + std::to_string(seed));
+    Rng rng(static_cast<uint64_t>(seed) * 0x9e3779b9u + 0xb7a);
+    TermPool pool;
+    PatternPtr pattern =
+        testlib::RandomBranchingUnion(&rng, &pool, 1 + static_cast<int>(rng.NextBounded(3)));
+    RdfGraph graph(&pool);
+    // Sparse enough that the answers stay in the thousands.
+    testlib::SmallWorkloadGraph(&rng, 7 + static_cast<int>(rng.NextBounded(3)),
+                                16 + static_cast<int>(rng.NextBounded(8)), 3, &graph);
+    Database db(&pool);
+    testlib::LoadGraph(graph, &db);
+    std::vector<std::string> expected;
+    for (const Mapping& mu : Evaluate(*pattern, graph)) {
+      expected.push_back(mu.ToString(pool));
+      if (mu.size() > 2) ++multi_node_answers;
+    }
+    std::sort(expected.begin(), expected.end());
+
+    SessionOptions naive;
+    naive.backend = Backend::kNaiveHash;
+    SessionOptions promise = naive;
+    promise.pebble_promise = 1;
+    ExecStats reference;
+    for (const SessionOptions& options : {SessionOptions{}, naive, promise}) {
+      SCOPED_TRACE(std::string(BackendToString(options.backend)) +
+                   " promise=" + std::to_string(options.pebble_promise));
+      Statement stmt = db.OpenSession(options).PrepareParsed(pattern);
+      ASSERT_TRUE(stmt.ok()) << stmt.diagnostics().ToString();
+      ExecOptions collect;
+      collect.collect_stats = true;
+      Cursor full_cursor = stmt.Execute(collect);
+      const std::vector<std::string> full = DrainInOrder(&full_cursor, pool);
+      ASSERT_EQ(full_cursor.state(), Cursor::State::kExhausted);
+      std::vector<std::string> sorted = full;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(sorted, expected);  // Each answer once, none missing.
+      // The walk is the same on every backend: the same rows pulled, the
+      // same searches, the same verdicts.
+      const ExecStats& stats = *full_cursor.stats();
+      if (options.backend == Backend::kIndexed) {
+        reference = stats;
+        total.dedup_rejected += stats.dedup_rejected;
+        total.non_maximal += stats.non_maximal;
+        total.empty_subpatterns += stats.empty_subpatterns;
+      } else {
+        EXPECT_EQ(stats.candidates, reference.candidates);
+        EXPECT_EQ(stats.maximality_tests, reference.maximality_tests);
+        EXPECT_EQ(stats.non_maximal, reference.non_maximal);
+        EXPECT_EQ(stats.dedup_rejected, reference.dedup_rejected);
+      }
+      if (full.empty()) continue;
+
+      // A row limit delivers a prefix of the full run, wherever in a
+      // tree it falls.
+      ExecOptions limited;
+      limited.row_limit = 1 + rng.NextBounded(full.size());
+      Cursor limited_cursor = stmt.Execute(limited);
+      const std::vector<std::string> prefix = DrainInOrder(&limited_cursor, pool);
+      EXPECT_EQ(limited_cursor.state(), Cursor::State::kLimited);
+      EXPECT_EQ(prefix, std::vector<std::string>(full.begin(),
+                                                 full.begin() + prefix.size()));
+      EXPECT_EQ(prefix.size(), std::min<std::size_t>(limited.row_limit, full.size()));
+
+      // A probe consulted at every step resumes the walk where it
+      // stopped until it fires; the rows before it are a prefix too.
+      auto cancel = std::make_shared<std::atomic<bool>>(false);
+      ExecOptions interruptible;
+      interruptible.cancel = cancel;
+      interruptible.check_interval = 1;
+      Cursor cancelled_cursor = stmt.Execute(interruptible);
+      std::vector<std::string> before =
+          DrainInOrder(&cancelled_cursor, pool, rng.NextBounded(full.size()));
+      cancel->store(true);
+      EXPECT_FALSE(cancelled_cursor.Next());
+      EXPECT_EQ(cancelled_cursor.state(), Cursor::State::kCancelled);
+      EXPECT_EQ(before, std::vector<std::string>(full.begin(), full.begin() + before.size()));
+    }
+  }
+  // The sweep reaches every verdict: children that extend and children
+  // that do not, answers over several nodes, duplicates across trees.
+  EXPECT_GT(total.non_maximal, 0u);
+  EXPECT_GT(total.empty_subpatterns, 0u);
+  EXPECT_GT(total.dedup_rejected, 0u);
+  EXPECT_GT(multi_node_answers, 0u);
 }
 
 }  // namespace

@@ -26,11 +26,19 @@ namespace {
 // agreement property checked on the same pattern/graph draw.
 // ---------------------------------------------------------------------
 
+constexpr uint64_t kBranchingSeeds = 1000;
+
 class RandomWorkloadProperty : public ::testing::TestWithParam<uint64_t> {
  protected:
   void SetUp() override {
     Rng rng(GetParam());
-    pattern_ = testlib::RandomWellDesignedUnion(&rng, &pool_, 2);
+    // Seeds from kBranchingSeeds on draw branching forests: trees of
+    // depth >= 3 with nodes of >= 2 OPT children, and UNIONs of them
+    // whose witnesses span many sets of active nodes.
+    pattern_ = GetParam() >= kBranchingSeeds
+                   ? testlib::RandomBranchingUnion(
+                         &rng, &pool_, 1 + static_cast<int>(rng.NextBounded(3)))
+                   : testlib::RandomWellDesignedUnion(&rng, &pool_, 2);
     auto forest = BuildPatternForest(pattern_, pool_);
     ASSERT_TRUE(forest.ok());
     forest_ = std::move(forest).value();
@@ -100,12 +108,6 @@ TEST_P(RandomWorkloadProperty, NaiveEnumerationMatchesAnswers) {
   EXPECT_EQ(streamed, answers_);
 }
 
-TEST_P(RandomWorkloadProperty, PebbleEnumerationUnderPromise) {
-  Result<int> dw = DominationWidth(forest_, &pool_);
-  if (!dw.ok() || dw.value() > 3) GTEST_SKIP() << "outside budgeted promise";
-  EXPECT_EQ(AllSolutionsPebble(forest_, graph_.value(), dw.value()), answers_);
-}
-
 TEST_P(RandomWorkloadProperty, CountMatchesAnswerSetSize) {
   EXPECT_EQ(CountSolutions(forest_, graph_.value()), answers_.size());
 }
@@ -122,9 +124,13 @@ TEST_P(RandomWorkloadProperty, EngineBackendsAgreeOnVerdictsAndSolutions) {
   ASSERT_TRUE(naive_q.ok());
   ASSERT_TRUE(indexed_q.ok());
 
-  // Identical enumerated solution sets, both equal to the ground truth.
+  // Identical enumerated solution sets, both equal to the ground truth,
+  // and the same under a pebble promise, which enumeration ignores.
   EXPECT_EQ(naive_q.Solutions(), answers_);
   EXPECT_EQ(indexed_q.Solutions(), answers_);
+  SessionOptions promise_options = naive_options;
+  promise_options.pebble_promise = 1;
+  EXPECT_EQ(db.OpenSession(promise_options).PrepareParsed(pattern_).Solutions(), answers_);
 
   // Identical wdEVAL verdicts on answers and mutated non-answers.
   for (const Mapping& probe : probes_) {
@@ -135,6 +141,8 @@ TEST_P(RandomWorkloadProperty, EngineBackendsAgreeOnVerdictsAndSolutions) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomWorkloadProperty,
                          ::testing::Range<uint64_t>(1, 13));
+INSTANTIATE_TEST_SUITE_P(BranchingSeeds, RandomWorkloadProperty,
+                         ::testing::Range<uint64_t>(kBranchingSeeds, kBranchingSeeds + 12));
 
 // ---------------------------------------------------------------------
 // Proposition 3 sweep: sources of known ctw against random hosts; the

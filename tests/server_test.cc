@@ -604,7 +604,7 @@ TEST(ServeTraceTest, DefaultTraceNestsSubtreesUnderEnumerate) {
     }
   }
   EXPECT_EQ(enumerates, 1);
-  EXPECT_EQ(subtrees, 1);  // One tree, one subtree.
+  EXPECT_EQ(subtrees, 1);  // One tree, one walk.
   server->Stop();
 }
 

@@ -61,6 +61,75 @@ PatternPtr GenRec(GenState* state, const std::vector<TermId>& scope, int depth) 
   return current;
 }
 
+/// One node of a branching shape: its triples and its OPT children.
+struct ShapeNode {
+  std::vector<Triple> triples;
+  std::vector<ShapeNode> children;
+};
+
+/// Builds a node under a parent whose triples use `parent_vars`: one or
+/// two fresh variables, each linked to a parent variable, and maybe one
+/// more triple among them. `depth` more levels hang below when `spine`
+/// demands it (a chain to depth 3, and two children at the first level
+/// below the root); elsewhere children are random.
+ShapeNode RandomShapeNode(Rng* rng, TermPool* pool, const std::vector<TermId>& parent_vars,
+                          int depth, bool spine, int num_predicates, int* fresh) {
+  auto predicate = [&] {
+    return pool->InternIri("p" + std::to_string(rng->NextBounded(num_predicates)));
+  };
+  auto pick = [rng](const std::vector<TermId>& vars) {
+    return vars[rng->NextBounded(vars.size())];
+  };
+  ShapeNode node;
+  std::vector<TermId> vars;
+  const int own = 1 + static_cast<int>(rng->NextBounded(2));
+  for (int i = 0; i < own; ++i) {
+    const TermId v = pool->InternVariable("v" + std::to_string((*fresh)++));
+    const TermId link = pick(parent_vars);
+    node.triples.push_back(rng->NextBernoulli(0.5) ? Triple(link, predicate(), v)
+                                                   : Triple(v, predicate(), link));
+    vars.push_back(link);
+    vars.push_back(v);
+  }
+  if (rng->NextBernoulli(0.3)) node.triples.push_back(Triple(pick(vars), predicate(), pick(vars)));
+  if (depth <= 0) return node;
+  int children = static_cast<int>(rng->NextBounded(3));
+  if (spine) children = std::max(children, depth == 2 ? 2 : 1);
+  for (int c = 0; c < children; ++c) {
+    node.children.push_back(RandomShapeNode(rng, pool, vars, depth - 1, spine && c == 0,
+                                            num_predicates, fresh));
+  }
+  return node;
+}
+
+/// One arm of a branching UNION: `shape` itself when `mutate` is off,
+/// else with changed predicates, added triples and dropped subtrees. A
+/// change never removes a variable occurrence, so the arm stays well
+/// designed.
+PatternPtr ShapeArm(Rng* rng, TermPool* pool, const ShapeNode& shape, bool mutate,
+                    int num_predicates) {
+  std::vector<Triple> triples = shape.triples;
+  if (mutate && rng->NextBernoulli(0.3)) {
+    Triple& t = triples[rng->NextBounded(triples.size())];
+    t.predicate = pool->InternIri("p" + std::to_string(rng->NextBounded(num_predicates)));
+  }
+  if (mutate && rng->NextBernoulli(0.25)) {
+    const Triple& t = triples[rng->NextBounded(triples.size())];
+    triples.push_back(Triple(t.object,
+                             pool->InternIri("p" + std::to_string(
+                                                 rng->NextBounded(num_predicates))),
+                             t.subject));
+  }
+  std::vector<PatternPtr> leaves;
+  for (const Triple& t : triples) leaves.push_back(GraphPattern::MakeTriple(t));
+  PatternPtr out = GraphPattern::MakeAndAll(leaves);
+  for (const ShapeNode& child : shape.children) {
+    if (mutate && rng->NextBernoulli(0.2)) continue;
+    out = GraphPattern::MakeOpt(out, ShapeArm(rng, pool, child, mutate, num_predicates));
+  }
+  return out;
+}
+
 }  // namespace
 
 PatternPtr RandomWellDesignedPattern(Rng* rng, TermPool* pool,
@@ -115,6 +184,31 @@ PatternPtr RandomSharedRootUnion(Rng* rng, TermPool* pool, int arms,
       arm = GraphPattern::MakeOpt(arm, GraphPattern::MakeAndAll(child));
     }
     operands.push_back(arm);
+  }
+  return GraphPattern::MakeUnionAll(operands);
+}
+
+PatternPtr RandomBranchingUnion(Rng* rng, TermPool* pool, int arms, int num_predicates) {
+  WDSPARQL_CHECK(arms >= 1);
+  const std::vector<TermId> root_vars = {pool->InternVariable("x0"),
+                                         pool->InternVariable("x1")};
+  ShapeNode shape;
+  shape.triples.push_back(Triple(root_vars[0], pool->InternIri("p0"), root_vars[1]));
+  if (rng->NextBernoulli(0.4)) {
+    shape.triples.push_back(Triple(root_vars[1],
+                                   pool->InternIri("p" + std::to_string(
+                                                       rng->NextBounded(num_predicates))),
+                                   root_vars[rng->NextBounded(2)]));
+  }
+  int fresh = 0;
+  const int children = 2 + static_cast<int>(rng->NextBounded(2));
+  for (int c = 0; c < children; ++c) {
+    shape.children.push_back(
+        RandomShapeNode(rng, pool, root_vars, 2, c == 0, num_predicates, &fresh));
+  }
+  std::vector<PatternPtr> operands;
+  for (int a = 0; a < arms; ++a) {
+    operands.push_back(ShapeArm(rng, pool, shape, a > 0, num_predicates));
   }
   return GraphPattern::MakeUnionAll(operands);
 }

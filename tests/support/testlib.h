@@ -48,6 +48,19 @@ PatternPtr RandomWellDesignedUnion(Rng* rng, TermPool* pool, int arms,
 PatternPtr RandomSharedRootUnion(Rng* rng, TermPool* pool, int arms,
                                  int num_predicates = 3);
 
+/// A UNION of `arms` trees of one random branching shape, each well
+/// designed and in NR normal form: the root binds ?x0 and ?x1 and has two
+/// or three OPT children, every tree reaches depth >= 3, and some node
+/// below the root has two OPT children. Every node introduces fresh
+/// variables and links to variables its parent's triples use. The arms
+/// share the shape and its variables (the first arm is the shape
+/// itself; later arms change predicates, add triples and drop
+/// subtrees), so a later arm's answers over many different sets of
+/// active nodes have witnesses, with residuals and children, in the
+/// earlier arms. `arms` = 1 gives one branching tree.
+PatternPtr RandomBranchingUnion(Rng* rng, TermPool* pool, int arms,
+                                int num_predicates = 3);
+
 /// A small dense random graph suited to the random patterns above (same
 /// predicate pool "p0..").
 void SmallWorkloadGraph(Rng* rng, int num_nodes, int num_triples, int num_predicates,

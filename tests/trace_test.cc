@@ -279,8 +279,8 @@ TEST(TraceEndToEndTest, EarlyCloseEndsTheOpenSubtreeSpan) {
   ASSERT_TRUE(cursor.Next());
   cursor.Close();
 
-  // Before any flush: closing mid-subtree ended every span the cursor
-  // opened, and the open subtree's span got its candidate count.
+  // Before any flush: closing mid-tree ended every span the cursor
+  // opened, and the open tree walk's span got its candidate count.
   int subtrees = 0;
   for (const TraceSpan& span : ctx.spans()) {
     if (span.span_id == root) continue;
@@ -289,7 +289,7 @@ TEST(TraceEndToEndTest, EarlyCloseEndsTheOpenSubtreeSpan) {
     ++subtrees;
     ASSERT_EQ(span.annotation_count, 3u);
     EXPECT_STREQ(span.annotations[0].key, "tree");
-    EXPECT_STREQ(span.annotations[1].key, "subtree");
+    EXPECT_STREQ(span.annotations[1].key, "nodes");
     EXPECT_STREQ(span.annotations[2].key, "candidates");
   }
   EXPECT_GE(subtrees, 1);
