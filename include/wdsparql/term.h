@@ -1,6 +1,7 @@
 #ifndef WDSPARQL_PUBLIC_TERM_H_
 #define WDSPARQL_PUBLIC_TERM_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -50,8 +51,10 @@ inline uint32_t TermIndex(TermId t) { return t & ~kVariableBit; }
 /// Thread-safety: fully internally synchronised, tuned for the serving
 /// path. Interning (`InternIri`, `InternVariable`, `FreshVariable`) and
 /// map lookups (`FindIri`, `FindVariable`) take a short mutex; spelling
-/// reads (`Spelling`, `ToDisplayString`, …) are lock-free, so cursor
-/// `Value()` calls on many reader threads never contend. The storage
+/// reads (`Spelling`, `ToDisplayString`, …) are lock-free — two acquire
+/// loads (the table's size and its chunk directory), no mutex, no
+/// reference count and no write to shared memory — so cursor `Value()`
+/// calls on many reader threads never contend. The storage
 /// behind a spelling is append-only and address-stable: a returned
 /// `string_view` stays valid for the pool's whole lifetime. A reader may
 /// resolve any `TermId` it legitimately obtained (i.e. that reached it
@@ -104,11 +107,15 @@ class TermPool {
   TermId InternVariableLocked(std::string&& name);
 
   /// Append-only spelling storage with lock-free reads. Spellings live
-  /// in fixed-size chunks whose element addresses never change; the
-  /// chunk directory grows by swapping in a copied successor, never by
-  /// reallocating under a reader. `At(i)` is safe on any thread for any
-  /// `i` that was appended before the reader learned of it through a
-  /// release/acquire edge (the pool's own size counter provides one:
+  /// in fixed-size chunks whose element addresses never change. Readers
+  /// find a chunk through a directory published by one atomic pointer
+  /// (an acquire load, no lock and no reference count); when the
+  /// directory fills, the writer publishes a copy twice its size and
+  /// keeps the superseded one alive, since a reader may still hold it.
+  /// The sizes double, so all directories together hold fewer than four
+  /// pointers per chunk. `At(i)` is safe on any thread for any `i` that
+  /// was appended before the reader learned of it through a
+  /// release/acquire edge (the table's own size counter provides one:
   /// the writer stores it with release after constructing the slot).
   class SpellingTable {
    public:
@@ -117,17 +124,23 @@ class TermPool {
     uint32_t Append(std::string_view s) {
       std::size_t n = size_.load(std::memory_order_relaxed);
       std::size_t chunk_index = n >> kChunkShift;
-      std::shared_ptr<const Directory> dir =
-          std::atomic_load_explicit(&chunks_, std::memory_order_relaxed);
-      if (dir == nullptr || chunk_index == dir->size()) {
-        auto grown = std::make_shared<Directory>();
-        if (dir != nullptr) *grown = *dir;
-        grown->push_back(std::make_shared<Chunk>(kChunkMask + 1));
-        std::atomic_store(&chunks_, std::shared_ptr<const Directory>(grown));
-        dir = std::move(grown);
+      if (chunk_index == chunks_.size()) {
+        chunks_.push_back(std::make_unique<Chunk>(kChunkMask + 1));
+        if (directories_.empty() || chunk_index == directories_.back()->size()) {
+          auto grown = std::make_unique<Directory>(
+              directories_.empty() ? 1 : 2 * directories_.back()->size(), nullptr);
+          if (!directories_.empty()) {
+            std::copy(directories_.back()->begin(), directories_.back()->end(),
+                      grown->begin());
+          }
+          directories_.push_back(std::move(grown));
+          directory_.store(directories_.back().get(), std::memory_order_release);
+        }
+        // Readers reach this slot only after the size store below.
+        (*directories_.back())[chunk_index] = chunks_.back().get();
       }
       // Construct the slot fully before publishing the new size.
-      (*(*dir)[chunk_index])[n & kChunkMask].assign(s.data(), s.size());
+      (*chunks_[chunk_index])[n & kChunkMask].assign(s.data(), s.size());
       size_.store(n + 1, std::memory_order_release);
       return static_cast<uint32_t>(n);
     }
@@ -135,9 +148,8 @@ class TermPool {
     /// Lock-free read; fatal on out-of-range indexes.
     std::string_view At(uint32_t index) const {
       WDSPARQL_CHECK(index < size_.load(std::memory_order_acquire));
-      std::shared_ptr<const Directory> dir =
-          std::atomic_load_explicit(&chunks_, std::memory_order_acquire);
-      return (*(*dir)[index >> kChunkShift])[index & kChunkMask];
+      const Directory& dir = *directory_.load(std::memory_order_acquire);
+      return (*dir[index >> kChunkShift])[index & kChunkMask];
     }
 
     std::size_t size() const { return size_.load(std::memory_order_acquire); }
@@ -146,9 +158,13 @@ class TermPool {
     static constexpr std::size_t kChunkShift = 10;  // 1024 spellings/chunk.
     static constexpr std::size_t kChunkMask = (1u << kChunkShift) - 1;
     using Chunk = std::vector<std::string>;  // Sized once, never resized.
-    using Directory = std::vector<std::shared_ptr<Chunk>>;
+    using Directory = std::vector<Chunk*>;   // Sized once; slots filled in order.
 
-    std::shared_ptr<const Directory> chunks_;  // Atomic access only.
+    // Writer side (under the pool mutex): the chunks, and every
+    // directory ever published, the current one last.
+    std::vector<std::unique_ptr<Chunk>> chunks_;
+    std::vector<std::unique_ptr<Directory>> directories_;
+    std::atomic<const Directory*> directory_{nullptr};  // Readers' entry point.
     std::atomic<std::size_t> size_{0};
   };
 

@@ -1,8 +1,10 @@
 #ifndef WDSPARQL_ENGINE_API_INTERNAL_H_
 #define WDSPARQL_ENGINE_API_INTERNAL_H_
 
+#include <atomic>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -37,6 +39,71 @@
 /// which side touches them.
 
 namespace wdsparql {
+
+/// A registry instrument resolved by name once and then cached: the
+/// per-query and per-commit paths skip the registry's name lookup, its
+/// mutex and the key's allocation. The lookup still runs at first use,
+/// so an instrument enters the registry (and its dumps) exactly when an
+/// uncached lookup would have created it. Any thread may call `get`;
+/// registry addresses are stable, so racing first uses cache the same
+/// pointer.
+template <typename Instrument>
+class CachedInstrument {
+ public:
+  CachedInstrument(MetricsRegistry* registry, const char* name)
+      : registry_(registry), name_(name) {}
+
+  Instrument& get() const {
+    Instrument* instrument = cached_.load(std::memory_order_acquire);
+    if (instrument == nullptr) {
+      if constexpr (std::is_same_v<Instrument, Counter>) {
+        instrument = &registry_->counter(name_);
+      } else {
+        instrument = &registry_->histogram(name_);
+      }
+      cached_.store(instrument, std::memory_order_release);
+    }
+    return *instrument;
+  }
+
+ private:
+  MetricsRegistry* registry_;
+  const char* name_;
+  mutable std::atomic<Instrument*> cached_{nullptr};
+};
+
+/// The registry instruments that every query or commit updates,
+/// resolved once per database (see docs/OBSERVABILITY.md).
+struct ExecutionInstruments {
+  explicit ExecutionInstruments(MetricsRegistry* registry)
+      : cursors_opened(registry, "query.cursors_opened"),
+        rows_emitted(registry, "query.rows_emitted"),
+        candidates(registry, "query.candidates"),
+        maximality_tests(registry, "query.maximality_tests"),
+        deadline_exceeded(registry, "query.deadline_exceeded"),
+        cancelled(registry, "query.cancelled"),
+        limited(registry, "query.limited"),
+        closed_early(registry, "query.closed_early"),
+        enumerate_ns(registry, "query.enumerate_ns"),
+        optimizer_plans(registry, "optimizer.plans"),
+        optimizer_plan_ns(registry, "optimizer.plan_ns"),
+        write_commits(registry, "write.commits"),
+        write_net_ops(registry, "write.net_ops") {}
+
+  CachedInstrument<Counter> cursors_opened;
+  CachedInstrument<Counter> rows_emitted;
+  CachedInstrument<Counter> candidates;
+  CachedInstrument<Counter> maximality_tests;
+  CachedInstrument<Counter> deadline_exceeded;
+  CachedInstrument<Counter> cancelled;
+  CachedInstrument<Counter> limited;
+  CachedInstrument<Counter> closed_early;
+  CachedInstrument<Histogram> enumerate_ns;
+  CachedInstrument<Counter> optimizer_plans;
+  CachedInstrument<Histogram> optimizer_plan_ns;
+  CachedInstrument<Counter> write_commits;
+  CachedInstrument<Histogram> write_net_ops;
+};
 
 /// Everything a `Database` owns.
 struct DatabaseImpl {
@@ -81,6 +148,8 @@ struct DatabaseImpl {
   /// safely however long their owners live; updated from any thread
   /// (relaxed atomics inside).
   std::shared_ptr<MetricsRegistry> metrics = std::make_shared<MetricsRegistry>();
+  /// `metrics`' per-query and per-commit instruments.
+  ExecutionInstruments instruments{metrics.get()};
   /// The flight-recorder trace ring; null when
   /// `DatabaseOptions::trace_capacity == 0`. Lock-free, written by
   /// request-local `TraceContext` flushes from any thread.

@@ -33,10 +33,10 @@ void FinalizeCursorStats(CursorImpl* impl) {
       if (sub.est_rows >= 0) stats.est_cost += sub.est_cost;
     }
   }
-  MetricsRegistry& metrics = *impl->stmt->db->metrics;
-  metrics.counter("query.rows_emitted").Add(impl->rows);
-  metrics.counter("query.candidates").Add(candidates);
-  metrics.counter("query.maximality_tests").Add(record.maximality_tests);
+  const ExecutionInstruments& metrics = impl->stmt->db->instruments;
+  metrics.rows_emitted.get().Add(impl->rows);
+  metrics.candidates.get().Add(candidates);
+  metrics.maximality_tests.get().Add(record.maximality_tests);
   // Releasing the enumerator ends its open tree's span.
   impl->enumerator.reset();
   impl->view.reset();  // Drop the pin: the store may free superseded runs.
@@ -45,26 +45,26 @@ void FinalizeCursorStats(CursorImpl* impl) {
   // pressure (deadlines) from abandonment (cancellations / early closes).
   switch (impl->state) {
     case Cursor::State::kCancelled:
-      metrics.counter(impl->diagnostics.code ==
-                              QueryDiagnostics::Code::kDeadlineExceeded
-                          ? "query.deadline_exceeded"
-                          : "query.cancelled")
+      (impl->diagnostics.code == QueryDiagnostics::Code::kDeadlineExceeded
+           ? metrics.deadline_exceeded
+           : metrics.cancelled)
+          .get()
           .Add(1);
       break;
     case Cursor::State::kLimited:
-      metrics.counter("query.limited").Add(1);
+      metrics.limited.get().Add(1);
       break;
     case Cursor::State::kClosed:
     case Cursor::State::kOpen:  // Destroyed while open: same abandonment.
       // Closed while still open: the consumer walked away mid-stream
       // (e.g. a dropped client connection) rather than draining.
-      metrics.counter("query.closed_early").Add(1);
+      metrics.closed_early.get().Add(1);
       break;
     default:
       break;
   }
   if (impl->stats != nullptr) {
-    metrics.histogram("query.enumerate_ns").Observe(impl->stats->enumerate_ns);
+    metrics.enumerate_ns.get().Observe(impl->stats->enumerate_ns);
   }
   if (impl->enumerate_span != 0) {
     TraceContext& trace = *impl->exec.trace;
@@ -147,7 +147,7 @@ bool Cursor::Open() {
   if (probe) {
     impl_->enumerator->SetInterruptProbe(std::move(probe), impl_->exec.check_interval);
   }
-  stmt.db->metrics->counter("query.cursors_opened").Add(1);
+  stmt.db->instruments.cursors_opened.get().Add(1);
   impl_->state = State::kOpen;
   return true;
 }

@@ -64,8 +64,8 @@ Status ApplyResolvedOps(DatabaseImpl* impl, const std::vector<ResolvedOp>& ops,
 
   // Commit-path accounting: one counter bump and one histogram sample
   // per effective commit (writer thread; never on the read hot path).
-  impl->metrics->counter("write.commits").Add(1);
-  impl->metrics->histogram("write.net_ops").Observe(adds.size() + removes.size());
+  impl->instruments.write_commits.get().Add(1);
+  impl->instruments.write_net_ops.get().Observe(adds.size() + removes.size());
 
   // Tracing: a caller-supplied context (the server's per-request trace)
   // parents the commit under its root span; without one, an enabled
@@ -466,12 +466,11 @@ EnumerationHooks MakeEnumerationHooks(const DatabaseImpl& db,
     };
     return hooks;
   }
-  // Optimizer plumbing, resolved once per hooks build (instrument
-  // addresses are registry-stable; the lookup mutex is fine off the
-  // per-row hot path). The pool pointer renders plan descriptions.
+  // Optimizer plumbing: the database's cached instruments. The pool
+  // pointer renders plan descriptions.
   const TermPool* pool = db.pool;
-  Counter* plans_metric = &db.metrics->counter("optimizer.plans");
-  Histogram* plan_ns_metric = &db.metrics->histogram("optimizer.plan_ns");
+  Counter* plans_metric = &db.instruments.optimizer_plans.get();
+  Histogram* plan_ns_metric = &db.instruments.optimizer_plan_ns.get();
   // The compiled join is lazy, so it needs no stop check: the enumerator
   // checks for interruption between pulls.
   hooks.open_search = [view, join_stats, optimize, pool, plans_metric, plan_ns_metric](

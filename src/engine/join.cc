@@ -73,15 +73,24 @@ struct CompiledJoin::State {
     EncPattern pattern;
     std::optional<MergedScan> range;  // Empty until first located.
     SeekProbe probe;
+    /// Where the range opens, fixed by `Plan`: the conjunct's deepest
+    /// variable above this level binds at `parent_level` (-1: none),
+    /// whose probe of the conjunct is `sized[parent_index]` there. When
+    /// that probe ran on the level's current value, it just found this
+    /// range's pattern, and the range opens at its seek position.
+    int parent_level = -1;
+    std::size_t parent_index = 0;
   };
 
-  /// One descent level: the intersected candidate values of the level's
-  /// variable under the bindings above it, the resume position, and one
-  /// sized range per conjunct containing the variable (parallel to
-  /// `conjuncts_of_var`).
+  /// One descent level: the candidate values of the level's variable
+  /// under the bindings above it (the smallest range's values, each
+  /// probed into the other ranges when the walk reaches it), the resume
+  /// position, and one sized range per conjunct containing the variable
+  /// (parallel to `conjuncts_of_var`).
   struct Level {
     std::vector<DataId> values;
     std::size_t pos = 0;
+    std::size_t smallest = 0;  // The range `values` came from: never probed.
     std::vector<SizedRange> sized;
   };
 
@@ -173,6 +182,19 @@ struct CompiledJoin::State {
     levels.resize(vars.size());
     for (std::size_t d = 0; d < vars.size(); ++d) {
       levels[d].sized.resize(conjuncts_of_var[d].size());
+      for (std::size_t k = 0; k < conjuncts_of_var[d].size(); ++k) {
+        // The conjunct's pattern at level d binds its variables above d;
+        // the deepest of them, e, probes the same pattern at level e.
+        const std::size_t ci = conjuncts_of_var[d][k];
+        SizedRange& sized = levels[d].sized[k];
+        for (int v : conjuncts[ci].var) {
+          if (v < static_cast<int>(d)) sized.parent_level = std::max(sized.parent_level, v);
+        }
+        if (sized.parent_level < 0) continue;
+        const std::vector<std::size_t>& above = conjuncts_of_var[sized.parent_level];
+        sized.parent_index = static_cast<std::size_t>(
+            std::find(above.begin(), above.end(), ci) - above.begin());
+      }
     }
   }
 
@@ -247,48 +269,65 @@ struct CompiledJoin::State {
     values->erase(std::unique(values->begin(), values->end()), values->end());
   }
 
-  /// Computes level `d`'s value list under the bindings above it, the
-  /// Generic Join way: size every range of a conjunct containing the
+  /// Computes level `d`'s candidate values under the bindings above it,
+  /// the Generic Join way: size every range of a conjunct containing the
   /// level's variable in O(log n) (or reuse it while its pattern is
-  /// unchanged), materialise only the smallest, and keep a value iff an
-  /// existence probe with it bound succeeds on every other such
-  /// conjunct. The values ascend, so each conjunct's probe seeks forward
-  /// from its previous position, inside the sized range when the probe
-  /// key extends that range's sort prefix. An empty range
-  /// short-circuits to an empty level (dead branch).
+  /// unchanged) and materialise only the smallest. A changed range opens
+  /// at its parent probe's seek position when that probe ran on the
+  /// current value (Leapfrog Triejoin's `open`), and is searched from
+  /// the root of the runs otherwise. The values are probed into the
+  /// other ranges later, one by one, as the walk reaches them
+  /// (`PassesProbes`). An empty range short-circuits to an empty level
+  /// (dead branch).
   void FillLevel(std::size_t d) {
     Level& level = levels[d];
     level.values.clear();
     level.pos = 0;
     const int v = static_cast<int>(d);
     const std::vector<std::size_t>& with_v = conjuncts_of_var[v];
-    std::size_t smallest = 0;
+    level.smallest = 0;
     for (std::size_t k = 0; k < with_v.size(); ++k) {
       SizedRange& sized = level.sized[k];
       const EncPattern pattern = PatternOf(with_v[k], v, kNoDataId);
       if (!sized.range || !(sized.pattern == pattern)) {
         sized.pattern = pattern;
-        sized.range = store.Scan(pattern);
+        if (sized.parent_level >= 0 &&
+            levels[sized.parent_level].smallest != sized.parent_index) {
+          // The parent probe matched `pattern` on the current value.
+          sized.range = levels[sized.parent_level].sized[sized.parent_index].probe.Open(
+              pattern);
+        } else {
+          sized.range = store.Scan(pattern);
+        }
         // 0 stands in for v's values: the shape is which positions bind.
         sized.probe = store.Probe(PatternOf(with_v[k], v, 0), &*sized.range);
       }
       const std::size_t bound = sized.range->bound_size();
       if (bound == 0) return;  // Dead branch.
-      if (bound < level.sized[smallest].range->bound_size()) smallest = k;
+      if (bound < level.sized[level.smallest].range->bound_size()) level.smallest = k;
     }
-    CollectValues(with_v[smallest], v, *level.sized[smallest].range, &level.values);
+    CollectValues(with_v[level.smallest], v, *level.sized[level.smallest].range,
+                  &level.values);
     for (SizedRange& sized : level.sized) sized.probe.Rewind();
-    auto fails_a_probe = [&](DataId value) {
-      for (std::size_t k = 0; k < with_v.size(); ++k) {
-        if (k == smallest) continue;
-        if (stats != nullptr) ++stats->values_probed;
-        if (!level.sized[k].probe.Exists(PatternOf(with_v[k], v, value))) return true;
-      }
-      return false;
-    };
-    level.values.erase(
-        std::remove_if(level.values.begin(), level.values.end(), fails_a_probe),
-        level.values.end());
+  }
+
+  /// True iff an existence probe with `value` bound at level `d`
+  /// succeeds on every conjunct containing the level's variable except
+  /// the one its values came from. The level's values ascend, so each
+  /// conjunct's probe seeks forward from its previous position, inside
+  /// the sized range when the probe key extends that range's sort prefix;
+  /// a passing value leaves every probe at its key, where the next
+  /// level's ranges open.
+  bool PassesProbes(std::size_t d, DataId value) {
+    Level& level = levels[d];
+    const int v = static_cast<int>(d);
+    const std::vector<std::size_t>& with_v = conjuncts_of_var[v];
+    for (std::size_t k = 0; k < with_v.size(); ++k) {
+      if (k == level.smallest) continue;
+      if (stats != nullptr) ++stats->values_probed;
+      if (!level.sized[k].probe.Exists(PatternOf(with_v[k], v, value))) return false;
+    }
+    return true;
   }
 
   bool Next() {
@@ -309,6 +348,7 @@ struct CompiledJoin::State {
       Level& level = levels[depth];
       if (level.pos < level.values.size()) {
         DataId value = level.values[level.pos++];
+        if (!PassesProbes(depth, value)) continue;
         binding[depth] = value;
         if (depth + 1 == static_cast<int>(vars.size())) return true;
         ++depth;

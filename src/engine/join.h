@@ -20,26 +20,38 @@
 /// binds variables one at a time in a fixed global order. At each level
 /// it sizes the permutation range of every conjunct containing the
 /// level's variable from the range bounds alone (O(log n), no
-/// iteration), materialises the values of the smallest range only, and
-/// keeps a value iff an existence probe with the value bound succeeds on
-/// every other such conjunct. A probe binds the variable at every
-/// position it occupies, so conjuncts that repeat a variable need no
-/// special path. Any one or two bound positions form a sort prefix of
-/// one of the three cyclic permutations SPO/POS/OSP, so every range and
-/// every probe is a binary search.
+/// iteration) and materialises the values of the smallest range only.
+/// A value is kept iff an existence probe with the value bound succeeds
+/// on every other such conjunct, and the probes run when the walk
+/// reaches the value, not when the level fills, so a search stopped at
+/// its first row probes only the values it passed. A probe binds the
+/// variable at every position it occupies, so conjuncts that repeat a
+/// variable need no special path. Any one or two bound positions form a
+/// sort prefix of one of the three cyclic permutations SPO/POS/OSP, so
+/// every range and every probe is a search in sorted runs.
 ///
 /// Level values are sorted and distinct, so the enumeration order
 /// depends on the variable order alone, never on which range happened
 /// to be the smallest — and each conjunct's probes within one fill come
-/// with ascending keys. Every probe is therefore a `SeekProbe` that
-/// searches forward from its previous position (Leapfrog Triejoin's
-/// seek, Veldhuizen, ICDT 2014), inside the range the level just sized
-/// when the probe's bound positions extend that range's sort prefix (a
-/// fully bound probe such as `(?y city c)` always does), in the full
-/// runs of its own permutation otherwise. Each level keeps its sized
-/// ranges while a conjunct's pattern under the bindings above is
-/// unchanged, so a conjunct that shares no variable with the levels
-/// above is located once per join.
+/// with ascending keys. The ranges and probes are therefore the trie
+/// iterators of Leapfrog Triejoin (Veldhuizen, ICDT 2014):
+///  - Every probe is a `SeekProbe` that gallops forward from its
+///    previous position (exponential steps, then a binary search inside
+///    the last one), inside the range the level just sized when the
+///    probe's bound positions extend that range's sort prefix (a fully
+///    bound probe such as `(?y city c)` always does), in the full runs
+///    of its own permutation otherwise.
+///  - A value that passes leaves each probe at its key. A conjunct whose
+///    pattern at a deeper level is the one its probe just matched (the
+///    probe sits at the level of the conjunct's deepest variable above,
+///    fixed when the join is planned) opens that level's range at the
+///    probe's position (`SeekProbe::Open`): the range's bounds gallop
+///    from there instead of being searched for from the root of the
+///    runs. Only a range no probe above located is searched from the
+///    root (`ReadView::Scan`).
+///  - Each level keeps its sized ranges while a conjunct's pattern under
+///    the bindings above is unchanged, so a conjunct that shares no
+///    variable with the levels above is located once per join.
 ///
 /// The join has one shape, `CompiledJoin`: a pattern compiled once
 /// against a view, with input slots read from a row of `DataId`s and run

@@ -67,21 +67,52 @@ struct PrefixKey {
   }
 };
 
+/// True iff triple `t` sorts before the bound on `key`'s prefix: its
+/// prefix key is below `key`'s (`kUpper`: not above it).
+template <int kPerm, int kPrefix, bool kUpper>
+struct BeforeBound {
+  using Key = PrefixKey<kPerm, kPrefix>;
+  template <typename T>
+  explicit BeforeBound(const T& key) : head(Key::Head(key)), tail(Key::Tail(key)) {}
+  bool operator()(const EncTriple& t) const {
+    const uint64_t h = Key::Head(t);
+    if (h != head) return h < head;
+    return kUpper ? Key::Tail(t) <= tail : Key::Tail(t) < tail;
+  }
+  uint64_t head;
+  DataId tail;
+};
+
 /// The first triple of the sorted `[first, last)` whose prefix key is not
-/// below `key`'s (`kUpper`: is above it).
+/// below `key`'s (`kUpper`: is above it), by binary search.
 template <int kPerm, int kPrefix, bool kUpper, typename T>
 const EncTriple* PrefixBound(const EncTriple* first, const EncTriple* last, const T& key) {
   if constexpr (kPrefix == 0) {
     return kUpper ? last : first;
   } else {
-    using Key = PrefixKey<kPerm, kPrefix>;
-    const uint64_t head = Key::Head(key);
-    const DataId tail = Key::Tail(key);
-    return std::partition_point(first, last, [head, tail](const EncTriple& t) {
-      const uint64_t h = Key::Head(t);
-      if (h != head) return h < head;
-      return kUpper ? Key::Tail(t) <= tail : Key::Tail(t) < tail;
-    });
+    return std::partition_point(first, last, BeforeBound<kPerm, kPrefix, kUpper>(key));
+  }
+}
+
+/// `PrefixBound` by galloping: exponential steps from `first` until a
+/// triple lies past the bound, then a binary search inside the last
+/// step. Costs O(log d) comparisons for a bound d triples past `first`,
+/// whatever the length of `[first, last)`.
+template <int kPerm, int kPrefix, bool kUpper, typename T>
+const EncTriple* GallopBound(const EncTriple* first, const EncTriple* last, const T& key) {
+  if constexpr (kPrefix == 0) {
+    return kUpper ? last : first;
+  } else {
+    const BeforeBound<kPerm, kPrefix, kUpper> before(key);
+    if (first == last || !before(*first)) return first;
+    // `*first` lies before the bound; the step doubles past it.
+    std::ptrdiff_t step = 1;
+    while (last - first > step && before(first[step])) {
+      first += step;
+      step *= 2;
+    }
+    return std::partition_point(first + 1, last - first > step ? first + step : last,
+                                before);
   }
 }
 
@@ -99,13 +130,13 @@ bool IsDead(const MergedScan::Tombstones& dead, const EncTriple& t) {
 
 /// The contiguous [lo, hi) range of `[first, last)` whose first
 /// `kPrefix` positions (in permutation order) equal the pattern's bound
-/// values.
+/// values: a binary search for `lo`, then a gallop from it to `hi`.
 template <int kPerm, int kPrefix>
 std::pair<const EncTriple*, const EncTriple*> PrefixRange(const EncTriple* first,
                                                           const EncTriple* last,
                                                           const EncPattern& pattern) {
   const EncTriple* lo = PrefixBound<kPerm, kPrefix, false>(first, last, pattern);
-  return {lo, PrefixBound<kPerm, kPrefix, true>(lo, last, pattern)};
+  return {lo, GallopBound<kPerm, kPrefix, true>(lo, last, pattern)};
 }
 
 using PrefixRangeFn = std::pair<const EncTriple*, const EncTriple*> (*)(
@@ -251,15 +282,15 @@ template <int kPerm, int kPrefix>
 bool SeekProbe::ExistsIn(SeekProbe* probe, const EncPattern& pattern) {
   using Key = PrefixKey<kPerm, kPrefix>;
   // Keys ascend between rewinds, so every triple below the previous
-  // lower bound is below this key too: the search restarts there.
+  // lower bound is below this key too: the search gallops on from there.
   // Delta triples are live by construction: one match there decides.
   probe->delta_lo_ =
-      PrefixBound<kPerm, kPrefix, false>(probe->delta_lo_, probe->delta_end_, pattern);
+      GallopBound<kPerm, kPrefix, false>(probe->delta_lo_, probe->delta_end_, pattern);
   if (probe->delta_lo_ != probe->delta_end_ && Key::Equal(*probe->delta_lo_, pattern)) {
     return true;
   }
   probe->base_lo_ =
-      PrefixBound<kPerm, kPrefix, false>(probe->base_lo_, probe->base_end_, pattern);
+      GallopBound<kPerm, kPrefix, false>(probe->base_lo_, probe->base_end_, pattern);
   for (const EncTriple* b = probe->base_lo_;
        b != probe->base_end_ && Key::Equal(*b, pattern); ++b) {
     if (!IsDead(*probe->dead_, *b)) return true;
@@ -267,8 +298,23 @@ bool SeekProbe::ExistsIn(SeekProbe* probe, const EncPattern& pattern) {
   return false;
 }
 
+template <int kPerm, int kPrefix>
+MergedScan SeekProbe::OpenIn(SeekProbe* probe, const EncPattern& key) {
+  // The delta cursor already stands at `key`'s lower bound; the base
+  // cursor does too unless a delta match decided the probe first.
+  probe->base_lo_ =
+      GallopBound<kPerm, kPrefix, false>(probe->base_lo_, probe->base_end_, key);
+  return MergedScan(
+      probe->base_lo_,
+      GallopBound<kPerm, kPrefix, true>(probe->base_lo_, probe->base_end_, key),
+      probe->delta_lo_,
+      GallopBound<kPerm, kPrefix, true>(probe->delta_lo_, probe->delta_end_, key),
+      probe->dead_, static_cast<Permutation>(kPerm));
+}
+
 SeekProbe ReadView::Probe(const EncPattern& shape, const MergedScan* within) const {
   using ExistsFn = bool (*)(SeekProbe*, const EncPattern&);
+  using OpenFn = MergedScan (*)(SeekProbe*, const EncPattern&);
   static constexpr ExistsFn kExistsIn[3][4] = {
       {SeekProbe::ExistsIn<0, 0>, SeekProbe::ExistsIn<0, 1>, SeekProbe::ExistsIn<0, 2>,
        SeekProbe::ExistsIn<0, 3>},
@@ -276,6 +322,13 @@ SeekProbe ReadView::Probe(const EncPattern& shape, const MergedScan* within) con
        SeekProbe::ExistsIn<1, 3>},
       {SeekProbe::ExistsIn<2, 0>, SeekProbe::ExistsIn<2, 1>, SeekProbe::ExistsIn<2, 2>,
        SeekProbe::ExistsIn<2, 3>}};
+  static constexpr OpenFn kOpenIn[3][4] = {
+      {SeekProbe::OpenIn<0, 0>, SeekProbe::OpenIn<0, 1>, SeekProbe::OpenIn<0, 2>,
+       SeekProbe::OpenIn<0, 3>},
+      {SeekProbe::OpenIn<1, 0>, SeekProbe::OpenIn<1, 1>, SeekProbe::OpenIn<1, 2>,
+       SeekProbe::OpenIn<1, 3>},
+      {SeekProbe::OpenIn<2, 0>, SeekProbe::OpenIn<2, 1>, SeekProbe::OpenIn<2, 2>,
+       SeekProbe::OpenIn<2, 3>}};
   const int mask = BoundMask(shape);
   PatternRuns runs = RunsFor(*base_, *delta_, mask);
   SeekProbe probe;
@@ -293,6 +346,7 @@ SeekProbe ReadView::Probe(const EncPattern& shape, const MergedScan* within) con
     probe.delta_end_ = runs.delta->data() + runs.delta->size();
   }
   probe.exists_ = kExistsIn[static_cast<int>(runs.perm)][runs.prefix];
+  probe.open_ = kOpenIn[static_cast<int>(runs.perm)][runs.prefix];
   probe.dead_ = &delta_->dead;
   probe.Rewind();
   return probe;

@@ -165,12 +165,16 @@ class MergedScan {
 };
 
 /// Forward-seeking existence probes over one permutation's sorted base
-/// and delta ranges: the seek of Leapfrog Triejoin (Veldhuizen, ICDT
-/// 2014), used by the join's probe step. Every probed pattern binds the
-/// same positions, which form a sort prefix of the permutation; each
-/// `Exists` call searches from where the previous one stopped, so a
-/// sequence of probes whose keys ascend (in permutation order) walks the
-/// range once instead of re-searching it from the start.
+/// and delta ranges: the seek of Leapfrog Triejoin's trie iterators
+/// (Veldhuizen, ICDT 2014), used by the join's probe step. Every probed
+/// pattern binds the same positions, which form a sort prefix of the
+/// permutation; each `Exists` call gallops (exponential steps, then a
+/// binary search inside the last one) from where the previous one
+/// stopped, so a sequence of probes whose keys ascend (in permutation
+/// order) walks the range once instead of re-searching it from the
+/// start, and a key d triples past the previous costs O(log d). `Open`
+/// is the iterator's `open()`: the range of the key just found, located
+/// from the seek position rather than from the root of the runs.
 ///
 /// Obtain one from `ReadView::Probe`. The view must outlive the probe;
 /// a probe is plain data, owned by the thread that probes it.
@@ -182,6 +186,14 @@ class SeekProbe {
   /// made for and agree with the range's own bound positions. Between
   /// `Rewind` calls the probed keys must not descend.
   bool Exists(const EncPattern& pattern) { return exists_(this, pattern); }
+
+  /// The triples matching `key`, which the last `Exists` call probed:
+  /// exactly the range `ReadView::Scan(key)` returns (the same base and
+  /// delta bounds, tombstoned base triples included), found by galloping
+  /// from the probe's seek position instead of by binary searches over
+  /// the full runs. The seek position stays at `key`'s lower bound, so
+  /// the probe goes on with the next key as if `Open` had not run.
+  MergedScan Open(const EncPattern& key) { return open_(this, key); }
 
   /// Restarts the seek at the range's start, ahead of a key sequence
   /// unrelated to the previous one.
@@ -196,8 +208,12 @@ class SeekProbe {
   /// `Exists`, specialised on the permutation and the bound prefix length.
   template <int kPerm, int kPrefix>
   static bool ExistsIn(SeekProbe* probe, const EncPattern& pattern);
+  /// `Open`, likewise specialised.
+  template <int kPerm, int kPrefix>
+  static MergedScan OpenIn(SeekProbe* probe, const EncPattern& key);
 
   bool (*exists_)(SeekProbe*, const EncPattern&) = nullptr;
+  MergedScan (*open_)(SeekProbe*, const EncPattern&) = nullptr;
   const EncTriple* base_begin_ = nullptr;
   const EncTriple* base_lo_ = nullptr;  // Seek position; below it, keys are smaller.
   const EncTriple* base_end_ = nullptr;
@@ -340,9 +356,10 @@ class ReadView final : public TripleSource {
   bool EncodeScanPattern(const Triple& pattern, EncPattern* out) const;
 
   /// The triples matching `pattern`, in the permutation whose sort
-  /// prefix covers the bound positions: two binary searches per run
-  /// over a packed prefix key. Every yielded triple matches; no residual
-  /// filtering is needed.
+  /// prefix covers the bound positions: per run, a binary search over a
+  /// packed prefix key for the range's start and a gallop from there to
+  /// its end. Every yielded triple matches; no residual filtering is
+  /// needed.
   MergedScan Scan(const EncPattern& pattern) const;
 
   /// An existence probe for patterns binding exactly the positions

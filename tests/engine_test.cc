@@ -157,6 +157,13 @@ std::size_t LiveCount(const MergedScan& scan) {
   return n;
 }
 
+/// The live triples of `scan`, in its order.
+std::vector<EncTriple> LiveTriples(const MergedScan& scan) {
+  std::vector<EncTriple> out;
+  for (const EncTriple& t : scan) out.push_back(t);
+  return out;
+}
+
 class IndexedStoreScanTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IndexedStoreScanTest, EveryBoundMaskMatchesNaiveFilter) {
@@ -556,6 +563,15 @@ TEST_P(SeekProbeTest, AscendingProbesMatchAFilteredScan) {
                                     " value=" + std::to_string(value);
           EXPECT_EQ(full.Exists(probe), expected) << where;
           EXPECT_EQ(nested.Exists(probe), expected) << where;
+          // Opened where each seek stopped, the key's range is the one
+          // `Scan` locates from the root: same bounds, same triples. Both
+          // probes go on seeking from there.
+          const MergedScan scanned = view.Scan(probe);
+          for (SeekProbe* seek : {&full, &nested}) {
+            const MergedScan opened = seek->Open(probe);
+            EXPECT_EQ(opened.bound_size(), scanned.bound_size()) << where;
+            EXPECT_EQ(LiveTriples(opened), LiveTriples(scanned)) << where;
+          }
           if (!expected) {
             ++misses;
             if (any_match(dead, probe)) ++dead_only;
@@ -660,6 +676,175 @@ TEST(JoinProbeTest, ChainWhoseMiddleRangeDependsOnTheRootMatchesTheSolver) {
   ExpectJoinMatchesSolver(graph, store.PinView(), patterns, {}, &order);
   const std::vector<TermId> reverse = {c, b, a};
   ExpectJoinMatchesSolver(graph, store.PinView(), patterns, {}, &reverse);
+}
+
+// ---------------------------------------------------------------------
+// Join: child ranges opened where the parent level's probe stopped.
+// ---------------------------------------------------------------------
+
+/// A store over `base` (its terms interned first, in `names` order, so
+/// their ids ascend in that order) with `erased` tombstoned and `added`
+/// left in the delta; `graph` receives the live triples.
+IndexedStore ChurnedStore(TermPool* pool, const std::vector<const char*>& names,
+                          const std::vector<std::array<const char*, 3>>& base,
+                          const std::vector<std::array<const char*, 3>>& erased,
+                          const std::vector<std::array<const char*, 3>>& added,
+                          RdfGraph* graph) {
+  for (const char* name : names) pool->InternIri(name);
+  auto triple = [pool](const std::array<const char*, 3>& t) {
+    return Triple(pool->InternIri(t[0]), pool->InternIri(t[1]), pool->InternIri(t[2]));
+  };
+  std::vector<Triple> triples;
+  for (const auto& t : base) triples.push_back(triple(t));
+  IndexedStore store = testlib::BuildStore(triples);
+  store.set_merge_threshold(0);
+  std::vector<Triple> dead;
+  std::vector<Triple> fresh;
+  for (const auto& t : erased) dead.push_back(triple(t));
+  for (const auto& t : added) fresh.push_back(triple(t));
+  store.ApplyBatch({}, dead);
+  store.ApplyBatch(fresh, {});
+  for (const Triple& t : triples) graph->Insert(t);
+  for (const Triple& t : dead) graph->Remove(t);
+  for (const Triple& t : fresh) graph->Insert(t);
+  EXPECT_EQ(store.view().size(), graph->size());
+  return store;
+}
+
+/// `(?x city c) AND (?x knows ?y) AND (?y city c)`, bound ?y then ?x.
+/// Where the city range is the smaller at the ?y level, each ?y is
+/// probed into (?x knows ?y), and the ?x level opens the (knows, y)
+/// range where that probe stopped.
+struct CityJoin {
+  explicit CityJoin(TermPool* pool)
+      : x(pool->InternVariable("x")), y(pool->InternVariable("y")) {
+    const TermId city = pool->InternIri("city");
+    const TermId c = pool->InternIri("c");
+    patterns = {Triple(x, city, c), Triple(x, pool->InternIri("knows"), y),
+                Triple(y, city, c)};
+    order = {y, x};
+  }
+  TermId x;
+  TermId y;
+  std::vector<Triple> patterns;
+  std::vector<TermId> order;
+};
+
+TEST(JoinHandoffTest, ParentProbeWhoseOnlyMatchIsInTheDelta) {
+  // ?y takes p0 < p1 < p3 < p4 < p5 in turn. (knows, p3) matches only
+  // the delta's (p0 knows p3), which decides the probe before its base
+  // cursor moves: it stays at (knows, p1), below the base's
+  // (p3 knows p2). A range opened from that cursor would be the ?x
+  // level's smallest and yield ?x = p3 for ?y = p3.
+  TermPool pool;
+  RdfGraph graph(&pool);
+  IndexedStore store = ChurnedStore(
+      &pool, {"city", "knows", "c", "p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7"},
+      {{"p0", "city", "c"}, {"p1", "city", "c"}, {"p3", "city", "c"},
+       {"p4", "city", "c"}, {"p5", "city", "c"}, {"p0", "knows", "p1"},
+       {"p1", "knows", "p0"}, {"p3", "knows", "p2"}, {"p6", "knows", "p7"},
+       {"p7", "knows", "p6"}},
+      {}, {{"p0", "knows", "p3"}}, &graph);
+  const CityJoin join(&pool);
+  ExpectJoinMatchesSolver(graph, store.PinView(), join.patterns, {}, &join.order);
+  EXPECT_EQ(JoinMappings(store.PinView(), join.patterns, nullptr, &join.order).size(), 3u);
+}
+
+TEST(JoinHandoffTest, OpenedRunWhoseFirstBaseTripleIsTombstoned) {
+  // (knows, p1)'s base run starts with the tombstoned (p0 knows p1). The
+  // probe passes over it to (p2 knows p1) but keeps its seek position at
+  // the run's start, and the opened range starts there too: its bound of
+  // 2 ties the (?x city c) range, which stays the ?x level's smallest.
+  // A range opened past the tombstone would be the smallest instead and
+  // change every count below.
+  TermPool pool;
+  RdfGraph graph(&pool);
+  IndexedStore store = ChurnedStore(
+      &pool, {"city", "knows", "c", "p0", "p1", "p2", "p3", "p4"},
+      {{"p1", "city", "c"}, {"p2", "city", "c"}, {"p0", "knows", "p1"},
+       {"p2", "knows", "p1"}, {"p3", "knows", "p4"}, {"p4", "knows", "p3"}},
+      {{"p0", "knows", "p1"}}, {}, &graph);
+  const CityJoin join(&pool);
+  ExpectJoinMatchesSolver(graph, store.PinView(), join.patterns, {}, &join.order);
+  ExecStats stats;
+  EXPECT_EQ(JoinMappings(store.PinView(), join.patterns, &stats, &join.order).size(), 1u);
+  // ?y in {p1, p2}: one probe each; under p1, ?x in {p1, p2}: one each.
+  EXPECT_EQ(stats.values_probed, 4u);
+  EXPECT_EQ(stats.ranges_scanned, 2u);
+  EXPECT_EQ(stats.base_triples_scanned, 4u);
+}
+
+TEST(JoinHandoffTest, OpenedRunThatEndsThePermutation) {
+  // knows sorts after city and p3 after every other object, so
+  // (knows, p3) is the last run of POS, in the base and in the delta:
+  // the opened range's upper bounds gallop to the end of both runs.
+  TermPool pool;
+  RdfGraph graph(&pool);
+  IndexedStore store = ChurnedStore(
+      &pool, {"city", "knows", "c", "p0", "p1", "p2", "p3"},
+      {{"p0", "city", "c"}, {"p1", "city", "c"}, {"p2", "city", "c"},
+       {"p3", "city", "c"}, {"p0", "knows", "p3"}, {"p1", "knows", "p3"},
+       {"p2", "knows", "p0"}, {"p3", "knows", "p1"}},
+      {}, {{"p2", "knows", "p3"}}, &graph);
+  const DictView& dict = store.view().dict();
+  ASSERT_LT(dict.Encode(pool.InternIri("city")), dict.Encode(pool.InternIri("knows")));
+  for (const char* other : {"c", "p0", "p1", "p2"}) {
+    ASSERT_LT(dict.Encode(pool.InternIri(other)), dict.Encode(pool.InternIri("p3")));
+  }
+  const CityJoin join(&pool);
+  ExpectJoinMatchesSolver(graph, store.PinView(), join.patterns, {}, &join.order);
+  EXPECT_EQ(JoinMappings(store.PinView(), join.patterns, nullptr, &join.order).size(), 5u);
+}
+
+TEST(JoinHandoffTest, OpenedConjunctRepeatsTheChildVariable) {
+  // (?y type rel) AND (?x ?y ?x), bound ?y then ?x: each relation ?y is
+  // probed into (?x ?y ?x), and the ?x level opens the (_, y, _) run at
+  // that probe, keeping the triples whose subject equals their object.
+  TermPool pool;
+  RdfGraph graph(&pool);
+  IndexedStore store = ChurnedStore(
+      &pool, {"type", "rel", "r1", "r2", "r3", "a", "b", "c", "d", "e"},
+      {{"r1", "type", "rel"}, {"r2", "type", "rel"}, {"a", "r1", "a"}, {"a", "r1", "b"},
+       {"b", "r1", "b"}, {"c", "r2", "d"}, {"d", "r2", "d"}, {"e", "r3", "e"}},
+      {{"b", "r1", "b"}}, {{"c", "r2", "c"}}, &graph);
+  const TermId x = pool.InternVariable("x");
+  const TermId y = pool.InternVariable("y");
+  const std::vector<Triple> patterns = {
+      Triple(y, pool.InternIri("type"), pool.InternIri("rel")), Triple(x, y, x)};
+  const std::vector<TermId> order = {y, x};
+  ExpectJoinMatchesSolver(graph, store.PinView(), patterns, {}, &order);
+  EXPECT_EQ(JoinMappings(store.PinView(), patterns, nullptr, &order).size(), 3u);
+}
+
+TEST(JoinHandoffTest, FullDrainCountsStayAndAnEarlyStopProbesFewerValues) {
+  // The city join over 40 persons in two cities, each knowing two
+  // others. A full drain's counts are those of a join that locates every
+  // range from the root and probes each level's values before
+  // descending. Stopped at its first row, the join has probed only the
+  // values the walk reached: the first ?y and, under it, the first ?x,
+  // where probing each level up front would probe all 20 ?y values of c
+  // first.
+  TermPool pool;
+  RdfGraph graph(&pool);
+  for (int i = 0; i < 40; ++i) {
+    const std::string person = "p" + std::to_string(i);
+    graph.Insert(person, "city", i % 2 == 0 ? "c" : "d");
+    graph.Insert(person, "knows", "p" + std::to_string((i * 7 + 3) % 40));
+    graph.Insert(person, "knows", "p" + std::to_string((i * 11 + 6) % 40));
+  }
+  IndexedStore store = testlib::BuildStore(graph.triples().triples());
+  const CityJoin join(&pool);
+  ExpectJoinMatchesSolver(graph, store.PinView(), join.patterns, {}, &join.order);
+  ExecStats drain;
+  EXPECT_EQ(JoinMappings(store.PinView(), join.patterns, &drain, &join.order).size(), 20u);
+  EXPECT_EQ(drain.values_probed, 60u);
+  EXPECT_EQ(drain.ranges_scanned, 21u);
+  EXPECT_EQ(drain.base_triples_scanned, 60u);
+  ExecStats first;
+  EXPECT_TRUE(CompiledJoin(store.view(), join.patterns, {}, &first, &join.order)
+                  .Extends(nullptr));
+  EXPECT_LT(first.values_probed, drain.values_probed);
+  EXPECT_EQ(first.values_probed, 2u);
 }
 
 // ---------------------------------------------------------------------
